@@ -191,31 +191,24 @@ def time_diff(
     steps: StepSeries,
     t0: int,
     t1: int,
-    neutral: float | None = None,
-    use_latest: bool = False,
 ) -> AttributionMatrix:
     """Subtract each feature's best weight at or before t0 from its in-window
     weights, so unchanged abnormalities score zero.
 
     Requires per-event weights (each column's mass on its active feature). A
     feature with no occurrence at or before t0 is differenced against the
-    method's neutral weight: 1 for ratio statistics, 0 otherwise. With
-    ``use_latest`` the most recent pre-t0 weight replaces the max.
+    method's neutral weight: 1 for ratio statistics, 0 otherwise.
     """
     if t0 > t1:
         raise ValueError(f"t0={t0} > t1={t1}")
     if t0 < 0 or t1 > a.T:
         raise ValueError(f"window ({t0}, {t1}] out of range for T={a.T}")
-    if neutral is None:
-        neutral = 1.0 if a.method in RATIO_METHODS else 0.0
+    neutral = 1.0 if a.method in RATIO_METHODS else 0.0
     w = a.event_weights(steps)
     baseline: dict[int, float] = {}
     for j in range(t0):
         f = int(steps.step_feature[j])
-        if use_latest:
-            baseline[f] = w[j]
-        else:
-            baseline[f] = max(baseline[f], w[j]) if f in baseline else w[j]
+        baseline[f] = max(baseline[f], w[j]) if f in baseline else w[j]
     out = np.zeros_like(a.a)
     for j in range(t0, t1):
         f = int(steps.step_feature[j])

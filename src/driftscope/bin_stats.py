@@ -143,26 +143,12 @@ def rothman_index(
     feature: str,
     bin_index: int,
     alpha: float = 0.5,
-    denominator: str = "mean_bin",
 ) -> float:
-    """Smoothed empirical risk of the bin over a reference risk.
-
-    The reference is the risk of the bin containing the feature's train mean;
-    ``denominator="base_rate"`` uses the feature's overall value-level risk
-    instead.
-    """
+    """Smoothed empirical risk of the bin over the risk of the bin containing
+    the feature's train mean."""
     fb = table.by_feature[feature]
     _check_bin(fb, bin_index)
-    risk = _bin_risk(fb, bin_index, alpha)
-    if denominator == "mean_bin":
-        ref = _bin_risk(fb, fb.mean_bin, alpha)
-    elif denominator == "base_rate":
-        pos = float(fb.pos.sum())
-        neg = float(fb.neg.sum())
-        ref = (pos + alpha) / (pos + neg + 2.0 * alpha)
-    else:
-        raise ValueError(f"unknown denominator {denominator!r}")
-    return risk / ref
+    return _bin_risk(fb, bin_index, alpha) / _bin_risk(fb, fb.mean_bin, alpha)
 
 
 def stat_weights(

@@ -11,7 +11,6 @@ import contextlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +50,9 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 SEED_ENV = "DRIFTSCOPE_SEED"
+
+EXPLANATIONS_HEADER = ["episode", "method", "rank", "step", "time_s", "feature", "raw_value", "weight"]
+WINDOWS_HEADER = ["episode", "t0", "t1", "t0_time_s", "t1_time_s", "source"]
 
 
 class UsageError(ValueError):
@@ -153,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=64)
     p.add_argument("--windows", choices=("checkpoints", "alerts"), default="checkpoints")
     p.add_argument("--checkpoint-hours", type=float, default=3.0)
-    p.add_argument("--jobs", type=int, default=1)
     _add_rule_flags(p)
 
     p = sub.add_parser("evaluate", help="score explanations against ground truth")
@@ -295,8 +296,6 @@ def cmd_explain(args) -> int:
             raise ValueError("--k must be >= 1")
         if args.m < 1:
             raise ValueError("--m must be >= 1")
-        if args.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
     rule = _rule_from_args(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -314,29 +313,19 @@ def cmd_explain(args) -> int:
         windows = evaluation.checkpoint_windows(episodes, args.checkpoint_hours)
     by_id = {ep.episode_id: ep for ep in episodes}
 
-    def one(task):
-        w, method = task
+    expl_rows = []
+    for w in windows:
         ep = by_id[w.episode_id]
-        expl = explain_window(method, ctx, ep, w, args.k)
-        return [
-            [w.episode_id, method, rank, it.step, it.time,
-             catalog.ids[it.feature], it.raw, it.weight]
-            for rank, it in enumerate(expl.items, start=1)
-        ]
+        for method in methods:
+            expl = explain_window(method, ctx, ep, w, args.k)
+            expl_rows.extend(
+                [w.episode_id, method, rank, it.step, it.time,
+                 catalog.ids[it.feature], it.raw, it.weight]
+                for rank, it in enumerate(expl.items, start=1)
+            )
 
-    tasks = [(w, method) for w in windows for method in methods]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            groups = list(pool.map(one, tasks))
-    else:
-        groups = [one(t) for t in tasks]
-    expl_rows = [row for group in groups for row in group]
-
-    write_csv(out / "explanations.csv",
-              ["episode", "method", "rank", "step", "time_s", "feature", "raw_value", "weight"],
-              expl_rows)
-    write_csv(out / "windows.csv",
-              ["episode", "t0", "t1", "t0_time_s", "t1_time_s", "source"],
+    write_csv(out / "explanations.csv", EXPLANATIONS_HEADER, expl_rows)
+    write_csv(out / "windows.csv", WINDOWS_HEADER,
               [[w.episode_id, w.t0, w.t1, w.t0_time, w.t1_time, w.source] for w in windows])
     risk_rows = []
     for ep in episodes:
@@ -359,9 +348,9 @@ def cmd_evaluate(args) -> int:
     raw = _read_events(args.events)
     by_id = {seq.episode_id: seq for seq in raw}
 
-    _, window_rows = read_csv(args.windows)
+    _, window_rows = read_csv(args.windows, WINDOWS_HEADER)
     windows = [(r[0], int(r[1]), int(r[2])) for r in window_rows]
-    _, expl_rows = read_csv(args.explanations)
+    _, expl_rows = read_csv(args.explanations, EXPLANATIONS_HEADER)
     selected: dict[tuple[str, str], list[tuple[int, str]]] = {}
     methods_seen: list[str] = []
     for r in expl_rows:

@@ -44,11 +44,10 @@ METHODS = (
 
 @dataclass(frozen=True)
 class PreparedEpisode:
-    """Raw and normalized views of one episode plus its risk series."""
+    """The raw episode, its model encoding and its risk series."""
 
     episode_id: str
     raw: EventSequence
-    norm: EventSequence
     steps: StepSeries
     risk: RiskSeries
 
@@ -95,10 +94,9 @@ def prepare_episodes(
 ) -> list[PreparedEpisode]:
     out = []
     for seq in sequences:
-        norm = normalize(seq, stats)
-        steps = encode_steps(norm, catalog)
+        steps = encode_steps(normalize(seq, stats), catalog)
         risk, _ = forward(params, steps, mode="eval")
-        out.append(PreparedEpisode(seq.episode_id, seq, norm, steps, risk))
+        out.append(PreparedEpisode(seq.episode_id, seq, steps, risk))
     return out
 
 

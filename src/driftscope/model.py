@@ -1,9 +1,10 @@
 """Gated recurrent risk model with handwritten reverse-mode differentiation.
 
 A single LSTM cell maps the step encoding to a per-step risk probability via a
-scalar output projection. Differentiation is done by an explicit tape over the
-recurrence, which gives exact gradients for both parameters and inputs and lets
-attribution code request d(p_t1)/d(x_t) directly. Training uses Adam with
+scalar output projection. One forward scan over a batch of sequences records
+the gate activations and cell states; one reverse sweep over them gives exact
+gradients for both parameters and inputs, so training and attribution code
+(d(p_t1)/d(x_t)) share a single core. Training uses Adam with
 global-norm clipping, inverted dropout with cached masks, and early stopping on
 validation loss. An optional bilinear attention head over the hidden states is
 fitted after the recurrent trunk, with the trunk frozen.
@@ -101,16 +102,6 @@ class ModelParams:
             out["w_att"] = self.w_att
         return out
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            w_gates=self.w_gates.copy(),
-            u_gates=self.u_gates.copy(),
-            b_gates=self.b_gates.copy(),
-            w_out=self.w_out.copy(),
-            b_out=self.b_out.copy(),
-            w_att=None if self.w_att is None else self.w_att.copy(),
-        )
-
 
 @dataclass(frozen=True)
 class RiskSeries:
@@ -133,15 +124,16 @@ class RiskSeries:
 
 @dataclass
 class ForwardCache:
-    """Every intermediate needed to replay the forward pass exactly."""
+    """What the reverse sweep and readers of the forward pass need.
+
+    ``gates`` holds the activations [i; f; g; o] of every step. The previous
+    cell state and the masked previous hidden state are one-step shifts of
+    ``c`` and ``h``.
+    """
 
     x_in: np.ndarray     # (T, d) inputs after input dropout
-    h_rec: np.ndarray    # (T, H) recurrent-dropout-masked previous hidden state
-    gi: np.ndarray
-    gf: np.ndarray
-    gg: np.ndarray
-    go: np.ndarray
-    c_prev: np.ndarray
+    gates: np.ndarray    # (T, 4H)
+    c: np.ndarray        # (T, H) cell states
     tanh_c: np.ndarray
     h: np.ndarray
     h_out: np.ndarray    # (T, H) hidden state after output dropout
@@ -180,6 +172,15 @@ class TrainReport:
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+
+
+def _sigmoid_inplace(z):
+    """_sigmoid written into z, with the same rounding."""
+    np.clip(z, -60.0, 60.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
 
 
 def model_init(config: ModelConfig, d: int) -> ModelParams:
@@ -222,37 +223,83 @@ def _draw_masks(config: ModelConfig, T: int, d: int, rng: np.random.Generator):
     return in_mask, out_mask, rec_mask
 
 
-def _forward_with_masks(params: ModelParams, x: np.ndarray, in_mask, out_mask, rec_mask) -> ForwardCache:
-    T, d = x.shape
+def _scan(params: ModelParams, x: np.ndarray, rec_mask: np.ndarray | None = None):
+    """The forward recurrence over a batch of sequences, from the zero state.
+
+    ``x`` has shape (T, B, d). The input projection of all steps is one matrix
+    product before the loop; each step adds only the recurrent term. Returns
+    the gate activations (T, B, 4H) ordered [i; f; g; o], the cell states and
+    their tanh, both (T, B, H). The hidden state is o * tanh(c).
+    """
+    T, B, d = x.shape
     H = params.hidden_size
-    W, U, b = params.w_gates, params.u_gates, params.b_gates
-    x_in = x * in_mask
-    h_rec = np.empty((T, H))
-    gi = np.empty((T, H)); gf = np.empty((T, H))
-    gg = np.empty((T, H)); go = np.empty((T, H))
-    c_prev = np.empty((T, H)); tanh_c = np.empty((T, H))
-    h_all = np.empty((T, H)); h_out = np.empty((T, H))
-    h = np.zeros(H)
-    c = np.zeros(H)
+    u_t = params.u_gates.T
+    gates = (x.reshape(T * B, d) @ params.w_gates.T).reshape(T, B, 4 * H)
+    gates += params.b_gates
+    c = np.empty((T, B, H))
+    tanh_c = np.empty((T, B, H))
+    h = np.zeros((B, H))
+    c_t = np.zeros((B, H))
     for t in range(T):
-        h_rec[t] = h * rec_mask
-        z = W @ x_in[t] + U @ h_rec[t] + b
-        gi[t] = _sigmoid(z[:H])
-        gf[t] = _sigmoid(z[H : 2 * H])
-        gg[t] = np.tanh(z[2 * H : 3 * H])
-        go[t] = _sigmoid(z[3 * H :])
-        c_prev[t] = c
-        c = gf[t] * c + gi[t] * gg[t]
-        tanh_c[t] = np.tanh(c)
-        h = go[t] * tanh_c[t]
-        h_all[t] = h
-        h_out[t] = h * out_mask[t]
+        z = gates[t]
+        z += (h if rec_mask is None else h * rec_mask) @ u_t
+        gg = np.tanh(z[:, 2 * H : 3 * H])
+        _sigmoid_inplace(z)  # one call over the whole block is the cheapest
+        z[:, 2 * H : 3 * H] = gg
+        c_t = z[:, H : 2 * H] * c_t + z[:, :H] * gg
+        c[t] = c_t
+        np.tanh(c_t, out=tanh_c[t])
+        h = z[:, 3 * H :] * tanh_c[t]
+    return gates, c, tanh_c
+
+
+def _sweep(params: ModelParams, gates, c, tanh_c, dlogit, out_mask=None, rec_mask=None):
+    """The reverse recurrence: backpropagation through time over one scan.
+
+    Seeded with d(objective)/d(logit_t) as ``dlogit`` (T, B), which the output
+    head turns into d/dh_t. Overwrites ``gates`` with dZ, the gradient with
+    respect to the gate pre-activations, and returns it; the parameter and
+    input gradients are matrix products of dZ taken outside the loop.
+    """
+    T, B, _ = gates.shape
+    H = params.hidden_size
+    U = params.u_gates
+    dh = np.zeros((B, H))
+    dc = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        seed = dlogit[t][:, None] * params.w_out
+        if out_mask is not None:
+            seed *= out_mask[t]
+        dh = dh + seed
+        z = gates[t]
+        gi, gf, gg, go = z[:, :H], z[:, H : 2 * H], z[:, 2 * H : 3 * H], z[:, 3 * H :]
+        do = dh * tanh_c[t]
+        dc = dc + dh * go * (1.0 - tanh_c[t] ** 2)
+        di = dc * gg
+        df = dc * (c[t - 1] if t else 0.0)
+        dg = dc * gi
+        dc = dc * gf
+        gi[...] = di * gi * (1.0 - gi)
+        gf[...] = df * gf * (1.0 - gf)
+        gg[...] = dg * (1.0 - gg ** 2)
+        go[...] = do * go * (1.0 - go)
+        dh = z @ U
+        if rec_mask is not None:
+            dh *= rec_mask
+    return gates
+
+
+def _forward_with_masks(params: ModelParams, x: np.ndarray, in_mask, out_mask, rec_mask) -> ForwardCache:
+    H = params.hidden_size
+    x_in = x * in_mask
+    gates, c, tanh_c = (a[:, 0] for a in _scan(params, x_in[:, None, :], rec_mask))
+    h = gates[:, 3 * H :] * tanh_c
+    h_out = h * out_mask
     logits = h_out @ params.w_out + params.b_out[0]
-    p = _sigmoid(logits)
     return ForwardCache(
-        x_in=x_in, h_rec=h_rec, gi=gi, gf=gf, gg=gg, go=go, c_prev=c_prev,
-        tanh_c=tanh_c, h=h_all, h_out=h_out, in_mask=in_mask, out_mask=out_mask,
-        rec_mask=rec_mask, logits=logits, p=p,
+        x_in=x_in, gates=gates, c=c, tanh_c=tanh_c, h=h, h_out=h_out,
+        in_mask=in_mask, out_mask=out_mask, rec_mask=rec_mask,
+        logits=logits, p=_sigmoid(logits),
     )
 
 
@@ -324,41 +371,19 @@ def backward(
     eta: float,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Exact gradients of loss() with respect to parameters and inputs."""
-    T, d = steps.x.shape
-    H = params.hidden_size
-    W, U = params.w_gates, params.u_gates
     dlogit = _dloss_dlogit(cache.p, outcome, eta)
-
+    dz = _sweep(params, cache.gates.copy()[:, None], cache.c[:, None], cache.tanh_c[:, None],
+                dlogit[:, None], cache.out_mask, cache.rec_mask)[:, 0]
+    h_rec = np.zeros_like(cache.h)  # the masked hidden state entering each step
+    h_rec[1:] = cache.h[:-1] * cache.rec_mask
     grads = {
-        "w_gates": np.zeros_like(W),
-        "u_gates": np.zeros_like(U),
-        "b_gates": np.zeros(4 * H),
+        "w_gates": dz.T @ cache.x_in,
+        "u_gates": dz.T @ h_rec,
+        "b_gates": dz.sum(axis=0),
         "w_out": dlogit @ cache.h_out,
         "b_out": np.array([dlogit.sum()]),
     }
-    dx = np.zeros((T, d))
-    dh_next = np.zeros(H)
-    dc_next = np.zeros(H)
-    for t in range(T - 1, -1, -1):
-        dh = dh_next + dlogit[t] * params.w_out * cache.out_mask[t]
-        do = dh * cache.tanh_c[t]
-        dc = dc_next + dh * cache.go[t] * (1.0 - cache.tanh_c[t] ** 2)
-        di = dc * cache.gg[t]
-        df = dc * cache.c_prev[t]
-        dg = dc * cache.gi[t]
-        dz = np.concatenate([
-            di * cache.gi[t] * (1.0 - cache.gi[t]),
-            df * cache.gf[t] * (1.0 - cache.gf[t]),
-            dg * (1.0 - cache.gg[t] ** 2),
-            do * cache.go[t] * (1.0 - cache.go[t]),
-        ])
-        grads["w_gates"] += np.outer(dz, cache.x_in[t])
-        grads["u_gates"] += np.outer(dz, cache.h_rec[t])
-        grads["b_gates"] += dz
-        dx[t] = (dz @ W) * cache.in_mask[t]
-        dh_next = (dz @ U) * cache.rec_mask
-        dc_next = dc * cache.gf[t]
-    return grads, dx
+    return grads, (dz @ params.w_gates) * cache.in_mask
 
 
 def _risk_gradient_batch(params: ModelParams, xs: np.ndarray, t1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -371,43 +396,14 @@ def _risk_gradient_batch(params: ModelParams, xs: np.ndarray, t1: int) -> tuple[
     if not 1 <= t1 <= T:
         raise ValueError(f"t1 must be in [1, {T}], got {t1}")
     H = params.hidden_size
-    W, U, b = params.w_gates, params.u_gates, params.b_gates
-    gi = np.empty((t1, B, H)); gf = np.empty((t1, B, H))
-    gg = np.empty((t1, B, H)); go = np.empty((t1, B, H))
-    c_prev = np.empty((t1, B, H)); tanh_c = np.empty((t1, B, H))
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    for t in range(t1):
-        z = xs[:, t, :] @ W.T + h @ U.T + b
-        gi[t] = _sigmoid(z[:, :H])
-        gf[t] = _sigmoid(z[:, H : 2 * H])
-        gg[t] = np.tanh(z[:, 2 * H : 3 * H])
-        go[t] = _sigmoid(z[:, 3 * H :])
-        c_prev[t] = c
-        c = gf[t] * c + gi[t] * gg[t]
-        tanh_c[t] = np.tanh(c)
-        h = go[t] * tanh_c[t]
-    logit = h @ params.w_out + params.b_out[0]
-    p = _sigmoid(logit)
-
+    gates, c, tanh_c = _scan(params, xs[:, :t1].transpose(1, 0, 2))
+    p = _sigmoid((gates[-1, :, 3 * H :] * tanh_c[-1]) @ params.w_out + params.b_out[0])
+    dlogit = np.zeros((t1, B))
+    dlogit[-1] = p * (1.0 - p)
+    dz = _sweep(params, gates, c, tanh_c, dlogit)
+    del c, tanh_c  # freed before the product below, which keeps peak memory down
     grads = np.zeros((B, T, d))
-    dh = (p * (1.0 - p))[:, None] * params.w_out[None, :]
-    dc = np.zeros((B, H))
-    for t in range(t1 - 1, -1, -1):
-        do = dh * tanh_c[t]
-        dc = dc + dh * go[t] * (1.0 - tanh_c[t] ** 2)
-        di = dc * gg[t]
-        df = dc * c_prev[t]
-        dg = dc * gi[t]
-        dz = np.concatenate([
-            di * gi[t] * (1.0 - gi[t]),
-            df * gf[t] * (1.0 - gf[t]),
-            dg * (1.0 - gg[t] ** 2),
-            do * go[t] * (1.0 - go[t]),
-        ], axis=1)
-        grads[:, t, :] = dz @ W
-        dh = dz @ U
-        dc = dc * gf[t]
+    grads[:, :t1] = (dz.reshape(t1 * B, 4 * H) @ params.w_gates).reshape(t1, B, d).transpose(1, 0, 2)
     return p, grads
 
 
@@ -533,28 +529,64 @@ def train(corpus: Sequence[EncodedEpisode], config: ModelConfig) -> tuple[ModelP
     shuffle_rng = np.random.default_rng([config.seed, 1])
     dropout_rng = np.random.default_rng([config.seed, 2])
 
+    def risk_grad(i):
+        ep = train_eps[i]
+        risk, cache = forward(params, ep.steps, mode="train", rng=dropout_rng, config=config)
+        grads, _ = backward(params, cache, ep.steps, ep.outcome, config.eta)
+        return loss(risk, ep.outcome, config.eta), grads
+
+    def risk_val(i):
+        risk, _ = forward(params, val_eps[i].steps, mode="eval")
+        return loss(risk, val_eps[i].outcome, config.eta), float(risk.p[-1])
+
     trainable = {k: v for k, v in params.arrays().items() if k != "w_att"}
+    report.best_epoch, report.stopped_early = _fit(
+        "risk", trainable, train_eps, val_eps, risk_grad, risk_val, config, shuffle_rng, report)
+
+    if config.attention and params.w_att is not None and config.max_epochs > 0:
+        # Trunk is frozen, so hidden states can be computed once per episode.
+        h_train = [forward(params, ep.steps, mode="eval")[1].h for ep in train_eps]
+        h_val = [forward(params, ep.steps, mode="eval")[1].h for ep in val_eps]
+
+        def attention_grad(i):
+            bce, grad, _ = _attention_loss_grad(params, h_train[i], train_eps[i].outcome)
+            return bce, {"w_att": grad}
+
+        def attention_val(i):
+            bce, _, pred = _attention_loss_grad(params, h_val[i], val_eps[i].outcome)
+            return bce, pred
+
+        _fit("attention", {"w_att": params.w_att}, train_eps, val_eps,
+             attention_grad, attention_val, config, shuffle_rng, report)
+    return params, report
+
+
+def _fit(phase, trainable, train_eps, val_eps, episode_grad, episode_val,
+         config, shuffle_rng, report) -> tuple[int, bool]:
+    """Minibatch training of ``trainable`` in place, shared by both phases.
+
+    ``episode_grad(i)`` returns the loss and gradients of train episode i;
+    ``episode_val(i)`` the loss and score of validation episode i. Ends with
+    the arrays of the best validation-loss epoch restored; returns that epoch
+    and whether patience ran out.
+    """
     adam = _Adam(trainable, lr=config.learning_rate)
     best_loss = math.inf
-    best_params = params.copy()
+    best = {k: v.copy() for k, v in trainable.items()}
     best_epoch = 0
     bad_epochs = 0
-
+    stopped_early = False
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(len(train_eps))
         epoch_losses = []
         for batch in _batches(order, config.batch_size):
             acc = {k: np.zeros_like(v) for k, v in trainable.items()}
             for idx in batch:
-                ep = train_eps[idx]
-                risk, cache = forward(params, ep.steps, mode="train", rng=dropout_rng, config=config)
-                l = loss(risk, ep.outcome, config.eta)
+                l, g = episode_grad(idx)
                 if not math.isfinite(l):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch}, episode {ep.episode_id!r}"
-                    )
+                    raise TrainingDivergedError(f"non-finite {phase} loss at epoch {epoch}, "
+                                                f"episode {train_eps[idx].episode_id!r}")
                 epoch_losses.append(l)
-                g, _ = backward(params, cache, ep.steps, ep.outcome, config.eta)
                 for k in acc:
                     acc[k] += g[k]
             for k in acc:
@@ -562,86 +594,27 @@ def train(corpus: Sequence[EncodedEpisode], config: ModelConfig) -> tuple[ModelP
             _clip_global_norm(acc, config.clip_norm)
             adam.step(trainable, acc)
 
-        val_losses = []
-        val_labels = []
-        val_scores = []
-        for ep in val_eps:
-            risk, _ = forward(params, ep.steps, mode="eval")
-            val_losses.append(loss(risk, ep.outcome, config.eta))
-            val_labels.append(ep.outcome)
-            val_scores.append(float(risk.p[-1]))
-        val_loss = float(np.mean(val_losses))
+        val = [episode_val(i) for i in range(len(val_eps))]
+        val_loss = float(np.mean([v[0] for v in val]))
         if not math.isfinite(val_loss):
-            raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
+            raise TrainingDivergedError(f"non-finite {phase} validation loss at epoch {epoch}")
         report.rows.append(EpochStats(
-            phase="risk", epoch=epoch, train_loss=float(np.mean(epoch_losses)),
-            val_loss=val_loss, val_auroc=auroc(val_labels, val_scores),
+            phase=phase, epoch=epoch, train_loss=float(np.mean(epoch_losses)), val_loss=val_loss,
+            val_auroc=auroc([ep.outcome for ep in val_eps], [v[1] for v in val]),
         ))
         if val_loss < best_loss:
             best_loss = val_loss
-            best_params = params.copy()
+            best = {k: v.copy() for k, v in trainable.items()}
             best_epoch = epoch
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= config.patience:
-                report.stopped_early = True
+                stopped_early = True
                 break
-
-    if config.max_epochs > 0:
-        params = best_params
-    report.best_epoch = best_epoch
-
-    if config.attention and params.w_att is not None and config.max_epochs > 0:
-        _train_attention(params, config, train_eps, val_eps, shuffle_rng, report)
-    return params, report
-
-
-def _train_attention(params, config, train_eps, val_eps, shuffle_rng, report):
-    # Trunk is frozen, so hidden states can be computed once per episode.
-    h_train = [forward(params, ep.steps, mode="eval")[1].h for ep in train_eps]
-    h_val = [forward(params, ep.steps, mode="eval")[1].h for ep in val_eps]
-    adam = _Adam({"w_att": params.w_att}, lr=config.learning_rate)
-    best_loss = math.inf
-    best_w = params.w_att.copy()
-    bad_epochs = 0
-    for epoch in range(1, config.max_epochs + 1):
-        order = shuffle_rng.permutation(len(train_eps))
-        epoch_losses = []
-        for batch in _batches(order, config.batch_size):
-            acc = np.zeros_like(params.w_att)
-            for idx in batch:
-                bce, grad, _ = _attention_loss_grad(params, h_train[idx], train_eps[idx].outcome)
-                if not math.isfinite(bce):
-                    raise TrainingDivergedError(f"non-finite attention loss at epoch {epoch}")
-                epoch_losses.append(bce)
-                acc += grad
-            acc /= len(batch)
-            g = {"w_att": acc}
-            _clip_global_norm(g, config.clip_norm)
-            adam.step({"w_att": params.w_att}, g)
-        val_losses = []
-        val_labels = []
-        val_scores = []
-        for hs, ep in zip(h_val, val_eps):
-            bce, _, pred = _attention_loss_grad(params, hs, ep.outcome)
-            val_losses.append(bce)
-            val_labels.append(ep.outcome)
-            val_scores.append(pred)
-        val_loss = float(np.mean(val_losses))
-        report.rows.append(EpochStats(
-            phase="attention", epoch=epoch, train_loss=float(np.mean(epoch_losses)),
-            val_loss=val_loss, val_auroc=auroc(val_labels, val_scores),
-        ))
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_w = params.w_att.copy()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.patience:
-                break
-    params.w_att[...] = best_w
+    for k, v in trainable.items():
+        v[...] = best[k]
+    return best_epoch, stopped_early
 
 
 def catalog_fingerprint(catalog: FeatureCatalog) -> str:

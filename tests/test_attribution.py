@@ -277,9 +277,7 @@ class TestTimeDiff:
         steps, _ = steps_from_features(features)
         a = event_weight_matrix(np.array([5.0, 1.0, 4.0]), steps, "odds_ratio")
         by_max = time_diff(a, steps, 2, 3)
-        by_latest = time_diff(a, steps, 2, 3, use_latest=True)
         assert by_max.a[0, 2] == pytest.approx(-1.0)
-        assert by_latest.a[0, 2] == pytest.approx(3.0)
 
     @given(st.lists(st.floats(0.1, 10, allow_nan=False), min_size=2, max_size=10))
     def test_repeated_profile_is_zero_inside_window(self, profile):

@@ -130,12 +130,6 @@ class TestRothman:
         avg_risk = (10 + 0.5) / (100 + 1.0)
         assert rothman_index(t, "f", 0) == pytest.approx(0.5 / avg_risk)
 
-    def test_base_rate_denominator(self):
-        t = table(pos=[30, 10], neg=[70, 90], cuts=[0.0], mean_bin=0)
-        base = (40 + 0.5) / (200 + 1.0)
-        want = ((30 + 0.5) / (100 + 1.0)) / base
-        assert rothman_index(t, "f", 0, denominator="base_rate") == pytest.approx(want)
-
 
 class TestStatWeights:
     def _fixture(self):

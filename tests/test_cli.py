@@ -151,17 +151,6 @@ class TestExplain:
                    "--checkpoint", trained_dir / "checkpoint.json",
                    "--out-dir", tmp_path, "--methods", "sorcery") == 1
 
-    def test_jobs_flag_gives_identical_output(self, data_dir, trained_dir, tmp_path):
-        texts = []
-        for name, jobs in (("j1", "1"), ("j2", "3")):
-            out = tmp_path / name
-            assert run("explain", "--events", data_dir / "events.jsonl",
-                       "--checkpoint", trained_dir / "checkpoint.json",
-                       "--out-dir", out, "--k", "2", "--m", "8", "--seed", "5",
-                       "--jobs", jobs) == 0
-            texts.append((out / "explanations.csv").read_text())
-        assert texts[0] == texts[1]
-
     def test_alert_windows_mode(self, data_dir, trained_dir, tmp_path):
         out = tmp_path / "alertwin"
         assert run("explain", "--events", data_dir / "events.jsonl",
@@ -223,6 +212,14 @@ class TestEvaluate:
     def test_empty_evaluation_is_data_error(self, data_dir, explained, tmp_path):
         empty = tmp_path / "w.csv"
         empty.write_text("episode,t0,t1,t0_time_s,t1_time_s,source\n")
+        assert run("evaluate", "--events", data_dir / "events.jsonl",
+                   "--explanations", explained / "explanations.csv",
+                   "--windows", empty, "--out-dir", tmp_path) == 2
+
+
+    def test_empty_windows_file_is_data_error(self, data_dir, explained, tmp_path):
+        empty = tmp_path / "w.csv"
+        empty.write_text("")
         assert run("evaluate", "--events", data_dir / "events.jsonl",
                    "--explanations", explained / "explanations.csv",
                    "--windows", empty, "--out-dir", tmp_path) == 2

@@ -11,6 +11,7 @@ from driftscope.model import (
     RiskSeries,
     TrainingDivergedError,
     _attention_loss_grad,
+    _dloss_dlogit,
     _forward_with_masks,
     _risk_gradient_batch,
     auroc,
@@ -160,7 +161,60 @@ def finite_diff_params(params, steps, outcome, eta, masks, eps=1e-5):
     return out
 
 
+def per_step_reference(params, x, in_mask, out_mask, rec_mask, dlogit):
+    """Forward and backward written one step at a time, the form the batched
+    core replaces; returns (p, parameter gradients, input gradients)."""
+    T, H = x.shape[0], params.hidden_size
+    W, U, b = params.w_gates, params.u_gates, params.b_gates
+    sig = lambda z: 1.0 / (1.0 + np.exp(-z))
+    h, c = np.zeros(H), np.zeros(H)
+    tape, h_out = [], np.empty((T, H))
+    for t in range(T):
+        x_in, h_rec, c_prev = x[t] * in_mask[t], h * rec_mask, c
+        z = W @ x_in + U @ h_rec + b
+        i, f, g, o = sig(z[:H]), sig(z[H:2 * H]), np.tanh(z[2 * H:3 * H]), sig(z[3 * H:])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        h_out[t] = h * out_mask[t]
+        tape.append((x_in, h_rec, c_prev, i, f, g, o, np.tanh(c)))
+    p = sig(h_out @ params.w_out + params.b_out[0])
+    grads = {k: np.zeros_like(v) for k, v in params.arrays().items() if k != "w_att"}
+    grads["w_out"], grads["b_out"] = dlogit @ h_out, np.array([dlogit.sum()])
+    dx = np.zeros_like(x)
+    dh_next, dc_next = np.zeros(H), np.zeros(H)
+    for t in range(T - 1, -1, -1):
+        x_in, h_rec, c_prev, i, f, g, o, tc = tape[t]
+        dh = dh_next + dlogit[t] * params.w_out * out_mask[t]
+        dc = dc_next + dh * o * (1 - tc ** 2)
+        dz = np.concatenate([dc * g * i * (1 - i), dc * c_prev * f * (1 - f),
+                             dc * i * (1 - g ** 2), dh * tc * o * (1 - o)])
+        grads["w_gates"] += np.outer(dz, x_in)
+        grads["u_gates"] += np.outer(dz, h_rec)
+        grads["b_gates"] += dz
+        dx[t] = (dz @ W) * in_mask[t]
+        dh_next, dc_next = (dz @ U) * rec_mask, dc * f
+    return p, grads, dx
+
+
 class TestBackward:
+    def test_matches_per_step_reference(self):
+        # The core reorders sums (hoisted matrix products), so agreement is to
+        # rounding, not bitwise.
+        rng = np.random.default_rng(19)
+        steps = random_step_series(rng, T=11, d_features=3)
+        cfg = tiny_config(hidden_size=5, input_dropout=0.2, output_dropout=0.2,
+                          recurrent_dropout=0.2)
+        params = nonzero_params(cfg, steps.d)
+        risk, cache = ds.forward(params, steps, mode="train", rng=np.random.default_rng(4), config=cfg)
+        grads, dx = ds.backward(params, cache, steps, 1, eta=0.01)
+        dlogit = _dloss_dlogit(risk.p, 1, 0.01)
+        p, ref, ref_dx = per_step_reference(params, steps.x, cache.in_mask, cache.out_mask,
+                                            cache.rec_mask, dlogit)
+        np.testing.assert_allclose(risk.p, p, rtol=1e-12)
+        for key in ref:
+            np.testing.assert_allclose(grads[key], ref[key], rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-10, atol=1e-14)
+
     def _check_config(self, rng):
         dropout = bool(rng.integers(2))
         return ds.ModelConfig(
@@ -222,6 +276,19 @@ class TestBackward:
             grads, _ = ds.backward(params, cache, steps, outcome, eta=0.0)
             assert grads["b_out"][0] == pytest.approx(0.5 - outcome, rel=1e-12)
 
+    def test_repeat_on_one_cache_is_identical(self):
+        # The reverse sweep works in place on a copy; the cache is left intact.
+        rng = np.random.default_rng(20)
+        steps = random_step_series(rng, T=9, d_features=3)
+        cfg = tiny_config(input_dropout=0.2, output_dropout=0.2, recurrent_dropout=0.2)
+        params = nonzero_params(cfg, steps.d)
+        _, cache = ds.forward(params, steps, mode="train", rng=np.random.default_rng(3), config=cfg)
+        g1, dx1 = ds.backward(params, cache, steps, 1, eta=0.01)
+        g2, dx2 = ds.backward(params, cache, steps, 1, eta=0.01)
+        for key in g1:
+            assert np.array_equal(g1[key], g2[key])
+        assert np.array_equal(dx1, dx2)
+
     def test_input_gradients_shape_and_causality(self):
         rng = np.random.default_rng(8)
         steps = random_step_series(rng, T=6, d_features=2)
@@ -282,6 +349,16 @@ class TestGradWrtInputs:
             pi, gi = _risk_gradient_batch(params, xs[i][None], 5)
             np.testing.assert_allclose(g[i], gi[0], rtol=1e-12, atol=1e-15)
             assert p[i] == pytest.approx(pi[0], rel=1e-12)
+
+
+    def test_batched_core_probability_matches_forward(self):
+        rng = np.random.default_rng(21)
+        steps = random_step_series(rng, T=8, d_features=3)
+        params = nonzero_params(tiny_config(), steps.d)
+        risk, _ = ds.forward(params, steps)
+        for t1 in (1, 4, 8):
+            p, _ = _risk_gradient_batch(params, steps.x[None], t1)
+            assert p[0] == pytest.approx(risk.p[t1 - 1], rel=1e-12)
 
 
 def separable_corpus(n=40, T=8, seed=0):
