@@ -36,10 +36,11 @@ from .evaluation import (
     METHODS,
     MethodContext,
     PreparedEpisode,
+    benchmark_row,
     bootstrap_ci,
-    precision_at_k,
     prepare_episodes,
     run_benchmark,
+    window_precision,
 )
 from .linear_system import (
     LDSTrace,

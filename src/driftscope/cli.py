@@ -11,9 +11,8 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import evaluation, synth
 from .alerts import AlertRule, NoAnchorError
@@ -37,8 +36,10 @@ from .model import (
 from .events import encode_steps, normalize
 from .evaluation import (
     METHODS,
+    BenchmarkRow,
     MethodContext,
-    bootstrap_ci,
+    Window,
+    WindowTruth,
     explain_window,
     prepare_episodes,
 )
@@ -162,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--explanations", required=True)
     p.add_argument("--windows", required=True)
-    p.add_argument("--truth", default=None, help="episode audit JSONL to join into the dump")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--resamples", type=int, default=2000)
     return parser
@@ -345,64 +345,38 @@ def cmd_evaluate(args) -> int:
             raise ValueError("--k must be >= 1")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    raw = _read_events(args.events)
-    by_id = {seq.episode_id: seq for seq in raw}
+    by_id = {seq.episode_id: seq for seq in _read_events(args.events)}
 
     _, window_rows = read_csv(args.windows, WINDOWS_HEADER)
-    windows = [(r[0], int(r[1]), int(r[2])) for r in window_rows]
     _, expl_rows = read_csv(args.explanations, EXPLANATIONS_HEADER)
     selected: dict[tuple[str, str], list[tuple[int, str]]] = {}
-    methods_seen: list[str] = []
     for r in expl_rows:
-        episode, method, step, feature = r[0], r[1], int(r[3]), r[5]
-        selected.setdefault((episode, method), []).append((step, feature))
-        if method not in methods_seen:
-            methods_seen.append(method)
+        selected.setdefault((r[0], r[1]), []).append((int(r[3]), r[5]))
+    methods = list(dict.fromkeys(method for _, method in selected))
 
-    audit = {}
-    if args.truth:
-        with open(args.truth, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    audit[rec["episode"]] = rec
-
-    kept = []
-    truth_lines = []
-    for episode, t0, t1 in windows:
-        seq = by_id.get(episode)
+    truths = []
+    for r in window_rows:
+        w = Window(r[0], int(r[1]), int(r[2]), float(r[3]), float(r[4]), r[5])
+        seq = by_id.get(w.episode_id)
         if seq is None:
-            raise EventFormatError(f"window references unknown episode {episode!r}")
-        members = synth.ground_truth_set(seq, t0, t1)
-        record = {
-            "episode": episode, "t0": t0, "t1": t1,
-            "truth": sorted([list(m) for m in members]),
-            "excluded": not members,
-        }
-        if episode in audit:
-            record["audit"] = audit[episode]
-        truth_lines.append(json.dumps(record))
-        if members:
-            kept.append((episode, t0, t1, members))
-    (out / "truth_windows.jsonl").write_text("\n".join(truth_lines) + "\n", encoding="utf-8")
+            raise EventFormatError(f"window references unknown episode {w.episode_id!r}")
+        truths.append(WindowTruth(w, frozenset(synth.ground_truth_set(seq, w.t0, w.t1))))
+    (out / "truth_windows.jsonl").write_text("\n".join(
+        json.dumps({"episode": t.window.episode_id, "t0": t.window.t0, "t1": t.window.t1,
+                    "truth": sorted([list(m) for m in t.members]), "excluded": t.empty})
+        for t in truths) + "\n", encoding="utf-8")
 
-    if not kept:
-        raise EventFormatError("empty evaluation: no windows with ground truth")
-
-    rows = []
-    for method in methods_seen:
-        per_window = []
-        for episode, t0, t1, members in kept:
-            items = selected.get((episode, method), [])
-            if not items:
-                per_window.append(0.0)
-                continue
-            hits = sum(item in members for item in items)
-            per_window.append(hits / min(args.k, len(items)))
-        lo, hi = bootstrap_ci(per_window, resamples=args.resamples, seed=args.seed)
-        rows.append([method, args.k, float(np.mean(per_window)), lo, hi, len(per_window)])
-    write_csv(out / "results.csv",
-              ["method", "k", "mean_precision", "ci_lo", "ci_hi", "n_windows"], rows)
+    kept = evaluation.scorable(truths)
+    rows = [
+        evaluation.benchmark_row(
+            method, args.k,
+            [evaluation.window_precision(selected.get((t.window.episode_id, method), []),
+                                         t.members, args.k) for t in kept],
+            resamples=args.resamples, seed=args.seed)
+        for method in methods
+    ]
+    write_csv(out / "results.csv", [f.name for f in fields(BenchmarkRow)],
+              [astuple(row) for row in rows])
     print(f"wrote results for {len(rows)} methods over {len(kept)} windows")
     return EXIT_OK
 

@@ -8,8 +8,8 @@ rule or from fixed injury checkpoints (first positive checkpoint per episode).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -64,9 +64,7 @@ class Window:
 
 @dataclass(frozen=True)
 class WindowTruth:
-    episode_id: str
-    t0: int
-    t1: int
+    window: Window
     members: frozenset[tuple[int, str]]  # (step, feature id)
 
     @property
@@ -81,7 +79,6 @@ class MethodContext:
     params: ModelParams
     catalog: FeatureCatalog
     bins: BinTable | None = None
-    stat_config: StatWeightConfig = field(default_factory=StatWeightConfig)
     m: int = 64
     seed: int = 0
 
@@ -131,12 +128,7 @@ def checkpoint_windows(
 
 
 def window_truth(ep: PreparedEpisode, window: Window) -> WindowTruth:
-    return WindowTruth(
-        episode_id=window.episode_id,
-        t0=window.t0,
-        t1=window.t1,
-        members=frozenset(ground_truth_set(ep.raw, window.t0, window.t1)),
-    )
+    return WindowTruth(window, frozenset(ground_truth_set(ep.raw, window.t0, window.t1)))
 
 
 def explain_window(
@@ -168,12 +160,7 @@ def explain_window(
         if ctx.bins is None:
             raise ValueError(f"method {method!r} requires a fitted bin table")
         stat = "rothman" if method.startswith("rothman") else "odds_ratio"
-        cfg = StatWeightConfig(
-            statistic=stat,
-            laplace_alpha=ctx.stat_config.laplace_alpha,
-            bins_per_feature=ctx.stat_config.bins_per_feature,
-        )
-        a = stat_weights(ep.steps, ep.raw, ctx.bins, cfg)
+        a = stat_weights(ep.steps, ep.raw, ctx.bins, StatWeightConfig(statistic=stat))
         if method.endswith("_diff"):
             return top_k_explanations(time_diff(a, ep.steps, t0, t1), ep.steps, k)
         return top_k_explanations(time_restrict(a, t0, t1), ep.steps, k)
@@ -186,32 +173,28 @@ def _seed_tag(window: Window) -> int:
     return zlib.crc32(key)
 
 
-def precision_at_k(
-    explanations: Sequence[Explanation],
-    truths: Sequence[WindowTruth],
-    catalog: FeatureCatalog,
-    k: int,
-) -> tuple[float, list[float]]:
-    """Per-window |selected ∩ truth| / min(k, |selected|) and its mean.
+def window_precision(
+    selected: Sequence[tuple[int, str]], truth: AbstractSet[tuple[int, str]], k: int
+) -> float:
+    """|selected ∩ truth| / min(k, |selected|) over (step, feature id) pairs.
 
-    Windows with empty truth must be excluded by the caller; an empty selection
-    scores 0.
+    An empty selection scores 0. Windows with empty truth must be excluded
+    first (see ``scorable``).
     """
-    if len(explanations) != len(truths):
-        raise ValueError("explanations and truths must align")
-    per_window = []
-    for expl, truth in zip(explanations, truths):
-        if truth.empty:
-            raise ValueError("window with empty truth must be excluded upstream")
-        if not expl.items:
-            per_window.append(0.0)
-            continue
-        hits = sum(
-            (it.step, catalog.ids[it.feature]) in truth.members for it in expl.items
-        )
-        per_window.append(hits / min(k, len(expl.items)))
-    mean = float(np.mean(per_window)) if per_window else float("nan")
-    return mean, per_window
+    if not truth:
+        raise ValueError("window with empty truth must be excluded upstream")
+    if not selected:
+        return 0.0
+    hits = sum(item in truth for item in selected)
+    return hits / min(k, len(selected))
+
+
+def scorable(truths: Iterable[WindowTruth]) -> list[WindowTruth]:
+    """The windows that can be scored: those with non-empty ground truth."""
+    kept = [t for t in truths if not t.empty]
+    if not kept:
+        raise ValueError("empty evaluation: no windows with ground truth")
+    return kept
 
 
 def bootstrap_ci(
@@ -239,6 +222,15 @@ class BenchmarkRow:
     ci_lo: float
     ci_hi: float
     n_windows: int
+
+
+def benchmark_row(
+    method: str, k: int, per_window: Sequence[float], resamples: int = 2000, seed: int = 0
+) -> BenchmarkRow:
+    """One method's mean precision over windows with its bootstrap interval."""
+    lo, hi = bootstrap_ci(per_window, resamples=resamples, seed=seed)
+    return BenchmarkRow(method=method, k=k, mean_precision=float(np.mean(per_window)),
+                        ci_lo=lo, ci_hi=hi, n_windows=len(per_window))
 
 
 def run_benchmark(
@@ -270,33 +262,22 @@ def run_benchmark(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     by_id = {ep.episode_id: ep for ep in episodes}
-    kept: list[tuple[PreparedEpisode, Window, WindowTruth]] = []
-    for w in windows:
-        ep = by_id[w.episode_id]
-        truth = window_truth(ep, w)
-        if not truth.empty:
-            kept.append((ep, w, truth))
+    kept = scorable(window_truth(by_id[w.episode_id], w) for w in windows)
+
+    def score(expl: Explanation, truth: WindowTruth) -> float:
+        pairs = [(it.step, ctx.catalog.ids[it.feature]) for it in expl.items]
+        return window_precision(pairs, truth.members, k)
 
     rows = []
     for method in methods:
-        per_window: list[float] = []
-        for ep, w, truth in kept:
+        per_window = []
+        for truth in kept:
+            ep, w = by_id[truth.window.episode_id], truth.window
             if method == "random":
-                reps = []
-                for rep in range(random_repeats):
-                    expl = explain_window(method, ctx, ep, w, k, rep=rep)
-                    p, _ = precision_at_k([expl], [truth], ctx.catalog, k)
-                    reps.append(p)
-                per_window.append(float(np.mean(reps)))
+                per_window.append(float(np.mean([
+                    score(explain_window(method, ctx, ep, w, k, rep=rep), truth)
+                    for rep in range(random_repeats)])))
             else:
-                expl = explain_window(method, ctx, ep, w, k)
-                p, _ = precision_at_k([expl], [truth], ctx.catalog, k)
-                per_window.append(p)
-        if not per_window:
-            raise ValueError("empty evaluation: no windows left after exclusions")
-        lo, hi = bootstrap_ci(per_window, resamples=resamples, seed=seed)
-        rows.append(BenchmarkRow(
-            method=method, k=k, mean_precision=float(np.mean(per_window)),
-            ci_lo=lo, ci_hi=hi, n_windows=len(per_window),
-        ))
-    return rows, [w for _, w, _ in kept]
+                per_window.append(score(explain_window(method, ctx, ep, w, k), truth))
+        rows.append(benchmark_row(method, k, per_window, resamples=resamples, seed=seed))
+    return rows, [t.window for t in kept]

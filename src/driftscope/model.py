@@ -167,7 +167,6 @@ class EpochStats:
 class TrainReport:
     rows: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
-    stopped_early: bool = False
 
 
 def _sigmoid(z):
@@ -540,7 +539,7 @@ def train(corpus: Sequence[EncodedEpisode], config: ModelConfig) -> tuple[ModelP
         return loss(risk, val_eps[i].outcome, config.eta), float(risk.p[-1])
 
     trainable = {k: v for k, v in params.arrays().items() if k != "w_att"}
-    report.best_epoch, report.stopped_early = _fit(
+    report.best_epoch = _fit(
         "risk", trainable, train_eps, val_eps, risk_grad, risk_val, config, shuffle_rng, report)
 
     if config.attention and params.w_att is not None and config.max_epochs > 0:
@@ -562,20 +561,18 @@ def train(corpus: Sequence[EncodedEpisode], config: ModelConfig) -> tuple[ModelP
 
 
 def _fit(phase, trainable, train_eps, val_eps, episode_grad, episode_val,
-         config, shuffle_rng, report) -> tuple[int, bool]:
+         config, shuffle_rng, report) -> int:
     """Minibatch training of ``trainable`` in place, shared by both phases.
 
     ``episode_grad(i)`` returns the loss and gradients of train episode i;
     ``episode_val(i)`` the loss and score of validation episode i. Ends with
-    the arrays of the best validation-loss epoch restored; returns that epoch
-    and whether patience ran out.
+    the arrays of the best validation-loss epoch restored; returns that epoch.
     """
     adam = _Adam(trainable, lr=config.learning_rate)
     best_loss = math.inf
     best = {k: v.copy() for k, v in trainable.items()}
     best_epoch = 0
     bad_epochs = 0
-    stopped_early = False
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(len(train_eps))
         epoch_losses = []
@@ -610,11 +607,10 @@ def _fit(phase, trainable, train_eps, val_eps, episode_grad, episode_val,
         else:
             bad_epochs += 1
             if bad_epochs >= config.patience:
-                stopped_early = True
                 break
     for k, v in trainable.items():
         v[...] = best[k]
-    return best_epoch, stopped_early
+    return best_epoch
 
 
 def catalog_fingerprint(catalog: FeatureCatalog) -> str:
@@ -647,6 +643,8 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
 def load_checkpoint(path, expected_catalog: FeatureCatalog | None = None):
     """Load a checkpoint; refuses to load against a mismatched catalog.
 
+    Every weight array must have the shape that ``config.hidden_size`` H and
+    d = 2 * len(catalog) + 1 give it, and finite entries; otherwise ValueError.
     Returns (params, config, catalog, stats).
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -661,6 +659,22 @@ def load_checkpoint(path, expected_catalog: FeatureCatalog | None = None):
     config = ModelConfig(**payload["config"])
     stats = FeatureStats.from_json(payload["stats"])
     arrs = {k: np.asarray(v, dtype=float) for k, v in payload["params"].items()}
+    H, d = config.hidden_size, 2 * catalog.d_features + 1
+    if payload.get("d") != d:
+        raise ValueError(f"checkpoint d={payload.get('d')!r}, but its catalog of "
+                         f"{catalog.d_features} features gives d={d}")
+    shapes = {"w_gates": (4 * H, d), "u_gates": (4 * H, H), "b_gates": (4 * H,),
+              "w_out": (H,), "b_out": (1,)}
+    if "w_att" in arrs:
+        shapes["w_att"] = (H, H)
+    for name, shape in shapes.items():
+        if name not in arrs:
+            raise ValueError(f"checkpoint has no {name}")
+        if arrs[name].shape != shape:
+            raise ValueError(f"checkpoint {name} has shape {arrs[name].shape}, expected {shape} "
+                             f"for hidden size {H} and d={d}")
+        if not np.all(np.isfinite(arrs[name])):
+            raise ValueError(f"checkpoint {name} has non-finite weights")
     params = ModelParams(
         w_gates=arrs["w_gates"],
         u_gates=arrs["u_gates"],

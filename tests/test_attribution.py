@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -339,6 +340,17 @@ class TestRandomGuess:
         freq = counts / n
         sigma = np.sqrt(incl * (1 - incl) / n)
         assert np.all(np.abs(freq - incl) <= 3 * sigma + 1e-12)
+
+
+    def test_bounded_time_on_one_dominant_feature(self):
+        # 196 events of one feature plus 4 singletons: a rejection sampler
+        # over event subsets needs about C(200, 5) / 196 tries per draw.
+        steps, _ = steps_from_features(["a"] * 196 + ["b", "c", "d", "e"])
+        start = time.perf_counter()
+        for s in range(25):
+            expl = random_guess(steps, 0, 200, 5, seed=s)
+            assert len({it.feature for it in expl.items}) == 5 and not expl.short
+        assert time.perf_counter() - start < 1.0
 
 
 class TestTopK:

@@ -1,9 +1,14 @@
 import json
+from dataclasses import astuple
 
 import pytest
 
+from driftscope.bin_stats import BinTable
 from driftscope.cli import main
-from driftscope.tables import read_csv
+from driftscope.evaluation import METHODS, MethodContext, prepare_episodes, run_benchmark
+from driftscope.events import parse_event_log
+from driftscope.model import load_checkpoint
+from driftscope.tables import format_cell, read_csv
 
 
 def run(*args):
@@ -161,6 +166,38 @@ class TestExplain:
         assert all(r[5] == "alert" for r in wrows)
 
 
+# Each edit leaves a checkpoint that parses but does not fit its own config
+# and catalog.
+CHECKPOINT_DEFECTS = {
+    "w_gates_columns": lambda p: [row.pop() for row in p["params"]["w_gates"]],
+    "w_gates_rows": lambda p: p["params"]["w_gates"].pop(),
+    "u_gates_columns": lambda p: [row.append(0.0) for row in p["params"]["u_gates"]],
+    "b_gates_length_1": lambda p: p["params"].update(b_gates=[0.0]),
+    "w_out_length": lambda p: p["params"]["w_out"].append(0.0),
+    "b_out_length_2": lambda p: p["params"].update(b_out=[0.0, 0.0]),
+    "w_att_columns": lambda p: [row.pop() for row in p["params"]["w_att"]],
+    "missing_u_gates": lambda p: p["params"].pop("u_gates"),
+    "payload_d": lambda p: p.update(d=p["d"] + 2),
+    "hidden_size": lambda p: p["config"].update(hidden_size=p["config"]["hidden_size"] + 1),
+    "non_finite_weight": lambda p: p["params"]["w_out"].__setitem__(0, float("nan")),
+}
+
+
+class TestCheckpointChecks:
+    @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
+    def test_malformed_checkpoint_is_data_error(self, data_dir, trained_dir, tmp_path,
+                                                capsys, defect):
+        payload = json.loads((trained_dir / "checkpoint.json").read_text())
+        CHECKPOINT_DEFECTS[defect](payload)
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(payload))
+        out = tmp_path / "expl"
+        assert run("explain", "--events", data_dir / "events.jsonl", "--checkpoint", ckpt,
+                   "--out-dir", out, "--methods", "gradient,attention") == 2
+        assert "checkpoint" in capsys.readouterr().err
+        assert not (out / "explanations.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def explained(data_dir, trained_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("explained")
@@ -223,6 +260,77 @@ class TestEvaluate:
         assert run("evaluate", "--events", data_dir / "events.jsonl",
                    "--explanations", explained / "explanations.csv",
                    "--windows", empty, "--out-dir", tmp_path) == 2
+
+    @pytest.mark.xfail(strict=True, reason="explanations.csv has no window key, so evaluate "
+                       "scores every explanation of an episode against each of its windows")
+    def test_nested_alert_windows_score_at_most_one(self, tmp_path):
+        features = ["sodium", "creatinine", "urine_rate", "sodium", "creatinine", "urine_rate"]
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            json.dumps({"episode": "e1", "time_s": 3600.0 * (j + 1), "feature": f,
+                        "value": 1.0, "outcome": 1, "split": "test"}) + "\n"
+            for j, f in enumerate(features)))
+        windows = tmp_path / "windows.csv"
+        windows.write_text("episode,t0,t1,t0_time_s,t1_time_s,source\n"
+                           "e1,0,3,0,10800,alert\n"
+                           "e1,0,6,0,21600,alert\n")
+        # Each window's own explanation hits only its truth: precision 1 apiece.
+        explanations = tmp_path / "explanations.csv"
+        explanations.write_text("episode,method,rank,step,time_s,feature,raw_value,weight\n"
+                                "e1,gradient,1,3,10800,urine_rate,1,0.5\n"
+                                "e1,gradient,2,2,7200,creatinine,1,0.4\n"
+                                "e1,gradient,1,6,21600,urine_rate,1,0.5\n"
+                                "e1,gradient,2,5,18000,creatinine,1,0.4\n"
+                                "e1,gradient,3,3,10800,urine_rate,1,0.3\n")
+        out = tmp_path / "res"
+        assert run("evaluate", "--events", events, "--explanations", explanations,
+                   "--windows", windows, "--out-dir", out, "--k", "3") == 0
+        _, rows = read_csv(out / "results.csv")
+        assert float(rows[0][2]) <= 1.0
+
+
+HOSTILE_FEATURE = 'sod,"ium" µ'
+HOSTILE_EPISODE = 'ep,"1" é'
+
+
+def test_evaluate_rows_equal_run_benchmark(tmp_path):
+    """`evaluate` on explain's files gives the library's rows, with a feature
+    id and an episode id that need CSV quoting and are not ASCII."""
+    data = tmp_path / "data"
+    assert run("gen-data", "--out-dir", data, "--n-episodes", "24",
+               "--deterioration-fraction", "0.6", "--seed", "3") == 0
+    audit = [json.loads(line) for line in (data / "episodes.jsonl").read_text().splitlines()]
+    positive = next(r["episode"] for r in audit if r["first_positive_checkpoint_s"] is not None)
+    records = [json.loads(line) for line in (data / "events.jsonl").read_text().splitlines()]
+    for rec in records:
+        rec["feature"] = HOSTILE_FEATURE if rec["feature"] == "sodium" else rec["feature"]
+        rec["episode"] = HOSTILE_EPISODE if rec["episode"] == positive else rec["episode"]
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                      encoding="utf-8")
+
+    model, expl, res = tmp_path / "model", tmp_path / "expl", tmp_path / "res"
+    assert run("train", "--events", events, "--out-dir", model, "--hidden-size", "8",
+               "--max-epochs", "2", "--seed", "4") == 0
+    assert run("explain", "--events", events, "--checkpoint", model / "checkpoint.json",
+               "--bins", model / "bins.json", "--out-dir", expl, "--k", "3", "--m", "8",
+               "--seed", "5") == 0
+    assert run("evaluate", "--events", events, "--explanations", expl / "explanations.csv",
+               "--windows", expl / "windows.csv", "--out-dir", res, "--k", "3",
+               "--resamples", "500", "--seed", "5") == 0
+    assert HOSTILE_EPISODE in {r[0] for r in read_csv(expl / "windows.csv")[1]}
+    assert HOSTILE_FEATURE in {r[5] for r in read_csv(expl / "explanations.csv")[1]}
+
+    params, _, catalog, stats = load_checkpoint(model / "checkpoint.json")
+    with open(events, encoding="utf-8") as fh:
+        episodes = prepare_episodes(params, stats, catalog, parse_event_log(fh, catalog=catalog))
+    bins = BinTable.from_json(json.loads((model / "bins.json").read_text()))
+    ctx = MethodContext(params=params, catalog=catalog, bins=bins, m=8, seed=5)
+    rows, _ = run_benchmark(episodes, ctx, [m for m in METHODS if m != "random"],
+                            k=3, resamples=500, seed=5)
+    _, got = read_csv(res / "results.csv")
+    assert [r for r in got if r[0] != "random"] == [
+        [format_cell(c) for c in astuple(row)] for row in rows]
 
 
 class TestPipelineDeterminism:

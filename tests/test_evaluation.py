@@ -7,13 +7,13 @@ import driftscope as ds
 from driftscope.attribution import Explanation, ExplanationItem, random_guess
 from driftscope.evaluation import (
     MethodContext,
-    WindowTruth,
+    benchmark_row,
     bootstrap_ci,
     checkpoint_windows,
     explain_window,
-    precision_at_k,
     prepare_episodes,
     run_benchmark,
+    window_precision,
     window_truth,
 )
 from driftscope.events import FeatureCatalog
@@ -28,11 +28,16 @@ def item(step, feature, weight=0.0):
     return ExplanationItem(step=step, feature=feature, time=0.0, raw=0.0, weight=weight)
 
 
-def truth(members, episode="e", t0=0, t1=100):
-    return WindowTruth(episode, t0, t1, frozenset(members))
+def truth(members):
+    return frozenset(members)
 
 
 CAT = FeatureCatalog.from_ids(["a", "b", "c", "d"])
+
+
+def precision(e, t, k, catalog=CAT):
+    """window_precision of an explanation, as (step, feature id) pairs."""
+    return window_precision([(it.step, catalog.ids[it.feature]) for it in e.items], t, k)
 
 
 class TestPrecision:
@@ -41,32 +46,29 @@ class TestPrecision:
         e2 = expl([item(4, 0, 0.9), item(5, 1, 0.8), item(6, 2, 0.7)])
         t1 = truth({(1, "a"), (2, "b"), (9, "d")})
         t2 = truth({(4, "a")})
-        mean, per = precision_at_k([e1, e2], [t1, t2], CAT, 3)
+        per = [precision(e1, t1, 3), precision(e2, t2, 3)]
         assert per == [pytest.approx(2 / 3), pytest.approx(1 / 3)]
-        assert mean == pytest.approx(0.5)
+        assert benchmark_row("m", 3, per, resamples=100).mean_precision == pytest.approx(0.5)
 
     def test_fully_correct(self):
         e = expl([item(1, 0), item(2, 1)], k=2)
         t = truth({(1, "a"), (2, "b")})
-        mean, _ = precision_at_k([e], [t], CAT, 2)
-        assert mean == 1.0
+        assert precision(e, t, 2) == 1.0
 
     def test_short_explanation_normalized_by_its_length(self):
         e = expl([item(1, 0, 1.0)], k=3)
         t = truth({(1, "a")})
-        mean, _ = precision_at_k([e], [t], CAT, 3)
-        assert mean == 1.0
+        assert precision(e, t, 3) == 1.0
 
     def test_empty_selection_scores_zero(self):
         e = expl([], k=3)
         t = truth({(1, "a")})
-        mean, _ = precision_at_k([e], [t], CAT, 3)
-        assert mean == 0.0
+        assert precision(e, t, 3) == 0.0
 
     def test_empty_truth_rejected(self):
         e = expl([item(1, 0)])
         with pytest.raises(ValueError, match="empty truth"):
-            precision_at_k([e], [truth(set())], CAT, 3)
+            precision(e, truth(set()), 3)
 
     def test_random_guess_matches_enumeration_oracle(self):
         # Oracle: exact expected precision over all distinct-feature k-subsets.
@@ -86,8 +88,7 @@ class TestPrecision:
         draws = []
         for s in range(1000):
             e = random_guess(steps, 0, 6, k, seed=s)
-            p, _ = precision_at_k([e], [t], catalog, k)
-            draws.append(p)
+            draws.append(precision(e, t, k, catalog))
         sigma = np.std(draws) / np.sqrt(len(draws))
         assert abs(np.mean(draws) - exact) < 4 * sigma + 1e-9
 
