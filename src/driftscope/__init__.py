@@ -55,6 +55,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     RiskSeries,
+    StepBatch,
     attention_forward,
     backward,
     forward,

@@ -245,6 +245,7 @@ def cmd_train(args) -> int:
                        seq.outcome, seq.split)
         for seq in raw
     ]
+    del raw  # the encodings are all that training reads; this lowers its peak memory
     params, report = train(corpus, config)
     ckpt_path = Path(args.checkpoint) if args.checkpoint else out / "checkpoint.json"
     save_checkpoint(ckpt_path, params, config, catalog, stats)
@@ -351,6 +352,9 @@ def cmd_evaluate(args) -> int:
     _, expl_rows = read_csv(args.explanations, EXPLANATIONS_HEADER)
     selected: dict[tuple[str, str], list[tuple[int, str]]] = {}
     for r in expl_rows:
+        if int(r[2]) > args.k:
+            raise EventFormatError(f"{args.explanations}: rank {r[2]} of episode {r[0]!r}, "
+                                   f"method {r[1]!r} exceeds --k {args.k}")
         selected.setdefault((r[0], r[1]), []).append((int(r[3]), r[5]))
     methods = list(dict.fromkeys(method for _, method in selected))
 

@@ -122,26 +122,63 @@ class RiskSeries:
         return self.p.shape[0]
 
 
+class StepBatch:
+    """Step series that run as one batch, right-padded with zero steps.
+
+    Every pad step comes after the real steps of its row, so the causal
+    recurrence computes each row's real steps as it would for that series
+    alone. ``T`` counts real steps only.
+    """
+
+    def __init__(self, series: Sequence[StepSeries]):
+        self.series = tuple(series)
+        self.lengths = np.array([s.T for s in self.series])
+
+    @property
+    def T(self) -> int:
+        return int(self.lengths.sum())
+
+    def padded(self) -> np.ndarray:
+        """The inputs as one (T_max, B, d) array, built on each call."""
+        x = np.zeros((int(self.lengths.max()), len(self.series), self.series[0].d))
+        for b, s in enumerate(self.series):
+            x[: s.T, b] = s.x
+        return x
+
+
 @dataclass
 class ForwardCache:
     """What the reverse sweep and readers of the forward pass need.
 
     ``gates`` holds the activations [i; f; g; o] of every step. The previous
     cell state and the masked previous hidden state are one-step shifts of
-    ``c`` and ``h``.
+    ``c`` and ``h``; tanh(c) is recomputed where it is needed. The shapes are
+    those of one series; a batch adds its axis after the time axis,
+    (T_max, B, ...), and ``rec_mask`` is then (B, H).
     """
 
     x_in: np.ndarray     # (T, d) inputs after input dropout
     gates: np.ndarray    # (T, 4H)
     c: np.ndarray        # (T, H) cell states
-    tanh_c: np.ndarray
-    h: np.ndarray
-    h_out: np.ndarray    # (T, H) hidden state after output dropout
-    in_mask: np.ndarray
-    out_mask: np.ndarray
-    rec_mask: np.ndarray  # (H,) one mask per sequence
+    h: np.ndarray        # (T, H) hidden states
+    in_mask: np.ndarray | None   # (T, d); the masks are None without dropout
+    out_mask: np.ndarray | None  # (T, H)
+    rec_mask: np.ndarray | None  # (H,) one mask per sequence
     logits: np.ndarray
     p: np.ndarray
+
+
+def _axis(name: str, a, add: bool):
+    """Add the batch axis to one cache array of a single series, or drop it."""
+    if a is None:
+        return None
+    if name == "rec_mask":
+        return a[None] if add else a[0]
+    return a[:, None] if add else a[:, 0]
+
+
+def _batch_axis(cache: ForwardCache, add: bool) -> ForwardCache:
+    return ForwardCache(**{k: _axis(k, v, add) for k, v in vars(cache).items()})
 
 
 @dataclass(frozen=True)
@@ -175,7 +212,8 @@ def _sigmoid(z):
 
 def _sigmoid_inplace(z):
     """_sigmoid written into z, with the same rounding."""
-    np.clip(z, -60.0, 60.0, out=z)
+    np.minimum(z, 60.0, out=z)  # np.clip's result, without its per-call overhead
+    np.maximum(z, -60.0, out=z)
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0
@@ -228,7 +266,7 @@ def _scan(params: ModelParams, x: np.ndarray, rec_mask: np.ndarray | None = None
     ``x`` has shape (T, B, d). The input projection of all steps is one matrix
     product before the loop; each step adds only the recurrent term. Returns
     the gate activations (T, B, 4H) ordered [i; f; g; o], the cell states and
-    their tanh, both (T, B, H). The hidden state is o * tanh(c).
+    the hidden states o * tanh(c), both (T, B, H).
     """
     T, B, d = x.shape
     H = params.hidden_size
@@ -236,23 +274,22 @@ def _scan(params: ModelParams, x: np.ndarray, rec_mask: np.ndarray | None = None
     gates = (x.reshape(T * B, d) @ params.w_gates.T).reshape(T, B, 4 * H)
     gates += params.b_gates
     c = np.empty((T, B, H))
-    tanh_c = np.empty((T, B, H))
+    hs = np.empty((T, B, H))
     h = np.zeros((B, H))
-    c_t = np.zeros((B, H))
+    c_prev = np.zeros((B, H))
     for t in range(T):
         z = gates[t]
         z += (h if rec_mask is None else h * rec_mask) @ u_t
         gg = np.tanh(z[:, 2 * H : 3 * H])
         _sigmoid_inplace(z)  # one call over the whole block is the cheapest
         z[:, 2 * H : 3 * H] = gg
-        c_t = z[:, H : 2 * H] * c_t + z[:, :H] * gg
-        c[t] = c_t
-        np.tanh(c_t, out=tanh_c[t])
-        h = z[:, 3 * H :] * tanh_c[t]
-    return gates, c, tanh_c
+        c_prev = np.multiply(z[:, H : 2 * H], c_prev, out=c[t])
+        c_prev += z[:, :H] * gg
+        h = np.multiply(z[:, 3 * H :], np.tanh(c_prev), out=hs[t])
+    return gates, c, hs
 
 
-def _sweep(params: ModelParams, gates, c, tanh_c, dlogit, out_mask=None, rec_mask=None):
+def _sweep(params: ModelParams, gates, c, dlogit, out_mask=None, rec_mask=None):
     """The reverse recurrence: backpropagation through time over one scan.
 
     Seeded with d(objective)/d(logit_t) as ``dlogit`` (T, B), which the output
@@ -265,23 +302,25 @@ def _sweep(params: ModelParams, gates, c, tanh_c, dlogit, out_mask=None, rec_mas
     U = params.u_gates
     dh = np.zeros((B, H))
     dc = np.zeros((B, H))
+    dlogit = dlogit[:, :, None]
     for t in range(T - 1, -1, -1):
-        seed = dlogit[t][:, None] * params.w_out
+        seed = dlogit[t] * params.w_out
         if out_mask is not None:
             seed *= out_mask[t]
-        dh = dh + seed
+        dh += seed
         z = gates[t]
         gi, gf, gg, go = z[:, :H], z[:, H : 2 * H], z[:, 2 * H : 3 * H], z[:, 3 * H :]
-        do = dh * tanh_c[t]
-        dc = dc + dh * go * (1.0 - tanh_c[t] ** 2)
+        tanh_c = np.tanh(c[t])  # bitwise the value the scan used: same input, same call
+        do = dh * tanh_c
+        dc += dh * go * (1.0 - tanh_c ** 2)
         di = dc * gg
         df = dc * (c[t - 1] if t else 0.0)
         dg = dc * gi
         dc = dc * gf
-        gi[...] = di * gi * (1.0 - gi)
-        gf[...] = df * gf * (1.0 - gf)
-        gg[...] = dg * (1.0 - gg ** 2)
-        go[...] = do * go * (1.0 - go)
+        np.multiply(di * gi, 1.0 - gi, out=gi)
+        np.multiply(df * gf, 1.0 - gf, out=gf)
+        np.multiply(dg, 1.0 - gg ** 2, out=gg)
+        np.multiply(do * go, 1.0 - go, out=go)
         dh = z @ U
         if rec_mask is not None:
             dh *= rec_mask
@@ -289,14 +328,20 @@ def _sweep(params: ModelParams, gates, c, tanh_c, dlogit, out_mask=None, rec_mas
 
 
 def _forward_with_masks(params: ModelParams, x: np.ndarray, in_mask, out_mask, rec_mask) -> ForwardCache:
+    """The forward pass under fixed dropout masks (None: no dropout), for one
+    series (x of shape (T, d)) or a batch ((T, B, d), with rec_mask (B, H))."""
+    if x.ndim == 2:
+        masks = {"in_mask": in_mask, "out_mask": out_mask, "rec_mask": rec_mask}
+        return _batch_axis(_forward_with_masks(
+            params, x[:, None], *(_axis(k, m, add=True) for k, m in masks.items())), add=False)
+    T, B, _ = x.shape
     H = params.hidden_size
-    x_in = x * in_mask
-    gates, c, tanh_c = (a[:, 0] for a in _scan(params, x_in[:, None, :], rec_mask))
-    h = gates[:, 3 * H :] * tanh_c
-    h_out = h * out_mask
-    logits = h_out @ params.w_out + params.b_out[0]
+    x_in = x if in_mask is None else x * in_mask
+    gates, c, h = _scan(params, x_in, rec_mask)
+    h_out = h if out_mask is None else h * out_mask
+    logits = (h_out.reshape(T * B, H) @ params.w_out).reshape(T, B) + params.b_out[0]
     return ForwardCache(
-        x_in=x_in, gates=gates, c=c, tanh_c=tanh_c, h=h, h_out=h_out,
+        x_in=x_in, gates=gates, c=c, h=h,
         in_mask=in_mask, out_mask=out_mask, rec_mask=rec_mask,
         logits=logits, p=_sigmoid(logits),
     )
@@ -304,37 +349,42 @@ def _forward_with_masks(params: ModelParams, x: np.ndarray, in_mask, out_mask, r
 
 def forward(
     params: ModelParams,
-    steps: StepSeries,
+    steps: StepSeries | StepBatch,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     config: ModelConfig | None = None,
-) -> tuple[RiskSeries, ForwardCache]:
-    """Run the recurrence over a step series.
+) -> tuple[RiskSeries | list[RiskSeries], ForwardCache]:
+    """Run the recurrence over a step series, or over a StepBatch of them.
 
-    Dropout is active only in train mode, which requires ``rng`` and ``config``;
-    the drawn masks are recorded in the cache so backward is exact.
+    Returns (RiskSeries, ForwardCache) for a series, and for a batch one
+    RiskSeries per row with a cache that keeps the batch axis. Dropout is
+    active only in train mode, which requires ``rng`` and ``config``; masks
+    are drawn per series in batch order and recorded in the cache so backward
+    is exact.
     """
-    if steps.x.shape[1] != params.d:
-        raise ValueError(f"steps dimension {steps.x.shape[1]} != model dimension {params.d}")
-    T, d = steps.x.shape
+    batch = steps if isinstance(steps, StepBatch) else StepBatch([steps])
+    x = batch.padded()
+    T, B, d = x.shape
+    H = params.hidden_size
+    if d != params.d:
+        raise ValueError(f"steps dimension {d} != model dimension {params.d}")
+    if mode not in ("train", "eval"):
+        raise ValueError(f"unknown mode {mode!r}")
+    in_mask = out_mask = rec_mask = None
     if mode == "train":
         if rng is None or config is None:
             raise ValueError("train mode requires rng and config")
-        in_mask, out_mask, rec_mask = _draw_masks(config, T, d, rng)
-    elif mode == "eval":
-        in_mask = np.ones((T, d))
-        out_mask = np.ones((T, params.hidden_size))
-        rec_mask = np.ones(params.hidden_size)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    cache = _forward_with_masks(params, steps.x, in_mask, out_mask, rec_mask)
-    risk = RiskSeries(
-        p=cache.p.copy(),
-        logits=cache.logits.copy(),
-        step_time=steps.step_time.copy(),
-        p_base=float(_sigmoid(params.b_out)[0]),
-    )
-    return risk, cache
+        in_mask, out_mask, rec_mask = np.ones((T, B, d)), np.ones((T, B, H)), np.ones((B, H))
+        for b, length in enumerate(batch.lengths):
+            in_mask[:length, b], out_mask[:length, b], rec_mask[b] = _draw_masks(config, length, d, rng)
+    cache = _forward_with_masks(params, x, in_mask, out_mask, rec_mask)
+    p_base = float(_sigmoid(params.b_out)[0])
+    risks = [RiskSeries(p=cache.p[:s.T, b].copy(), logits=cache.logits[:s.T, b].copy(),
+                        step_time=s.step_time.copy(), p_base=p_base)
+             for b, s in enumerate(batch.series)]
+    if isinstance(steps, StepBatch):
+        return risks, cache
+    return risks[0], _batch_axis(cache, add=False)
 
 
 def loss(risk: RiskSeries, outcome: int, eta: float) -> float:
@@ -365,24 +415,47 @@ def _dloss_dlogit(p: np.ndarray, outcome: int, eta: float) -> np.ndarray:
 def backward(
     params: ModelParams,
     cache: ForwardCache,
-    steps: StepSeries,
-    outcome: int,
+    steps: StepSeries | StepBatch,
+    outcome,
     eta: float,
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Exact gradients of loss() with respect to parameters and inputs."""
-    dlogit = _dloss_dlogit(cache.p, outcome, eta)
-    dz = _sweep(params, cache.gates.copy()[:, None], cache.c[:, None], cache.tanh_c[:, None],
-                dlogit[:, None], cache.out_mask, cache.rec_mask)[:, 0]
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """Exact gradients of loss() with respect to parameters and inputs.
+
+    For a StepBatch, ``outcome`` holds one label per row and the parameter
+    gradients are summed over the rows' losses; input gradients are returned
+    for a single series only (None for a batch). Pad steps are seeded with
+    zero, so they carry zero dZ.
+    """
+    batch = steps if isinstance(steps, StepBatch) else StepBatch([steps])
+    if batch is not steps:
+        cache, outcome = _batch_axis(cache, add=True), [outcome]
+    T, B, d = cache.x_in.shape
+    H = params.hidden_size
+    dlogit = np.zeros((T, B))
+    for b, (length, y) in enumerate(zip(batch.lengths, outcome)):
+        dlogit[:length, b] = _dloss_dlogit(cache.p[:length, b], y, eta)
+    h_out = cache.h if cache.out_mask is None else cache.h * cache.out_mask
+    w_out = dlogit.reshape(T * B) @ h_out.reshape(T * B, H)
+    del h_out  # freed before the gates are copied, which is the memory peak
+    dz = _sweep(params, cache.gates.copy(), cache.c, dlogit,
+                cache.out_mask, cache.rec_mask).reshape(T * B, 4 * H)
     h_rec = np.zeros_like(cache.h)  # the masked hidden state entering each step
-    h_rec[1:] = cache.h[:-1] * cache.rec_mask
+    h_rec[1:] = cache.h[:-1]
+    if cache.rec_mask is not None:
+        h_rec[1:] *= cache.rec_mask
     grads = {
-        "w_gates": dz.T @ cache.x_in,
-        "u_gates": dz.T @ h_rec,
+        "w_gates": dz.T @ cache.x_in.reshape(T * B, d),
+        "u_gates": dz.T @ h_rec.reshape(T * B, H),
         "b_gates": dz.sum(axis=0),
-        "w_out": dlogit @ cache.h_out,
+        "w_out": w_out,
         "b_out": np.array([dlogit.sum()]),
     }
-    return grads, (dz @ params.w_gates) * cache.in_mask
+    if batch is steps:
+        return grads, None
+    dx = dz @ params.w_gates
+    if cache.in_mask is not None:
+        dx *= cache.in_mask[:, 0]
+    return grads, dx
 
 
 def _risk_gradient_batch(params: ModelParams, xs: np.ndarray, t1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -395,12 +468,12 @@ def _risk_gradient_batch(params: ModelParams, xs: np.ndarray, t1: int) -> tuple[
     if not 1 <= t1 <= T:
         raise ValueError(f"t1 must be in [1, {T}], got {t1}")
     H = params.hidden_size
-    gates, c, tanh_c = _scan(params, xs[:, :t1].transpose(1, 0, 2))
-    p = _sigmoid((gates[-1, :, 3 * H :] * tanh_c[-1]) @ params.w_out + params.b_out[0])
+    gates, c, h = _scan(params, xs[:, :t1].transpose(1, 0, 2))
+    p = _sigmoid(h[-1] @ params.w_out + params.b_out[0])
     dlogit = np.zeros((t1, B))
     dlogit[-1] = p * (1.0 - p)
-    dz = _sweep(params, gates, c, tanh_c, dlogit)
-    del c, tanh_c  # freed before the product below, which keeps peak memory down
+    dz = _sweep(params, gates, c, dlogit)
+    del c, h  # freed before the product below, which keeps peak memory down
     grads = np.zeros((B, T, d))
     grads[:, :t1] = (dz.reshape(t1 * B, 4 * H) @ params.w_gates).reshape(t1, B, d).transpose(1, 0, 2)
     return p, grads
@@ -501,7 +574,7 @@ def _clip_global_norm(grads: dict[str, np.ndarray], clip: float) -> None:
             g *= scale
 
 
-def _batches(order: np.ndarray, size: int):
+def _batches(order: Sequence, size: int):
     for start in range(0, len(order), size):
         yield order[start : start + size]
 
@@ -509,6 +582,7 @@ def _batches(order: np.ndarray, size: int):
 def train(corpus: Sequence[EncodedEpisode], config: ModelConfig) -> tuple[ModelParams, TrainReport]:
     """Fit the per-step risk model, then (optionally) the attention head.
 
+    Each minibatch runs as one padded forward scan and one reverse sweep.
     Per batch, episode gradients are averaged, clipped to the configured global
     norm, and applied with Adam. Early stopping keeps the parameters of the best
     validation-loss epoch. The attention head is trained afterwards against the
@@ -528,45 +602,49 @@ def train(corpus: Sequence[EncodedEpisode], config: ModelConfig) -> tuple[ModelP
     shuffle_rng = np.random.default_rng([config.seed, 1])
     dropout_rng = np.random.default_rng([config.seed, 2])
 
-    def risk_grad(i):
-        ep = train_eps[i]
-        risk, cache = forward(params, ep.steps, mode="train", rng=dropout_rng, config=config)
-        grads, _ = backward(params, cache, ep.steps, ep.outcome, config.eta)
-        return loss(risk, ep.outcome, config.eta), grads
+    def risk_grad(eps):
+        batch = StepBatch([ep.steps for ep in eps])
+        risks, cache = forward(params, batch, mode="train", rng=dropout_rng, config=config)
+        grads, _ = backward(params, cache, batch, [ep.outcome for ep in eps], config.eta)
+        return [loss(r, ep.outcome, config.eta) for r, ep in zip(risks, eps)], grads
 
-    def risk_val(i):
-        risk, _ = forward(params, val_eps[i].steps, mode="eval")
-        return loss(risk, val_eps[i].outcome, config.eta), float(risk.p[-1])
+    def risk_val(eps):
+        risks, _ = forward(params, StepBatch([ep.steps for ep in eps]), mode="eval")
+        return [(loss(r, ep.outcome, config.eta), float(r.p[-1])) for r, ep in zip(risks, eps)]
 
     trainable = {k: v for k, v in params.arrays().items() if k != "w_att"}
     report.best_epoch = _fit(
         "risk", trainable, train_eps, val_eps, risk_grad, risk_val, config, shuffle_rng, report)
 
     if config.attention and params.w_att is not None and config.max_epochs > 0:
-        # Trunk is frozen, so hidden states can be computed once per episode.
-        h_train = [forward(params, ep.steps, mode="eval")[1].h for ep in train_eps]
-        h_val = [forward(params, ep.steps, mode="eval")[1].h for ep in val_eps]
+        # The trunk is frozen; each batch's hidden states are recomputed when
+        # needed rather than kept for the whole corpus.
+        def attention_batch(eps):
+            _, cache = forward(params, StepBatch([ep.steps for ep in eps]), mode="eval")
+            return [_attention_loss_grad(params, cache.h[: ep.steps.T, b], ep.outcome)
+                    for b, ep in enumerate(eps)]
 
-        def attention_grad(i):
-            bce, grad, _ = _attention_loss_grad(params, h_train[i], train_eps[i].outcome)
-            return bce, {"w_att": grad}
+        def attention_grad(eps):
+            out = attention_batch(eps)
+            return [bce for bce, _, _ in out], {"w_att": sum(g for _, g, _ in out)}
 
-        def attention_val(i):
-            bce, _, pred = _attention_loss_grad(params, h_val[i], val_eps[i].outcome)
-            return bce, pred
+        def attention_val(eps):
+            return [(bce, pred) for bce, _, pred in attention_batch(eps)]
 
         _fit("attention", {"w_att": params.w_att}, train_eps, val_eps,
              attention_grad, attention_val, config, shuffle_rng, report)
     return params, report
 
 
-def _fit(phase, trainable, train_eps, val_eps, episode_grad, episode_val,
+def _fit(phase, trainable, train_eps, val_eps, batch_grad, batch_val,
          config, shuffle_rng, report) -> int:
     """Minibatch training of ``trainable`` in place, shared by both phases.
 
-    ``episode_grad(i)`` returns the loss and gradients of train episode i;
-    ``episode_val(i)`` the loss and score of validation episode i. Ends with
-    the arrays of the best validation-loss epoch restored; returns that epoch.
+    ``batch_grad(eps)`` returns the loss of each of the train episodes ``eps``
+    and their summed gradients; ``batch_val(eps)`` the loss and score of each
+    validation episode, which it is given in chunks of ``config.batch_size``.
+    Ends with the arrays of the best validation-loss epoch restored; returns
+    that epoch.
     """
     adam = _Adam(trainable, lr=config.learning_rate)
     best_loss = math.inf
@@ -577,21 +655,18 @@ def _fit(phase, trainable, train_eps, val_eps, episode_grad, episode_val,
         order = shuffle_rng.permutation(len(train_eps))
         epoch_losses = []
         for batch in _batches(order, config.batch_size):
-            acc = {k: np.zeros_like(v) for k, v in trainable.items()}
-            for idx in batch:
-                l, g = episode_grad(idx)
+            losses, grads = batch_grad([train_eps[i] for i in batch])
+            for i, l in zip(batch, losses):
                 if not math.isfinite(l):
                     raise TrainingDivergedError(f"non-finite {phase} loss at epoch {epoch}, "
-                                                f"episode {train_eps[idx].episode_id!r}")
-                epoch_losses.append(l)
-                for k in acc:
-                    acc[k] += g[k]
-            for k in acc:
-                acc[k] /= len(batch)
-            _clip_global_norm(acc, config.clip_norm)
-            adam.step(trainable, acc)
+                                                f"episode {train_eps[i].episode_id!r}")
+            epoch_losses.extend(losses)
+            for g in grads.values():
+                g /= len(batch)
+            _clip_global_norm(grads, config.clip_norm)
+            adam.step(trainable, grads)
 
-        val = [episode_val(i) for i in range(len(val_eps))]
+        val = [v for chunk in _batches(val_eps, config.batch_size) for v in batch_val(chunk)]
         val_loss = float(np.mean([v[0] for v in val]))
         if not math.isfinite(val_loss):
             raise TrainingDivergedError(f"non-finite {phase} validation loss at epoch {epoch}")
@@ -643,22 +718,30 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
 def load_checkpoint(path, expected_catalog: FeatureCatalog | None = None):
     """Load a checkpoint; refuses to load against a mismatched catalog.
 
-    Every weight array must have the shape that ``config.hidden_size`` H and
+    A payload that is not an object, lacks a section, or has a section of the
+    wrong form (such as an unknown config key) raises ValueError. Every weight
+    array must have the shape that ``config.hidden_size`` H and
     d = 2 * len(catalog) + 1 give it, and finite entries; otherwise ValueError.
     Returns (params, config, catalog, stats).
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != "driftscope-checkpoint-v1":
+    if not isinstance(payload, dict) or payload.get("format") != "driftscope-checkpoint-v1":
         raise ValueError(f"not a driftscope checkpoint: {path}")
-    catalog = FeatureCatalog(tuple((fid, name) for fid, name in payload["catalog"]))
+    missing = [k for k in ("catalog", "config", "stats", "params") if k not in payload]
+    if missing:
+        raise ValueError(f"checkpoint has no {', '.join(missing)}")
+    try:
+        catalog = FeatureCatalog(tuple((fid, name) for fid, name in payload["catalog"]))
+        config = ModelConfig(**payload["config"])
+        stats = FeatureStats.from_json(payload["stats"])
+        arrs = {k: np.asarray(v, dtype=float) for k, v in payload["params"].items()}
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
     if expected_catalog is not None and catalog.ids != expected_catalog.ids:
         raise CatalogMismatchError(
             "checkpoint catalog does not match the provided catalog"
         )
-    config = ModelConfig(**payload["config"])
-    stats = FeatureStats.from_json(payload["stats"])
-    arrs = {k: np.asarray(v, dtype=float) for k, v in payload["params"].items()}
     H, d = config.hidden_size, 2 * catalog.d_features + 1
     if payload.get("d") != d:
         raise ValueError(f"checkpoint d={payload.get('d')!r}, but its catalog of "

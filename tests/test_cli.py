@@ -166,20 +166,38 @@ class TestExplain:
         assert all(r[5] == "alert" for r in wrows)
 
 
-# Each edit leaves a checkpoint that parses but does not fit its own config
-# and catalog.
+def _edit(change):
+    """A defect made by changing the payload in place."""
+    def apply(payload):
+        change(payload)
+        return payload
+    return apply
+
+
+def _rename_config_key(payload):
+    payload["config"]["hidden_sz"] = payload["config"].pop("hidden_size")
+
+
+# Each defect turns a trained checkpoint's payload into one that parses as
+# JSON but does not fit its own config and catalog, or lacks the form of one.
 CHECKPOINT_DEFECTS = {
-    "w_gates_columns": lambda p: [row.pop() for row in p["params"]["w_gates"]],
-    "w_gates_rows": lambda p: p["params"]["w_gates"].pop(),
-    "u_gates_columns": lambda p: [row.append(0.0) for row in p["params"]["u_gates"]],
-    "b_gates_length_1": lambda p: p["params"].update(b_gates=[0.0]),
-    "w_out_length": lambda p: p["params"]["w_out"].append(0.0),
-    "b_out_length_2": lambda p: p["params"].update(b_out=[0.0, 0.0]),
-    "w_att_columns": lambda p: [row.pop() for row in p["params"]["w_att"]],
-    "missing_u_gates": lambda p: p["params"].pop("u_gates"),
-    "payload_d": lambda p: p.update(d=p["d"] + 2),
-    "hidden_size": lambda p: p["config"].update(hidden_size=p["config"]["hidden_size"] + 1),
-    "non_finite_weight": lambda p: p["params"]["w_out"].__setitem__(0, float("nan")),
+    "w_gates_columns": _edit(lambda p: [row.pop() for row in p["params"]["w_gates"]]),
+    "w_gates_rows": _edit(lambda p: p["params"]["w_gates"].pop()),
+    "u_gates_columns": _edit(lambda p: [row.append(0.0) for row in p["params"]["u_gates"]]),
+    "b_gates_length_1": _edit(lambda p: p["params"].update(b_gates=[0.0])),
+    "w_out_length": _edit(lambda p: p["params"]["w_out"].append(0.0)),
+    "b_out_length_2": _edit(lambda p: p["params"].update(b_out=[0.0, 0.0])),
+    "w_att_columns": _edit(lambda p: [row.pop() for row in p["params"]["w_att"]]),
+    "missing_u_gates": _edit(lambda p: p["params"].pop("u_gates")),
+    "payload_d": _edit(lambda p: p.update(d=p["d"] + 2)),
+    "hidden_size": _edit(lambda p: p["config"].update(hidden_size=p["config"]["hidden_size"] + 1)),
+    "non_finite_weight": _edit(lambda p: p["params"]["w_out"].__setitem__(0, float("nan"))),
+    "config_key_misnamed": _edit(_rename_config_key),
+    "missing_stats": _edit(lambda p: p.pop("stats")),
+    "missing_catalog": _edit(lambda p: p.pop("catalog")),
+    "missing_config": _edit(lambda p: p.pop("config")),
+    "missing_params": _edit(lambda p: p.pop("params")),
+    "non_object_payload": lambda p: [p],
 }
 
 
@@ -187,8 +205,7 @@ class TestCheckpointChecks:
     @pytest.mark.parametrize("defect", sorted(CHECKPOINT_DEFECTS))
     def test_malformed_checkpoint_is_data_error(self, data_dir, trained_dir, tmp_path,
                                                 capsys, defect):
-        payload = json.loads((trained_dir / "checkpoint.json").read_text())
-        CHECKPOINT_DEFECTS[defect](payload)
+        payload = CHECKPOINT_DEFECTS[defect](json.loads((trained_dir / "checkpoint.json").read_text()))
         ckpt = tmp_path / "checkpoint.json"
         ckpt.write_text(json.dumps(payload))
         out = tmp_path / "expl"
@@ -253,6 +270,20 @@ class TestEvaluate:
                    "--explanations", explained / "explanations.csv",
                    "--windows", empty, "--out-dir", tmp_path) == 2
 
+
+    def test_ranks_above_k_are_data_error(self, data_dir, trained_dir, tmp_path):
+        expl = tmp_path / "expl"
+        assert run("explain", "--events", data_dir / "events.jsonl",
+                   "--checkpoint", trained_dir / "checkpoint.json", "--out-dir", expl,
+                   "--methods", "gradient,discrete_derivative", "--k", "2", "--seed", "5") == 0
+        ranks = {row[2] for row in read_csv(expl / "explanations.csv")[1]}
+        assert "2" in ranks
+        args = ["evaluate", "--events", data_dir / "events.jsonl",
+                "--explanations", expl / "explanations.csv", "--windows", expl / "windows.csv"]
+        assert run(*args, "--out-dir", tmp_path / "k1", "--k", "1") == 2
+        assert not (tmp_path / "k1" / "results.csv").exists()
+        assert run(*args, "--out-dir", tmp_path / "k3", "--k", "3") == 0
+        assert (tmp_path / "k3" / "results.csv").exists()
 
     def test_empty_windows_file_is_data_error(self, data_dir, explained, tmp_path):
         empty = tmp_path / "w.csv"

@@ -8,12 +8,18 @@ from driftscope.events import FeatureCatalog
 from driftscope.model import (
     CatalogMismatchError,
     EncodedEpisode,
+    EpochStats,
     RiskSeries,
+    StepBatch,
     TrainingDivergedError,
+    TrainReport,
+    _Adam,
     _attention_loss_grad,
+    _clip_global_norm,
     _dloss_dlogit,
     _forward_with_masks,
     _risk_gradient_batch,
+    _sweep,
     auroc,
     catalog_fingerprint,
     load_checkpoint,
@@ -296,6 +302,157 @@ class TestBackward:
         risk, cache = ds.forward(params, steps)
         _, dx = ds.backward(params, cache, steps, 1, eta=0.0)
         assert dx.shape == steps.x.shape
+
+
+def mixed_length_batch(seed, lengths=(3, 7, 12), d_features=3):
+    rng = np.random.default_rng(seed)
+    return [random_step_series(rng, T=T, d_features=d_features) for T in lengths]
+
+
+class TestBatch:
+    def _dropout_params(self, series):
+        cfg = tiny_config(hidden_size=5, input_dropout=0.2, output_dropout=0.2,
+                          recurrent_dropout=0.2)
+        return cfg, nonzero_params(cfg, series[0].d)
+
+    def test_gradients_are_sum_of_episode_gradients(self):
+        series = mixed_length_batch(30)
+        outcomes = [1, 0, 1]
+        cfg, params = self._dropout_params(series)
+        batch = StepBatch(series)
+        assert batch.padded().shape == (12, 3, series[0].d) and batch.T == 22
+        risks, cache = ds.forward(params, batch, mode="train", rng=np.random.default_rng(6), config=cfg)
+        grads, dx = ds.backward(params, cache, batch, outcomes, eta=0.01)
+        assert dx is None
+
+        # Per-episode calls draw the same masks from the same stream, in order.
+        rng = np.random.default_rng(6)
+        want = {k: np.zeros_like(v) for k, v in grads.items()}
+        for b, (steps, y) in enumerate(zip(series, outcomes)):
+            risk, one = ds.forward(params, steps, mode="train", rng=rng, config=cfg)
+            assert np.array_equal(cache.in_mask[: steps.T, b], one.in_mask)
+            assert np.array_equal(cache.rec_mask[b], one.rec_mask)
+            np.testing.assert_allclose(risks[b].p, risk.p, rtol=1e-13)
+            g, _ = ds.backward(params, one, steps, y, eta=0.01)
+            for k in want:
+                want[k] += g[k]
+        for k in want:
+            assert np.max(np.abs(grads[k] - want[k])) <= 1e-12 * np.max(np.abs(want[k]))
+
+    def test_pad_steps_carry_zero_dz(self):
+        series = mixed_length_batch(31)
+        cfg, params = self._dropout_params(series)
+        batch = StepBatch(series)
+        _, cache = ds.forward(params, batch, mode="train", rng=np.random.default_rng(2), config=cfg)
+        dlogit = np.zeros(cache.p.shape)
+        for b, steps in enumerate(series):
+            dlogit[: steps.T, b] = _dloss_dlogit(cache.p[: steps.T, b], b % 2, 0.01)
+        dz = _sweep(params, cache.gates.copy(), cache.c, dlogit, cache.out_mask, cache.rec_mask)
+        for b, steps in enumerate(series):
+            assert np.all(dz[steps.T :, b] == 0.0)
+            assert np.any(dz[: steps.T, b] != 0.0)
+
+    def test_eval_hidden_states_match_single_series(self):
+        series = mixed_length_batch(32)
+        params = nonzero_params(tiny_config(hidden_size=5), series[0].d)
+        risks, cache = ds.forward(params, StepBatch(series))
+        for b, steps in enumerate(series):
+            risk, one = ds.forward(params, steps)
+            np.testing.assert_allclose(cache.h[: steps.T, b], one.h, rtol=1e-13, atol=1e-16)
+            np.testing.assert_allclose(risks[b].p, risk.p, rtol=1e-13)
+            assert np.array_equal(risks[b].step_time, steps.step_time)
+
+
+def per_episode_train(corpus, config):
+    """train() as it ran with one forward and backward per episode and the
+    attention phase's hidden states kept for the whole corpus: the reference
+    the batched loop must match to rounding."""
+    train_eps = [e for e in corpus if e.split == "train"]
+    val_eps = [e for e in corpus if e.split == "validation"]
+    params = ds.model_init(config, corpus[0].steps.d)
+    report = TrainReport()
+    shuffle_rng = np.random.default_rng([config.seed, 1])
+    dropout_rng = np.random.default_rng([config.seed, 2])
+
+    def fit(phase, trainable, episode_grad, episode_val):
+        adam = _Adam(trainable, lr=config.learning_rate)
+        best_loss, best, best_epoch, bad = math.inf, {k: v.copy() for k, v in trainable.items()}, 0, 0
+        for epoch in range(1, config.max_epochs + 1):
+            order = shuffle_rng.permutation(len(train_eps))
+            losses = []
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start : start + config.batch_size]
+                acc = {k: np.zeros_like(v) for k, v in trainable.items()}
+                for i in batch:
+                    l, g = episode_grad(i)
+                    losses.append(l)
+                    for k in acc:
+                        acc[k] += g[k]
+                for k in acc:
+                    acc[k] /= len(batch)
+                _clip_global_norm(acc, config.clip_norm)
+                adam.step(trainable, acc)
+            val = [episode_val(i) for i in range(len(val_eps))]
+            val_loss = float(np.mean([v[0] for v in val]))
+            report.rows.append(EpochStats(phase, epoch, float(np.mean(losses)), val_loss,
+                                          auroc([e.outcome for e in val_eps], [v[1] for v in val])))
+            if val_loss < best_loss:
+                best_loss, best_epoch, bad = val_loss, epoch, 0
+                best = {k: v.copy() for k, v in trainable.items()}
+            else:
+                bad += 1
+                if bad >= config.patience:
+                    break
+        for k, v in trainable.items():
+            v[...] = best[k]
+        return best_epoch
+
+    def risk_grad(i):
+        ep = train_eps[i]
+        risk, cache = ds.forward(params, ep.steps, mode="train", rng=dropout_rng, config=config)
+        return ds.loss(risk, ep.outcome, config.eta), ds.backward(params, cache, ep.steps,
+                                                                  ep.outcome, config.eta)[0]
+
+    def risk_val(i):
+        risk, _ = ds.forward(params, val_eps[i].steps)
+        return ds.loss(risk, val_eps[i].outcome, config.eta), float(risk.p[-1])
+
+    trainable = {k: v for k, v in params.arrays().items() if k != "w_att"}
+    report.best_epoch = fit("risk", trainable, risk_grad, risk_val)
+    h_train = [ds.forward(params, e.steps)[1].h for e in train_eps]
+    h_val = [ds.forward(params, e.steps)[1].h for e in val_eps]
+
+    def attention_grad(i):
+        bce, grad, _ = _attention_loss_grad(params, h_train[i], train_eps[i].outcome)
+        return bce, {"w_att": grad}
+
+    def attention_val(i):
+        bce, _, pred = _attention_loss_grad(params, h_val[i], val_eps[i].outcome)
+        return bce, pred
+
+    fit("attention", {"w_att": params.w_att}, attention_grad, attention_val)
+    return params, report
+
+
+class TestBatchedTrain:
+    def test_matches_per_episode_reference(self):
+        rng = np.random.default_rng(33)
+        corpus = [EncodedEpisode(f"e{i}", random_step_series(rng, T=int(rng.integers(2, 16)),
+                                                             d_features=2),
+                                 i % 2, "validation" if i >= 18 else "train")
+                  for i in range(24)]
+        cfg = tiny_config(attention=True, eta=0.01, batch_size=5, patience=3,
+                          input_dropout=0.1, output_dropout=0.1, recurrent_dropout=0.1)
+        got, got_report = ds.train(corpus, cfg)
+        want, want_report = per_episode_train(corpus, cfg)
+        assert got_report.best_epoch == want_report.best_epoch
+        assert [(r.phase, r.epoch) for r in got_report.rows] == \
+               [(r.phase, r.epoch) for r in want_report.rows]
+        for g, w in zip(got_report.rows, want_report.rows):
+            for name in ("train_loss", "val_loss", "val_auroc"):
+                assert getattr(g, name) == pytest.approx(getattr(w, name), rel=1e-9)
+        for k, arr in want.arrays().items():
+            assert np.max(np.abs(got.arrays()[k] - arr)) <= 1e-9 * np.max(np.abs(arr))
 
 
 class TestGradWrtInputs:
