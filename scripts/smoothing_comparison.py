@@ -44,7 +44,7 @@ def main() -> int:
     catalog = scenario.catalog()
     stats = ds.fit_feature_stats(corpus)
     encoded = [
-        EncodedEpisode(s.episode_id, ds.encode_steps(ds.normalize(s, stats), catalog),
+        EncodedEpisode(s.episode_id, ds.encode_steps(s, catalog, stats),
                        s.outcome, s.split)
         for s in corpus
     ]

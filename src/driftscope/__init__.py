@@ -29,7 +29,6 @@ from .events import (
     catalog_from_sequences,
     encode_steps,
     fit_feature_stats,
-    normalize,
     parse_event_log,
 )
 from .evaluation import (

@@ -10,6 +10,7 @@ become per-event attribution weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,18 +19,18 @@ import numpy as np
 from .attribution import AttributionMatrix, event_weight_matrix
 from .events import EventSequence, StepSeries
 
+# Pseudo-count added to every cell of a bin's outcome table.
+LAPLACE_ALPHA = 0.5
+
 
 @dataclass(frozen=True)
 class StatWeightConfig:
     statistic: str = "odds_ratio"  # or "rothman"
-    laplace_alpha: float = 0.5
     bins_per_feature: int = 10
 
     def __post_init__(self):
         if self.statistic not in ("odds_ratio", "rothman"):
             raise ValueError(f"unknown statistic {self.statistic!r}")
-        if self.laplace_alpha <= 0:
-            raise ValueError("laplace_alpha must be positive")
         if self.bins_per_feature < 2:
             raise ValueError("bins_per_feature must be >= 2")
 
@@ -70,17 +71,39 @@ class BinTable:
 
     @classmethod
     def from_json(cls, payload: dict) -> "BinTable":
-        return cls(
-            {
-                fid: FeatureBins(
-                    cuts=np.asarray(d["cuts"], dtype=float),
-                    pos=np.asarray(d["pos"], dtype=np.int64),
-                    neg=np.asarray(d["neg"], dtype=np.int64),
-                    mean_bin=int(d["mean_bin"]),
-                )
-                for fid, d in payload.items()
-            }
-        )
+        """Read a table as ``to_json`` writes it. Raises ValueError unless the
+        payload maps each feature to ``cuts`` (finite, strictly increasing),
+        ``pos`` and ``neg`` (non-negative integers, one per bin) and
+        ``mean_bin`` (a bin index)."""
+        if not isinstance(payload, dict):
+            raise ValueError("bin table is not an object of features")
+        return cls({fid: _feature_bins_from_json(fid, d) for fid, d in payload.items()})
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _feature_bins_from_json(fid: str, d) -> FeatureBins:
+    if not isinstance(d, dict) or not {"cuts", "pos", "neg", "mean_bin"} <= d.keys():
+        raise ValueError(f"bins of {fid!r} need cuts, pos, neg and mean_bin")
+    cuts = d["cuts"]
+    if not (isinstance(cuts, list)
+            and all((_is_int(c) or isinstance(c, float)) and math.isfinite(c) for c in cuts)
+            and all(a < b for a, b in zip(cuts, cuts[1:]))):
+        raise ValueError(f"bins of {fid!r}: cuts must be finite and strictly increasing")
+    n_bins = len(cuts) + 1
+    for key in ("pos", "neg"):
+        counts = d[key]
+        if not (isinstance(counts, list) and len(counts) == n_bins
+                and all(_is_int(c) and 0 <= c < 2**63 for c in counts)):
+            raise ValueError(f"bins of {fid!r}: {key} must be {n_bins} non-negative integers")
+    if not (_is_int(d["mean_bin"]) and 0 <= d["mean_bin"] < n_bins):
+        raise ValueError(f"bins of {fid!r}: mean_bin must be a bin index below {n_bins}")
+    return FeatureBins(cuts=np.asarray(cuts, dtype=float),
+                       pos=np.asarray(d["pos"], dtype=np.int64),
+                       neg=np.asarray(d["neg"], dtype=np.int64),
+                       mean_bin=d["mean_bin"])
 
 
 def fit_bins(corpus: Sequence[EventSequence], config: StatWeightConfig) -> BinTable:
@@ -95,7 +118,7 @@ def fit_bins(corpus: Sequence[EventSequence], config: StatWeightConfig) -> BinTa
     values: dict[str, list[tuple[float, int]]] = {}
     for seq in train:
         for e in seq.events:
-            values.setdefault(e.feature, []).append((e.raw_value, seq.outcome))
+            values.setdefault(e.feature, []).append((e.value, seq.outcome))
     by_feature = {}
     for fid, pairs in values.items():
         vals = np.asarray([v for v, _ in pairs], dtype=float)
@@ -118,7 +141,9 @@ def _check_bin(fb: FeatureBins, bin_index: int) -> None:
         raise ValueError(f"bin {bin_index} out of range [0, {fb.n_bins})")
 
 
-def odds_ratio(table: BinTable, feature: str, bin_index: int, alpha: float = 0.5) -> float:
+def odds_ratio(
+    table: BinTable, feature: str, bin_index: int, alpha: float = LAPLACE_ALPHA
+) -> float:
     """Smoothed odds of the outcome for values in the bin over the odds for
     values of the same feature outside it."""
     fb = table.by_feature[feature]
@@ -142,7 +167,7 @@ def rothman_index(
     table: BinTable,
     feature: str,
     bin_index: int,
-    alpha: float = 0.5,
+    alpha: float = LAPLACE_ALPHA,
 ) -> float:
     """Smoothed empirical risk of the bin over the risk of the bin containing
     the feature's train mean."""
@@ -170,9 +195,9 @@ def stat_weights(
         if fb is None:
             weights[j] = 1.0
             continue
-        b = fb.bin_of(e.raw_value)
+        b = fb.bin_of(e.value)
         if config.statistic == "odds_ratio":
-            weights[j] = odds_ratio(table, e.feature, b, config.laplace_alpha)
+            weights[j] = odds_ratio(table, e.feature, b)
         else:
-            weights[j] = rothman_index(table, e.feature, b, config.laplace_alpha)
+            weights[j] = rothman_index(table, e.feature, b)
     return event_weight_matrix(weights, steps, method=config.statistic)

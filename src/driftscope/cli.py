@@ -33,7 +33,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .events import encode_steps, normalize
+from .events import encode_steps
 from .evaluation import (
     METHODS,
     BenchmarkRow,
@@ -241,7 +241,7 @@ def cmd_train(args) -> int:
     stats = fit_feature_stats(raw)
     bins = fit_bins(raw, bin_config)
     corpus = [
-        EncodedEpisode(seq.episode_id, encode_steps(normalize(seq, stats), catalog),
+        EncodedEpisode(seq.episode_id, encode_steps(seq, catalog, stats),
                        seq.outcome, seq.split)
         for seq in raw
     ]

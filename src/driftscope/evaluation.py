@@ -26,7 +26,7 @@ from .attribution import (
     top_k_explanations,
 )
 from .bin_stats import BinTable, StatWeightConfig, stat_weights
-from .events import EventSequence, FeatureCatalog, FeatureStats, StepSeries, encode_steps, normalize
+from .events import EventSequence, FeatureCatalog, FeatureStats, StepSeries, encode_steps
 from .model import ModelParams, RiskSeries, attention_forward, forward, grad_wrt_inputs
 from .synth import first_positive_checkpoint, ground_truth_set
 
@@ -91,7 +91,7 @@ def prepare_episodes(
 ) -> list[PreparedEpisode]:
     out = []
     for seq in sequences:
-        steps = encode_steps(normalize(seq, stats), catalog)
+        steps = encode_steps(seq, catalog, stats)
         risk, _ = forward(params, steps, mode="eval")
         out.append(PreparedEpisode(seq.episode_id, seq, steps, risk))
     return out

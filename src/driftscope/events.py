@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -32,24 +32,15 @@ class EventFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Event:
-    """One timestamped observation of a single feature.
-
-    ``raw`` keeps the original value through normalization so explanations can
-    display native units.
-    """
+    """One timestamped observation of a single feature, in native units."""
 
     time: float
     feature: str
     value: float
-    raw: float | None = None
 
     def __post_init__(self):
         if self.time < 0:
             raise EventFormatError(f"negative time {self.time} for feature {self.feature!r}")
-
-    @property
-    def raw_value(self) -> float:
-        return self.value if self.raw is None else self.raw
 
 
 @dataclass(frozen=True)
@@ -230,6 +221,8 @@ def parse_event_log(
             value = float(rec["value"])
         except (TypeError, ValueError):
             raise EventFormatError("time_s and value must be numbers", line=lineno) from None
+        if not (math.isfinite(time_s) and math.isfinite(value)):
+            raise EventFormatError("time_s and value must be finite", line=lineno)
         if time_s < 0:
             raise EventFormatError(f"negative time {time_s}", line=lineno)
         if rec["outcome"] not in (0, 1):
@@ -264,7 +257,7 @@ def parse_event_log(
 
 
 def write_event_log(path, sequences: Sequence[EventSequence]) -> None:
-    """Write sequences back to the JSONL event format (raw values)."""
+    """Write sequences back to the JSONL event format."""
     with open(path, "w", encoding="utf-8") as fh:
         for seq in sequences:
             for e in seq.events:
@@ -274,7 +267,7 @@ def write_event_log(path, sequences: Sequence[EventSequence]) -> None:
                             "episode": seq.episode_id,
                             "time_s": e.time,
                             "feature": e.feature,
-                            "value": e.raw_value,
+                            "value": e.value,
                             "outcome": seq.outcome,
                             "split": seq.split,
                         }
@@ -316,20 +309,13 @@ def fit_feature_stats(corpus: Sequence[EventSequence]) -> FeatureStats:
     return FeatureStats(by_feature)
 
 
-def normalize(seq: EventSequence, stats: FeatureStats) -> EventSequence:
-    """Clamp-then-z-score every value; the original raw value is retained."""
-    events = tuple(
-        replace(e, value=stats.normalize_value(e.feature, e.value), raw=e.raw_value)
-        for e in seq.events
-    )
-    return replace(seq, events=events)
+def encode_steps(seq: EventSequence, catalog: FeatureCatalog, stats: FeatureStats) -> StepSeries:
+    """Encode a sequence as one step per event.
 
-
-def encode_steps(seq: EventSequence, catalog: FeatureCatalog) -> StepSeries:
-    """Encode a (normalized) sequence as one step per event.
-
-    The delta-time channel is log(1 + dt / 3600) with dt the seconds since the
-    previous step (since episode start for step 1).
+    Value channels hold ``stats.normalize_value`` of each value; ``step_raw``
+    keeps the value itself for display. The delta-time channel is
+    log(1 + dt / 3600) with dt the seconds since the previous step (since
+    episode start for step 1).
     """
     T = len(seq.events)
     d_f = catalog.d_features
@@ -340,12 +326,12 @@ def encode_steps(seq: EventSequence, catalog: FeatureCatalog) -> StepSeries:
     prev_time = 0.0
     for j, e in enumerate(seq.events):
         i = catalog.index(e.feature)
-        x[j, i] = e.value
+        x[j, i] = stats.normalize_value(e.feature, e.value)
         x[j, d_f + i] = 1.0
         x[j, 2 * d_f] = math.log1p((e.time - prev_time) / SECONDS_PER_HOUR)
         step_feature[j] = i
         step_time[j] = e.time
-        step_raw[j] = e.raw_value
+        step_raw[j] = e.value
         prev_time = e.time
     return StepSeries(x=x, step_feature=step_feature, step_time=step_time,
                       step_raw=step_raw, d_features=d_f)

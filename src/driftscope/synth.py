@@ -204,7 +204,7 @@ def aki_label(seq: EventSequence, t: float) -> bool:
             continue
         if e.time <= lo:
             continue
-        v = e.raw_value
+        v = e.value
         if v - running_min >= CREATININE_RISE:
             return True
         running_min = min(running_min, v)
@@ -213,7 +213,7 @@ def aki_label(seq: EventSequence, t: float) -> bool:
     for e in seq.events:
         if e.feature != URINE_RATE or e.time > t:
             continue
-        if e.raw_value < URINE_THRESHOLD:
+        if e.value < URINE_THRESHOLD:
             run.append(e.time)
         else:
             run = []

@@ -3,13 +3,23 @@ corpus plus trained models used by the acceptance suite."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import driftscope as ds
 from driftscope.bin_stats import StatWeightConfig, fit_bins
-from driftscope.events import Event, EventSequence, FeatureCatalog, StepSeries, encode_steps
+from driftscope.events import (
+    Event,
+    EventSequence,
+    FeatureCatalog,
+    FeatureStat,
+    FeatureStats,
+    StepSeries,
+    encode_steps,
+)
 from driftscope.evaluation import prepare_episodes
 from driftscope.model import EncodedEpisode
 
@@ -34,6 +44,13 @@ def random_step_series(rng: np.random.Generator, T: int, d_features: int) -> Ste
                       step_raw=x[np.arange(T), feats].copy(), d_features=d_features)
 
 
+def identity_stats(features) -> FeatureStats:
+    """Stats under which ``normalize_value`` returns every value unchanged, so
+    that tests can encode values as written."""
+    return FeatureStats({f: FeatureStat(0.0, 1.0, -math.inf, math.inf, degenerate=False)
+                         for f in features})
+
+
 def single_feature_steps(values, times=None, feature="f") -> tuple[StepSeries, FeatureCatalog]:
     catalog = FeatureCatalog.from_ids([feature])
     if times is None:
@@ -41,7 +58,7 @@ def single_feature_steps(values, times=None, feature="f") -> tuple[StepSeries, F
     seq = EventSequence(
         "e", tuple(Event(t, feature, v) for t, v in zip(times, values)), 0, "train"
     )
-    return encode_steps(seq, catalog), catalog
+    return encode_steps(seq, catalog, identity_stats(catalog.ids)), catalog
 
 
 @pytest.fixture(scope="session")
@@ -51,7 +68,7 @@ def bench_bundle():
     catalog = config.catalog()
     stats = ds.fit_feature_stats(corpus)
     encoded = [
-        EncodedEpisode(s.episode_id, encode_steps(ds.normalize(s, stats), catalog),
+        EncodedEpisode(s.episode_id, encode_steps(s, catalog, stats),
                        s.outcome, s.split)
         for s in corpus
     ]

@@ -126,7 +126,7 @@ def test_c3_telescoping_over_synthetic_corpus():
     cfg = ds.ModelConfig(hidden_size=8, seed=12, attention=False)
     params = nonzero_params(cfg, 2 * catalog.d_features + 1, seed=8)
     for seq in corpus:
-        steps = ds.encode_steps(ds.normalize(seq, stats), catalog)
+        steps = ds.encode_steps(seq, catalog, stats)
         risk, _ = ds.forward(params, steps)
         a = ds.discrete_time_derivatives(risk, steps)
         T = steps.T

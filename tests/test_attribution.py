@@ -21,7 +21,7 @@ from driftscope.attribution import (
 from driftscope.events import Event, EventSequence, FeatureCatalog, encode_steps
 from driftscope.linear_system import LDSystem, lds_integrated_gradient, lds_run
 from driftscope.model import RiskSeries
-from conftest import random_step_series, single_feature_steps
+from conftest import identity_stats, random_step_series, single_feature_steps
 
 
 def steps_from_features(features, values=None, times=None, catalog=None):
@@ -32,7 +32,7 @@ def steps_from_features(features, values=None, times=None, catalog=None):
     seq = EventSequence(
         "e", tuple(Event(t, f, v) for t, f, v in zip(times, features, values)), 0, "train"
     )
-    return encode_steps(seq, catalog), catalog
+    return encode_steps(seq, catalog, identity_stats(catalog.ids)), catalog
 
 
 class TestTimeRestrict:

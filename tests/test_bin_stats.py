@@ -14,6 +14,7 @@ from driftscope.bin_stats import (
     stat_weights,
 )
 from driftscope.events import Event, EventSequence, FeatureCatalog, encode_steps
+from conftest import identity_stats
 
 
 def corpus_from_values(values, outcomes, feature="f"):
@@ -151,7 +152,7 @@ class TestStatWeights:
         catalog, episodes, bt = self._fixture()
         cfg = StatWeightConfig()
         seq = episodes[0]
-        steps = encode_steps(seq, catalog)
+        steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
         a = stat_weights(steps, seq, bt, cfg)
         for j, e in enumerate(seq.events):
             fi = catalog.index(e.feature)
@@ -163,7 +164,7 @@ class TestStatWeights:
         seq = EventSequence("e", (Event(0.0, "f", 0.2), Event(60.0, "f", 0.21)), 0, "train")
         fb = bt.by_feature["f"]
         assert fb.bin_of(0.2) == fb.bin_of(0.21)
-        steps = encode_steps(seq, catalog)
+        steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
         a = stat_weights(steps, seq, bt, StatWeightConfig())
         assert a.a[0, 0] == a.a[0, 1]
 
@@ -177,7 +178,7 @@ class TestStatWeights:
         # Oracle: recompute one weight from nothing but raw counts.
         catalog, episodes, bt = self._fixture()
         seq = episodes[1]
-        steps = encode_steps(seq, catalog)
+        steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
         a = stat_weights(steps, seq, bt, StatWeightConfig(statistic="odds_ratio"))
         value = seq.events[0].value
         in_pos = in_neg = out_pos = out_neg = 0

@@ -215,6 +215,61 @@ class TestCheckpointChecks:
         assert not (out / "explanations.csv").exists()
 
 
+def _widest(payload):
+    """The bins of the feature with the most cuts."""
+    return max(payload.values(), key=lambda fb: len(fb["cuts"]))
+
+
+# Each defect turns a trained bins.json payload into one that parses as JSON
+# but is not a bin table as `fit_bins` writes it.
+BINS_DEFECTS = {
+    "list_payload": lambda p: [p],
+    "feature_not_object": _edit(lambda p: p.update({next(iter(p)): 3})),
+    "missing_pos": _edit(lambda p: _widest(p).pop("pos")),
+    "short_pos": _edit(lambda p: _widest(p)["pos"].pop()),
+    "long_neg": _edit(lambda p: _widest(p)["neg"].append(0)),
+    "negative_count": _edit(lambda p: _widest(p)["neg"].__setitem__(0, -1)),
+    "fractional_count": _edit(lambda p: _widest(p)["pos"].__setitem__(0, 0.5)),
+    "reversed_cuts": _edit(lambda p: _widest(p)["cuts"].reverse()),
+    "non_finite_cut": _edit(lambda p: _widest(p)["cuts"].__setitem__(0, float("nan"))),
+    "mean_bin_99": _edit(lambda p: _widest(p).update(mean_bin=99)),
+    "mean_bin_negative": _edit(lambda p: _widest(p).update(mean_bin=-1)),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BINS_DEFECTS))
+def test_malformed_bins_is_data_error(data_dir, trained_dir, tmp_path, capsys, defect):
+    payload = json.loads((trained_dir / "bins.json").read_text())
+    assert len(_widest(payload)["cuts"]) >= 2
+    bins = tmp_path / "bins.json"
+    bins.write_text(json.dumps(BINS_DEFECTS[defect](payload)))
+    out = tmp_path / "expl"
+    assert run("explain", "--events", data_dir / "events.jsonl",
+               "--checkpoint", trained_dir / "checkpoint.json", "--bins", bins,
+               "--out-dir", out, "--methods", "odds_ratio") == 2
+    assert "bin" in capsys.readouterr().err
+    assert not (out / "explanations.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "alerts", "explain"])
+@pytest.mark.parametrize("field, value", [("value", float("nan")), ("time_s", float("inf"))])
+def test_non_finite_event_is_data_error(data_dir, trained_dir, tmp_path, capsys,
+                                        command, field, value):
+    lines = (data_dir / "events.jsonl").read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec[field] = value
+    lines[0] = json.dumps(rec)
+    events = tmp_path / "events.jsonl"
+    events.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    args = ["--events", events, "--out-dir", out]
+    if command != "train":
+        args += ["--checkpoint", trained_dir / "checkpoint.json"]
+    assert run(command, *args) == 2
+    assert "line 1: time_s and value must be finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.fixture(scope="module")
 def explained(data_dir, trained_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("explained")

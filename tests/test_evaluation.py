@@ -158,7 +158,7 @@ def small_run():
     catalog = config.catalog()
     stats = ds.fit_feature_stats(corpus)
     encoded = [
-        ds.EncodedEpisode(s.episode_id, ds.encode_steps(ds.normalize(s, stats), catalog),
+        ds.EncodedEpisode(s.episode_id, ds.encode_steps(s, catalog, stats),
                           s.outcome, s.split)
         for s in corpus
     ]

@@ -15,9 +15,9 @@ from driftscope.events import (
     decode_steps,
     encode_steps,
     fit_feature_stats,
-    normalize,
     parse_event_log,
 )
+from conftest import identity_stats
 
 
 def line(episode="e1", time_s=0.0, feature="f", value=1.0, outcome=0, split="train"):
@@ -42,6 +42,15 @@ class TestParse:
     def test_malformed_line_carries_line_number(self):
         text = "\n".join([line(), "{not json"])
         with pytest.raises(EventFormatError, match="line 2"):
+            parse_event_log(text)
+
+    @pytest.mark.parametrize("field, value", [
+        ("value", float("nan")), ("value", float("inf")), ("value", float("-inf")),
+        ("value", "1e400"), ("time_s", float("nan")), ("time_s", float("inf")),
+    ])
+    def test_non_finite_number_rejected_with_line(self, field, value):
+        text = "\n".join([line(), line(**{"time_s": 10.0, field: value})])
+        with pytest.raises(EventFormatError, match="line 2: time_s and value must be finite"):
             parse_event_log(text)
 
     def test_missing_key_rejected(self):
@@ -136,15 +145,14 @@ class TestNormalize:
 
     def test_raw_value_retained(self):
         corpus, stats = self._stats()
-        out = normalize(corpus[0], stats)
-        assert out.events[0].raw == corpus[0].events[0].value
+        steps = encode_steps(corpus[0], FeatureCatalog.from_ids(["f"]), stats)
+        assert steps.step_raw.tolist() == [e.value for e in corpus[0].events]
 
     def test_double_normalize_centers_train_values(self):
         corpus, stats = self._stats()
-        once = [normalize(s, stats) for s in corpus]
-        stats2 = fit_feature_stats(once)
-        twice = [normalize(s, stats2) for s in once]
-        values = [e.value for s in twice for e in s.events]
+        catalog = FeatureCatalog.from_ids(["f"])
+        values = np.concatenate([encode_steps(s, catalog, stats).x[:, 0]
+                                 for s in corpus if s.split == "train"])
         assert abs(np.mean(values)) < 1e-9
 
 
@@ -152,7 +160,7 @@ class TestEncode:
     def test_single_event_vector(self):
         catalog = FeatureCatalog.from_ids(["temp", "hr"])
         seq = EventSequence("e", (Event(3600.0, "temp", 0.5),), 0, "train")
-        steps = encode_steps(seq, catalog)
+        steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
         assert steps.T == 1
         np.testing.assert_allclose(steps.x[0], [0.5, 0.0, 1.0, 0.0, math.log(2.0)])
         assert steps.step_feature[0] == 0
@@ -162,7 +170,7 @@ class TestEncode:
         seq = EventSequence(
             "e", (Event(100.0, "a", 1.0), Event(100.0, "b", 2.0)), 0, "train"
         )
-        steps = encode_steps(seq, catalog)
+        steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
         assert steps.T == 2
         assert steps.x[1, -1] == 0.0
 
@@ -174,7 +182,7 @@ class TestEncode:
             for i in range(40)
         )
         seq = EventSequence("e", events, 1, "train")
-        steps = encode_steps(seq, catalog)
+        steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
         decoded = decode_steps(steps, catalog)
         assert decoded == [(e.time, e.feature, e.value) for e in events]
 
@@ -196,7 +204,7 @@ def small_sequences(draw):
 @given(small_sequences())
 def test_encoding_invariants(seq):
     catalog = FeatureCatalog.from_ids(["a", "b", "c"])
-    steps = encode_steps(seq, catalog)
+    steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
     d_f = catalog.d_features
     indicators = steps.x[:, d_f : 2 * d_f]
     assert np.all(indicators.sum(axis=1) == 1.0)
