@@ -19,7 +19,7 @@ from .attribution import (
     time_restrict,
     top_k_explanations,
 )
-from .bin_stats import BinTable, StatWeightConfig, fit_bins, odds_ratio, rothman_index, stat_weights
+from .bin_stats import BinTable, bin_statistic, fit_bins, stat_weights
 from .events import (
     Event,
     EventSequence,

@@ -17,22 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .attribution import AttributionMatrix, event_weight_matrix
-from .events import EventSequence, StepSeries
+from .events import EventSequence, FeatureCatalog, StepSeries
 
 # Pseudo-count added to every cell of a bin's outcome table.
 LAPLACE_ALPHA = 0.5
-
-
-@dataclass(frozen=True)
-class StatWeightConfig:
-    statistic: str = "odds_ratio"  # or "rothman"
-    bins_per_feature: int = 10
-
-    def __post_init__(self):
-        if self.statistic not in ("odds_ratio", "rothman"):
-            raise ValueError(f"unknown statistic {self.statistic!r}")
-        if self.bins_per_feature < 2:
-            raise ValueError("bins_per_feature must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -49,9 +37,9 @@ class FeatureBins:
     def n_bins(self) -> int:
         return len(self.cuts) + 1
 
-    def bin_of(self, value: float) -> int:
-        # searchsorted clamps out-of-range values into the first/last bin.
-        return int(np.searchsorted(self.cuts, value, side="right"))
+    def bin_of(self, value):
+        """Bin of each value: one equal to a cut goes up; out-of-range ones clamp."""
+        return np.searchsorted(self.cuts, value, side="right")
 
 
 @dataclass(frozen=True)
@@ -106,12 +94,14 @@ def _feature_bins_from_json(fid: str, d) -> FeatureBins:
                        mean_bin=d["mean_bin"])
 
 
-def fit_bins(corpus: Sequence[EventSequence], config: StatWeightConfig) -> BinTable:
+def fit_bins(corpus: Sequence[EventSequence], bins_per_feature: int = 10) -> BinTable:
     """Quantile-bin each feature's train-split values and tally by outcome.
 
     Duplicate quantiles collapse, so features with few distinct values get
     fewer, merged bins; a constant feature gets a single bin.
     """
+    if bins_per_feature < 2:
+        raise ValueError("bins_per_feature must be >= 2")
     train = [seq for seq in corpus if seq.split == "train"]
     if not train:
         raise ValueError("corpus contains no train-split sequences")
@@ -123,7 +113,7 @@ def fit_bins(corpus: Sequence[EventSequence], config: StatWeightConfig) -> BinTa
     for fid, pairs in values.items():
         vals = np.asarray([v for v, _ in pairs], dtype=float)
         outs = np.asarray([o for _, o in pairs], dtype=np.int64)
-        qs = np.linspace(0, 1, config.bins_per_feature + 1)[1:-1]
+        qs = np.linspace(0, 1, bins_per_feature + 1)[1:-1]
         cuts = np.unique(np.quantile(vals, qs))
         # Keep only cuts that actually separate data.
         cuts = cuts[(cuts > vals.min()) & (cuts <= vals.max())]
@@ -136,68 +126,38 @@ def fit_bins(corpus: Sequence[EventSequence], config: StatWeightConfig) -> BinTa
     return BinTable(by_feature)
 
 
-def _check_bin(fb: FeatureBins, bin_index: int) -> None:
-    if not 0 <= bin_index < fb.n_bins:
-        raise ValueError(f"bin {bin_index} out of range [0, {fb.n_bins})")
+def bin_statistic(fb: FeatureBins, statistic: str, alpha: float = LAPLACE_ALPHA) -> np.ndarray:
+    """The statistic of every bin of one feature, from counts smoothed by ``alpha``.
 
-
-def odds_ratio(
-    table: BinTable, feature: str, bin_index: int, alpha: float = LAPLACE_ALPHA
-) -> float:
-    """Smoothed odds of the outcome for values in the bin over the odds for
-    values of the same feature outside it."""
-    fb = table.by_feature[feature]
-    _check_bin(fb, bin_index)
-    pos_in = float(fb.pos[bin_index])
-    neg_in = float(fb.neg[bin_index])
-    pos_out = float(fb.pos.sum()) - pos_in
-    neg_out = float(fb.neg.sum()) - neg_in
-    odds_in = (pos_in + alpha) / (neg_in + alpha)
-    odds_out = (pos_out + alpha) / (neg_out + alpha)
-    return odds_in / odds_out
-
-
-def _bin_risk(fb: FeatureBins, bin_index: int, alpha: float) -> float:
-    pos = float(fb.pos[bin_index])
-    neg = float(fb.neg[bin_index])
-    return (pos + alpha) / (pos + neg + 2.0 * alpha)
-
-
-def rothman_index(
-    table: BinTable,
-    feature: str,
-    bin_index: int,
-    alpha: float = LAPLACE_ALPHA,
-) -> float:
-    """Smoothed empirical risk of the bin over the risk of the bin containing
-    the feature's train mean."""
-    fb = table.by_feature[feature]
-    _check_bin(fb, bin_index)
-    return _bin_risk(fb, bin_index, alpha) / _bin_risk(fb, fb.mean_bin, alpha)
+    ``"odds_ratio"``: odds of the outcome for values in the bin over the odds
+    for values of the same feature outside it. ``"rothman"``: empirical risk
+    of the bin over the risk of the bin holding the feature's train mean.
+    """
+    pos = fb.pos.astype(float)
+    neg = fb.neg.astype(float)
+    if statistic == "odds_ratio":
+        odds_in = (pos + alpha) / (neg + alpha)
+        odds_out = (float(fb.pos.sum()) - pos + alpha) / (float(fb.neg.sum()) - neg + alpha)
+        return odds_in / odds_out
+    if statistic == "rothman":
+        risk = (pos + alpha) / (pos + neg + 2.0 * alpha)
+        return risk / risk[fb.mean_bin]
+    raise ValueError(f"unknown statistic {statistic!r}")
 
 
 def stat_weights(
-    steps: StepSeries,
-    raw: EventSequence,
-    table: BinTable,
-    config: StatWeightConfig,
+    steps: StepSeries, catalog: FeatureCatalog, table: BinTable, statistic: str
 ) -> AttributionMatrix:
-    """Weight each event by the chosen statistic of the bin holding its raw value.
+    """Weight each step by the statistic of the bin holding its raw value.
 
-    ``raw`` must align 1:1 with ``steps``. Features absent from the table (never
-    observed in train) get the neutral weight 1.
+    Features absent from the table (never observed in train) get the neutral
+    weight 1.
     """
-    if len(raw.events) != steps.T:
-        raise ValueError("raw sequence and steps disagree on length")
-    weights = np.empty(steps.T)
-    for j, e in enumerate(raw.events):
-        fb = table.by_feature.get(e.feature)
+    weights = np.ones(steps.T)
+    for f in np.flatnonzero(np.bincount(steps.step_feature)):  # np.unique would load numpy.ma
+        fb = table.by_feature.get(catalog.ids[f])
         if fb is None:
-            weights[j] = 1.0
             continue
-        b = fb.bin_of(e.value)
-        if config.statistic == "odds_ratio":
-            weights[j] = odds_ratio(table, e.feature, b)
-        else:
-            weights[j] = rothman_index(table, e.feature, b)
-    return event_weight_matrix(weights, steps, method=config.statistic)
+        at = steps.step_feature == f
+        weights[at] = bin_statistic(fb, statistic)[fb.bin_of(steps.step_raw[at])]
+    return event_weight_matrix(weights, steps, method=statistic)

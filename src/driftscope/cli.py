@@ -15,11 +15,12 @@ from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import evaluation, synth
-from .alerts import AlertRule, NoAnchorError
-from .bin_stats import BinTable, StatWeightConfig, fit_bins
+from .alerts import AlertRule, NoAnchorError, select_alert_cohort
+from .bin_stats import BinTable, fit_bins
 from .events import (
     EventFormatError,
     catalog_from_sequences,
+    encode_steps,
     fit_feature_stats,
     parse_event_log,
     write_event_log,
@@ -33,14 +34,13 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .events import encode_steps
 from .evaluation import (
     METHODS,
     BenchmarkRow,
     MethodContext,
     Window,
     WindowTruth,
-    explain_window,
+    explain_windows,
     prepare_episodes,
 )
 from .tables import read_csv, write_csv
@@ -233,13 +233,14 @@ def cmd_train(args) -> int:
             patience=args.patience,
             attention=not args.no_attention,
         )
-        bin_config = StatWeightConfig(bins_per_feature=args.bins_per_feature)
+        if args.bins_per_feature < 2:
+            raise ValueError("--bins-per-feature must be >= 2")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     raw = _read_events(args.events)
     catalog = catalog_from_sequences(raw)
     stats = fit_feature_stats(raw)
-    bins = fit_bins(raw, bin_config)
+    bins = fit_bins(raw, args.bins_per_feature)
     corpus = [
         EncodedEpisode(seq.episode_id, encode_steps(seq, catalog, stats),
                        seq.outcome, seq.split)
@@ -275,18 +276,11 @@ def cmd_alerts(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     episodes, *_ = _load_and_prepare(args)
-    windows = evaluation.alert_windows(episodes, rule)
-    by_id = {ep.episode_id: ep for ep in episodes}
-    rows = []
-    for w in windows:
-        ep = by_id[w.episode_id]
-        rows.append([w.episode_id, w.t0, w.t1, w.t0_time, w.t1_time,
-                     float(ep.risk.p[w.t0 - 1]), float(ep.risk.p[w.t1 - 1]),
-                     w.t1 - w.t0])
+    cohort = select_alert_cohort(((ep.episode_id, ep.risk) for ep in episodes), rule)
     write_csv(out / "alerts.csv",
               ["episode", "t0", "t1", "t0_time_s", "t1_time_s", "p0", "p1", "new_events"],
-              rows)
-    print(f"wrote {len(rows)} alerts to {out / 'alerts.csv'}")
+              [astuple(a) for a in cohort])
+    print(f"wrote {len(cohort)} alerts to {out / 'alerts.csv'}")
     return EXIT_OK
 
 
@@ -305,25 +299,21 @@ def cmd_explain(args) -> int:
     if args.bins:
         bins = BinTable.from_json(json.loads(Path(args.bins).read_text(encoding="utf-8")))
     else:
-        bins = fit_bins(raw, StatWeightConfig())
+        bins = fit_bins(raw)
     ctx = MethodContext(params=params, catalog=catalog, bins=bins, m=args.m, seed=args.seed)
 
     if args.windows == "alerts":
         windows = evaluation.alert_windows(episodes, rule)
     else:
         windows = evaluation.checkpoint_windows(episodes, args.checkpoint_hours)
-    by_id = {ep.episode_id: ep for ep in episodes}
 
     expl_rows = []
-    for w in windows:
-        ep = by_id[w.episode_id]
-        for method in methods:
-            expl = explain_window(method, ctx, ep, w, args.k)
-            expl_rows.extend(
-                [w.episode_id, method, rank, it.step, it.time,
-                 catalog.ids[it.feature], it.raw, it.weight]
-                for rank, it in enumerate(expl.items, start=1)
-            )
+    for w, method, (expl,) in explain_windows(ctx, episodes, windows, methods, args.k):
+        expl_rows.extend(
+            [w.episode_id, method, rank, it.step, it.time,
+             catalog.ids[it.feature], it.raw, it.weight]
+            for rank, it in enumerate(expl.items, start=1)
+        )
 
     write_csv(out / "explanations.csv", EXPLANATIONS_HEADER, expl_rows)
     write_csv(out / "windows.csv", WINDOWS_HEADER,

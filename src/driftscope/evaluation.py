@@ -7,15 +7,17 @@ rule or from fixed injury checkpoints (first positive checkpoint per episode).
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import synth
 from .alerts import AlertRule, select_alert_cohort
 from .attribution import (
+    AttributionMatrix,
     Explanation,
     event_weight_matrix,
     discrete_time_derivatives,
@@ -25,7 +27,7 @@ from .attribution import (
     time_restrict,
     top_k_explanations,
 )
-from .bin_stats import BinTable, StatWeightConfig, stat_weights
+from .bin_stats import BinTable, stat_weights
 from .events import EventSequence, FeatureCatalog, FeatureStats, StepSeries, encode_steps
 from .model import ModelParams, RiskSeries, attention_forward, forward, grad_wrt_inputs
 from .synth import first_positive_checkpoint, ground_truth_set
@@ -131,6 +133,27 @@ def window_truth(ep: PreparedEpisode, window: Window) -> WindowTruth:
     return WindowTruth(window, frozenset(ground_truth_set(ep.raw, window.t0, window.t1)))
 
 
+def explain_windows(
+    ctx: MethodContext,
+    episodes: Sequence[PreparedEpisode],
+    windows: Sequence[Window],
+    methods: Sequence[str],
+    k: int,
+    random_repeats: int = 1,
+) -> Iterator[tuple[Window, str, list[Explanation]]]:
+    """Explain each window with each method, in order, episode by episode:
+    weights that are the same in every window of an episode are computed once
+    for its run of windows. ``random`` gives ``random_repeats`` draws, others one."""
+    by_id = {ep.episode_id: ep for ep in episodes}
+    for episode_id, run in itertools.groupby(windows, key=lambda w: w.episode_id):
+        ep, shared = by_id[episode_id], {}
+        for w in run:
+            for method in methods:
+                reps = random_repeats if method == "random" else 1
+                yield w, method, [explain_window(method, ctx, ep, w, k, rep, shared)
+                                  for rep in range(reps)]
+
+
 def explain_window(
     method: str,
     ctx: MethodContext,
@@ -138,8 +161,12 @@ def explain_window(
     window: Window,
     k: int,
     rep: int = 0,
+    shared: dict[str, AttributionMatrix] | None = None,
 ) -> Explanation:
-    """Run one attribution method on one window and select its top-k events."""
+    """Run one attribution method on one window and select its top-k events.
+    ``shared`` keeps the episode's window-independent weights between calls."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; available: {', '.join(METHODS)}")
     t0, t1 = window.t0, window.t1
     if method == "random":
         return random_guess(ep.steps, t0, t1, k, seed=[ctx.seed, _seed_tag(window), rep])
@@ -149,22 +176,21 @@ def explain_window(
     if method == "integrated_gradients":
         a = integrated_gradients(ctx.params, ep.steps, t0, t1, m=ctx.m)
         return top_k_explanations(a, ep.steps, k)
-    if method == "attention":
-        _, weights = attention_forward(ctx.params, ep.steps)
-        a = event_weight_matrix(weights, ep.steps, method="attention")
-        return top_k_explanations(time_restrict(a, t0, t1), ep.steps, k)
-    if method == "discrete_derivative":
-        a = discrete_time_derivatives(ep.risk, ep.steps)
-        return top_k_explanations(time_restrict(a, t0, t1), ep.steps, k)
-    if method in ("odds_ratio", "odds_ratio_diff", "rothman_diff"):
-        if ctx.bins is None:
+    shared = {} if shared is None else shared
+    key = method.removesuffix("_diff")  # a statistic's two methods share its weights
+    if key not in shared:
+        if key == "attention":
+            _, weights = attention_forward(ctx.params, ep.steps)
+            shared[key] = event_weight_matrix(weights, ep.steps, method="attention")
+        elif key == "discrete_derivative":
+            shared[key] = discrete_time_derivatives(ep.risk, ep.steps)
+        elif ctx.bins is None:
             raise ValueError(f"method {method!r} requires a fitted bin table")
-        stat = "rothman" if method.startswith("rothman") else "odds_ratio"
-        a = stat_weights(ep.steps, ep.raw, ctx.bins, StatWeightConfig(statistic=stat))
-        if method.endswith("_diff"):
-            return top_k_explanations(time_diff(a, ep.steps, t0, t1), ep.steps, k)
-        return top_k_explanations(time_restrict(a, t0, t1), ep.steps, k)
-    raise ValueError(f"unknown method {method!r}; available: {', '.join(METHODS)}")
+        else:
+            shared[key] = stat_weights(ep.steps, ctx.catalog, ctx.bins, key)
+    if method.endswith("_diff"):
+        return top_k_explanations(time_diff(shared[key], ep.steps, t0, t1), ep.steps, k)
+    return top_k_explanations(time_restrict(shared[key], t0, t1), ep.steps, k)
 
 
 def _seed_tag(window: Window) -> int:
@@ -239,8 +265,6 @@ def run_benchmark(
     methods: Sequence[str],
     k: int = 3,
     mode: str = "checkpoint",
-    rule: AlertRule | None = None,
-    interval_hours: float = 3.0,
     random_repeats: int = 25,
     resamples: int = 2000,
     seed: int = 0,
@@ -248,36 +272,30 @@ def run_benchmark(
     """Mean precision@k with bootstrap CI per method over the evaluated windows.
 
     ``mode="checkpoint"`` scores the first positive injury checkpoint per
-    episode; ``mode="alert"`` scores the alert-rule cohort. Windows with empty
-    ground truth are excluded. The random baseline averages ``random_repeats``
-    seeded draws per window.
+    episode; ``mode="alert"`` scores the default alert-rule cohort. Windows
+    with empty ground truth are excluded. The random baseline averages
+    ``random_repeats`` seeded draws per window. A method listed twice gets one
+    row; an unknown method raises ValueError.
     """
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; available: {', '.join(METHODS)}")
     if mode == "checkpoint":
-        windows = checkpoint_windows(episodes, interval_hours)
+        windows = checkpoint_windows(episodes)
     elif mode == "alert":
-        windows = alert_windows(episodes, rule or AlertRule())
+        windows = alert_windows(episodes, AlertRule())
     else:
         raise ValueError(f"unknown mode {mode!r}")
     by_id = {ep.episode_id: ep for ep in episodes}
     kept = scorable(window_truth(by_id[w.episode_id], w) for w in windows)
+    windows = [t.window for t in kept]
+    truth = {t.window: t.members for t in kept}
 
-    def score(expl: Explanation, truth: WindowTruth) -> float:
+    def score(expl: Explanation, w: Window) -> float:
         pairs = [(it.step, ctx.catalog.ids[it.feature]) for it in expl.items]
-        return window_precision(pairs, truth.members, k)
+        return window_precision(pairs, truth[w], k)
 
-    rows = []
-    for method in methods:
-        per_window = []
-        for truth in kept:
-            ep, w = by_id[truth.window.episode_id], truth.window
-            if method == "random":
-                per_window.append(float(np.mean([
-                    score(explain_window(method, ctx, ep, w, k, rep=rep), truth)
-                    for rep in range(random_repeats)])))
-            else:
-                per_window.append(score(explain_window(method, ctx, ep, w, k), truth))
-        rows.append(benchmark_row(method, k, per_window, resamples=resamples, seed=seed))
-    return rows, [t.window for t in kept]
+    per_window: dict[str, list[float]] = {method: [] for method in methods}
+    for w, method, expls in explain_windows(ctx, episodes, windows, list(per_window), k,
+                                            random_repeats):
+        per_window[method].append(float(np.mean([score(e, w) for e in expls])))
+    rows = [benchmark_row(method, k, scores, resamples=resamples, seed=seed)
+            for method, scores in per_window.items()]
+    return rows, windows

@@ -101,9 +101,6 @@ class FeatureCatalog:
         except KeyError:
             raise KeyError(f"unknown feature identifier {feature!r}") from None
 
-    def display(self, feature: str) -> str:
-        return self.entries[self.index(feature)][1]
-
 
 @dataclass(frozen=True)
 class FeatureStat:
@@ -137,12 +134,20 @@ class FeatureStats:
 
     @classmethod
     def from_json(cls, payload: dict) -> "FeatureStats":
-        return cls(
-            {
-                fid: FeatureStat(d["mean"], d["std"], d["lo"], d["hi"], bool(d["degenerate"]))
-                for fid, d in payload.items()
-            }
-        )
+        """Read stats as ``to_json`` writes them. Raises ValueError unless each
+        feature has finite ``mean``, ``std``, ``lo`` and ``hi`` with lo <= hi,
+        a bool ``degenerate``, and std > 0 unless degenerate."""
+        by_feature = {}
+        for fid, d in payload.items():
+            st = FeatureStat(d["mean"], d["std"], d["lo"], d["hi"], d["degenerate"])
+            numbers = (st.mean, st.std, st.lo, st.hi)
+            if not (all(type(v) in (int, float) and math.isfinite(v) for v in numbers)
+                    and st.lo <= st.hi and type(st.degenerate) is bool
+                    and (st.degenerate or st.std > 0)):
+                raise ValueError(f"stats of {fid!r} need finite mean, std, lo <= hi, a bool "
+                                 f"degenerate, and std > 0 unless degenerate")
+            by_feature[fid] = st
+        return cls(by_feature)
 
 
 @dataclass(frozen=True)

@@ -719,7 +719,7 @@ def load_checkpoint(path, expected_catalog: FeatureCatalog | None = None):
     """Load a checkpoint; refuses to load against a mismatched catalog.
 
     A payload that is not an object, lacks a section, or has a section of the
-    wrong form (such as an unknown config key) raises ValueError. Every weight
+    wrong form (such as an unknown config key or invalid stats) raises ValueError. Every weight
     array must have the shape that ``config.hidden_size`` H and
     d = 2 * len(catalog) + 1 give it, and finite entries; otherwise ValueError.
     Returns (params, config, catalog, stats).
@@ -736,7 +736,7 @@ def load_checkpoint(path, expected_catalog: FeatureCatalog | None = None):
         config = ModelConfig(**payload["config"])
         stats = FeatureStats.from_json(payload["stats"])
         arrs = {k: np.asarray(v, dtype=float) for k, v in payload["params"].items()}
-    except (TypeError, KeyError, AttributeError) as exc:
+    except (TypeError, KeyError, AttributeError, ValueError) as exc:
         raise ValueError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
     if expected_catalog is not None and catalog.ids != expected_catalog.ids:
         raise CatalogMismatchError(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings
 
 import driftscope as ds
-from driftscope.bin_stats import StatWeightConfig, fit_bins
+from driftscope.bin_stats import fit_bins
 from driftscope.events import (
     Event,
     EventSequence,
@@ -99,7 +99,7 @@ def prepared_smooth(bench_bundle, trained_smooth):
 @pytest.fixture(scope="session")
 def bench_bins(bench_bundle):
     _, corpus, _, _, _ = bench_bundle
-    return fit_bins(corpus, StatWeightConfig())
+    return fit_bins(corpus)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -105,6 +105,11 @@ class TestTrain:
         assert run("train", "--events", tmp_path / "nope.jsonl",
                    "--out-dir", tmp_path) == 2
 
+    def test_one_bin_per_feature_is_usage_error(self, data_dir, tmp_path):
+        assert run("train", "--events", data_dir / "events.jsonl", "--out-dir", tmp_path,
+                   "--bins-per-feature", "1") == 1
+        assert not any(tmp_path.iterdir())
+
 
 class TestAlerts:
     def test_alert_csv_schema(self, data_dir, trained_dir, tmp_path):
@@ -174,6 +179,11 @@ def _edit(change):
     return apply
 
 
+def _stat(payload):
+    """The normalization stats of the first feature that is not degenerate."""
+    return next(s for s in payload["stats"].values() if not s["degenerate"])
+
+
 def _rename_config_key(payload):
     payload["config"]["hidden_sz"] = payload["config"].pop("hidden_size")
 
@@ -194,6 +204,9 @@ CHECKPOINT_DEFECTS = {
     "non_finite_weight": _edit(lambda p: p["params"]["w_out"].__setitem__(0, float("nan"))),
     "config_key_misnamed": _edit(_rename_config_key),
     "missing_stats": _edit(lambda p: p.pop("stats")),
+    "nan_stats_mean": _edit(lambda p: _stat(p).update(mean=float("nan"))),
+    "zero_stats_std": _edit(lambda p: _stat(p).update(std=0.0)),
+    "stats_lo_above_hi": _edit(lambda p: _stat(p).update(lo=_stat(p)["hi"] + 1.0)),
     "missing_catalog": _edit(lambda p: p.pop("catalog")),
     "missing_config": _edit(lambda p: p.pop("config")),
     "missing_params": _edit(lambda p: p.pop("params")),
@@ -213,6 +226,17 @@ class TestCheckpointChecks:
                    "--out-dir", out, "--methods", "gradient,attention") == 2
         assert "checkpoint" in capsys.readouterr().err
         assert not (out / "explanations.csv").exists()
+
+    def test_nan_stats_mean_alerts_is_data_error(self, data_dir, trained_dir, tmp_path, capsys):
+        payload = CHECKPOINT_DEFECTS["nan_stats_mean"](
+            json.loads((trained_dir / "checkpoint.json").read_text()))
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(payload))
+        out = tmp_path / "alerts"
+        assert run("alerts", "--events", data_dir / "events.jsonl", "--checkpoint", ckpt,
+                   "--out-dir", out, "--min-new-events", "1") == 2
+        assert "checkpoint" in capsys.readouterr().err
+        assert not (out / "alerts.csv").exists()
 
 
 def _widest(payload):

@@ -165,7 +165,7 @@ def small_run():
     mcfg = ds.ModelConfig(hidden_size=8, seed=3, max_epochs=2, attention=True)
     params, _ = ds.train(encoded, mcfg)
     prepared = prepare_episodes(params, stats, catalog, corpus)
-    bins = ds.fit_bins(corpus, ds.StatWeightConfig())
+    bins = ds.fit_bins(corpus)
     ctx = MethodContext(params=params, catalog=catalog, bins=bins, m=8, seed=1)
     return prepared, ctx
 
