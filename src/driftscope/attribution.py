@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .events import StepSeries
-from .model import ModelParams, RiskSeries
+from .model import ModelParams, RiskSeries, _risk_gradient_batch
 
 # Methods whose weights are ratios; their neutral (no-evidence) weight is 1.
 RATIO_METHODS = frozenset({"odds_ratio", "rothman"})
@@ -111,10 +111,10 @@ def build_carry_forward_baseline(steps: StepSeries, t0: int) -> StepSeries:
     measurement pattern (indicator and delta-time channels untouched) but its
     value channel is replaced by the most recent value of the same feature at
     or before t0; features never observed by t0 get 0 (the population mean
-    under z-scoring).
+    under z-scoring), so at t0 = 0 every value channel is 0.
     """
-    if not 1 <= t0 <= steps.T:
-        raise ValueError(f"t0 must be in [1, {steps.T}], got {t0}")
+    if not 0 <= t0 <= steps.T:
+        raise ValueError(f"t0 must be in [0, {steps.T}], got {t0}")
     x = steps.x.copy()
     last: dict[int, float] = {}
     for j in range(t0):
@@ -154,21 +154,20 @@ def integrated_gradients(
 
     Only value channels receive weight: the baseline shares the measurement
     pattern, so the (target - baseline) factor vanishes on indicator and
-    delta-time channels. Steps at or before t0 match the baseline and get 0.
+    delta-time channels. Every path point equals the input up to step t0, so
+    those steps get 0 and the m path points are scanned over (t0, t1] only.
     """
-    from .model import _risk_gradient_batch
-
-    if not 1 <= t0 < t1 <= steps.T:
-        raise ValueError(f"need 1 <= t0 < t1 <= {steps.T}, got t0={t0}, t1={t1}")
+    if not 0 <= t0 < t1 <= steps.T:
+        raise ValueError(f"need 0 <= t0 < t1 <= {steps.T}, got t0={t0}, t1={t1}")
     baseline = build_carry_forward_baseline(steps, t0)
 
-    def grad_fn(xs: np.ndarray) -> np.ndarray:
-        return _risk_gradient_batch(params, xs, t1)[1]
+    def grad_fn(xs: np.ndarray) -> np.ndarray:  # (m, L, d) path points of the window
+        return _risk_gradient_batch(params, steps.x[:t0], xs.transpose(1, 0, 2)).transpose(1, 0, 2)
 
-    a = averaged_gradient_attribution(grad_fn, steps.x, baseline.x, m).T
-    out = np.zeros_like(a)
-    out[:, t0:t1] = a[:, t0:t1]
-    return AttributionMatrix(a=out, method="integrated_gradients", window=(t0, t1))
+    a = np.zeros((steps.d, steps.T))
+    a[:, t0:t1] = averaged_gradient_attribution(
+        grad_fn, steps.x[t0:t1], baseline.x[t0:t1], m).T
+    return AttributionMatrix(a=a, method="integrated_gradients", window=(t0, t1))
 
 
 def discrete_time_derivatives(risk: RiskSeries, steps: StepSeries) -> AttributionMatrix:

@@ -43,7 +43,7 @@ from .evaluation import (
     explain_windows,
     prepare_episodes,
 )
-from .tables import read_csv, write_csv
+from .tables import atomic_open, read_csv, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--m", type=int, default=64)
     p.add_argument("--windows", choices=("checkpoints", "alerts"), default="checkpoints")
-    p.add_argument("--checkpoint-hours", type=float, default=3.0)
     _add_rule_flags(p)
 
     p = sub.add_parser("evaluate", help="score explanations against ground truth")
@@ -196,7 +195,8 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     corpus = synth.generate_corpus(config)
-    write_event_log(out / "events.jsonl", corpus)
+    with atomic_open(out / "events.jsonl") as fh:
+        write_event_log(fh, corpus)
     lines = []
     n_pos = 0
     for i, seq in enumerate(corpus):
@@ -211,7 +211,8 @@ def cmd_gen_data(args) -> int:
             "mechanism": meta["mechanism"],
             "first_positive_checkpoint_s": first_pos,
         }))
-    (out / "episodes.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(out / "episodes.jsonl") as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(corpus)} episodes to {out / 'events.jsonl'}")
     print(f"positive label at some checkpoint: {n_pos}")
     return EXIT_OK
@@ -250,7 +251,8 @@ def cmd_train(args) -> int:
     params, report = train(corpus, config)
     ckpt_path = Path(args.checkpoint) if args.checkpoint else out / "checkpoint.json"
     save_checkpoint(ckpt_path, params, config, catalog, stats)
-    (out / "bins.json").write_text(json.dumps(bins.to_json()), encoding="utf-8")
+    with atomic_open(out / "bins.json") as fh:
+        json.dump(bins.to_json(), fh)
     write_csv(
         out / "train_report.csv",
         ["phase", "epoch", "train_loss", "val_loss", "val_auroc"],
@@ -305,7 +307,7 @@ def cmd_explain(args) -> int:
     if args.windows == "alerts":
         windows = evaluation.alert_windows(episodes, rule)
     else:
-        windows = evaluation.checkpoint_windows(episodes, args.checkpoint_hours)
+        windows = evaluation.checkpoint_windows(episodes)
 
     expl_rows = []
     for w, method, (expl,) in explain_windows(ctx, episodes, windows, methods, args.k):
@@ -355,10 +357,11 @@ def cmd_evaluate(args) -> int:
         if seq is None:
             raise EventFormatError(f"window references unknown episode {w.episode_id!r}")
         truths.append(WindowTruth(w, frozenset(synth.ground_truth_set(seq, w.t0, w.t1))))
-    (out / "truth_windows.jsonl").write_text("\n".join(
-        json.dumps({"episode": t.window.episode_id, "t0": t.window.t0, "t1": t.window.t1,
-                    "truth": sorted([list(m) for m in t.members]), "excluded": t.empty})
-        for t in truths) + "\n", encoding="utf-8")
+    with atomic_open(out / "truth_windows.jsonl") as fh:
+        fh.write("\n".join(
+            json.dumps({"episode": t.window.episode_id, "t0": t.window.t0, "t1": t.window.t1,
+                        "truth": sorted([list(m) for m in t.members]), "excluded": t.empty})
+            for t in truths) + "\n")
 
     kept = evaluation.scorable(truths)
     rows = [

@@ -107,20 +107,19 @@ def alert_windows(episodes: Sequence[PreparedEpisode], rule: AlertRule) -> list[
     ]
 
 
-def checkpoint_windows(
-    episodes: Sequence[PreparedEpisode], interval_hours: float = 3.0
-) -> list[Window]:
+def checkpoint_windows(episodes: Sequence[PreparedEpisode]) -> list[Window]:
     """One window per episode at its first positive checkpoint: the steps in
     the checkpoint interval leading up to it. Episodes never positive, or with
     no new steps in that interval, yield no window."""
     out = []
     for ep in episodes:
-        c = first_positive_checkpoint(ep.raw, interval_hours)
+        c = first_positive_checkpoint(ep.raw)
         if c is None:
             continue
         times = ep.steps.step_time
         t1 = int(np.searchsorted(times, c + 1e-9, side="right"))
-        t0 = int(np.searchsorted(times, c - interval_hours * synth.HOUR + 1e-9, side="right"))
+        t0 = int(np.searchsorted(times, c - synth.CHECKPOINT_INTERVAL_H * synth.HOUR + 1e-9,
+                                 side="right"))
         if t1 <= t0:
             continue
         t0_time = float(times[t0 - 1]) if t0 >= 1 else 0.0
@@ -171,8 +170,7 @@ def explain_window(
     if method == "random":
         return random_guess(ep.steps, t0, t1, k, seed=[ctx.seed, _seed_tag(window), rep])
     if method == "gradient":
-        a = grad_wrt_inputs(ctx.params, ep.steps, t1)
-        return top_k_explanations(time_restrict(a, t0, t1), ep.steps, k)
+        return top_k_explanations(grad_wrt_inputs(ctx.params, ep.steps, t1, t0), ep.steps, k)
     if method == "integrated_gradients":
         a = integrated_gradients(ctx.params, ep.steps, t0, t1, m=ctx.m)
         return top_k_explanations(a, ep.steps, k)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -261,24 +261,23 @@ def parse_event_log(
     return sequences
 
 
-def write_event_log(path, sequences: Sequence[EventSequence]) -> None:
-    """Write sequences back to the JSONL event format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for seq in sequences:
-            for e in seq.events:
-                fh.write(
-                    json.dumps(
-                        {
-                            "episode": seq.episode_id,
-                            "time_s": e.time,
-                            "feature": e.feature,
-                            "value": e.value,
-                            "outcome": seq.outcome,
-                            "split": seq.split,
-                        }
-                    )
-                    + "\n"
+def write_event_log(fh: TextIO, sequences: Sequence[EventSequence]) -> None:
+    """Write sequences to an open text file in the JSONL event format."""
+    for seq in sequences:
+        for e in seq.events:
+            fh.write(
+                json.dumps(
+                    {
+                        "episode": seq.episode_id,
+                        "time_s": e.time,
+                        "feature": e.feature,
+                        "value": e.value,
+                        "outcome": seq.outcome,
+                        "split": seq.split,
+                    }
                 )
+                + "\n"
+            )
 
 
 def catalog_from_sequences(sequences: Iterable[EventSequence]) -> FeatureCatalog:
@@ -341,13 +340,3 @@ def encode_steps(seq: EventSequence, catalog: FeatureCatalog, stats: FeatureStat
     return StepSeries(x=x, step_feature=step_feature, step_time=step_time,
                       step_raw=step_raw, d_features=d_f)
 
-
-def decode_steps(steps: StepSeries, catalog: FeatureCatalog) -> list[tuple[float, str, float]]:
-    """Invert encode_steps into (time, feature, value) triples."""
-    d_f = catalog.d_features
-    out = []
-    for j in range(steps.T):
-        ind = steps.x[j, d_f : 2 * d_f]
-        i = int(np.argmax(ind))
-        out.append((float(steps.step_time[j]), catalog.ids[i], float(steps.x[j, i])))
-    return out

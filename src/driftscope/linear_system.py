@@ -9,7 +9,6 @@ attribution methods. Steps are 1-based: inputs x_1..x_T, risks p_1..p_T.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,28 +60,6 @@ class LDSystem:
     @property
     def q_eff(self) -> np.ndarray:
         return np.eye(self.n) if self.q is None else self.q
-
-    def to_json(self) -> dict:
-        payload = {"a": self.a.tolist(), "b": self.b.tolist(), "h0": self.h0.tolist()}
-        payload["q"] = None if self.q is None else self.q.tolist()
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "LDSystem":
-        q = payload.get("q")
-        return cls(
-            a=np.asarray(payload["a"], dtype=float),
-            b=np.asarray(payload["b"], dtype=float),
-            h0=np.asarray(payload["h0"], dtype=float),
-            q=None if q is None else np.asarray(q, dtype=float),
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "LDSystem":
-        return cls.from_json(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field, asdict
 from typing import Sequence
 
 import numpy as np
 
 from .events import FeatureCatalog, FeatureStats, StepSeries
+from .tables import atomic_open
 
 P_CLAMP = 1e-7
 
@@ -260,13 +259,16 @@ def _draw_masks(config: ModelConfig, T: int, d: int, rng: np.random.Generator):
     return in_mask, out_mask, rec_mask
 
 
-def _scan(params: ModelParams, x: np.ndarray, rec_mask: np.ndarray | None = None):
-    """The forward recurrence over a batch of sequences, from the zero state.
+def _scan(params: ModelParams, x: np.ndarray, rec_mask: np.ndarray | None = None,
+          state=(0.0, 0.0)):
+    """The forward recurrence over a batch of sequences.
 
-    ``x`` has shape (T, B, d). The input projection of all steps is one matrix
-    product before the loop; each step adds only the recurrent term. Returns
-    the gate activations (T, B, 4H) ordered [i; f; g; o], the cell states and
-    the hidden states o * tanh(c), both (T, B, H).
+    ``x`` has shape (T, B, d). Every row starts from ``state`` = (h, c), by
+    default the zero state; each part is a scalar or of shape (H,). The input
+    projection of all steps is one matrix product before the loop; each step
+    adds only the recurrent term. Returns the gate activations (T, B, 4H)
+    ordered [i; f; g; o], the cell states and the hidden states o * tanh(c),
+    both (T, B, H).
     """
     T, B, d = x.shape
     H = params.hidden_size
@@ -275,8 +277,7 @@ def _scan(params: ModelParams, x: np.ndarray, rec_mask: np.ndarray | None = None
     gates += params.b_gates
     c = np.empty((T, B, H))
     hs = np.empty((T, B, H))
-    h = np.zeros((B, H))
-    c_prev = np.zeros((B, H))
+    h, c_prev = (np.broadcast_to(s, (B, H)) for s in state)
     for t in range(T):
         z = gates[t]
         z += (h if rec_mask is None else h * rec_mask) @ u_t
@@ -289,13 +290,14 @@ def _scan(params: ModelParams, x: np.ndarray, rec_mask: np.ndarray | None = None
     return gates, c, hs
 
 
-def _sweep(params: ModelParams, gates, c, dlogit, out_mask=None, rec_mask=None):
+def _sweep(params: ModelParams, gates, c, dlogit, out_mask=None, rec_mask=None, c0=0.0):
     """The reverse recurrence: backpropagation through time over one scan.
 
     Seeded with d(objective)/d(logit_t) as ``dlogit`` (T, B), which the output
-    head turns into d/dh_t. Overwrites ``gates`` with dZ, the gradient with
-    respect to the gate pre-activations, and returns it; the parameter and
-    input gradients are matrix products of dZ taken outside the loop.
+    head turns into d/dh_t. ``c0`` is the cell state the scan started from.
+    Overwrites ``gates`` with dZ, the gradient with respect to the gate
+    pre-activations, and returns it; the parameter and input gradients are
+    matrix products of dZ taken outside the loop.
     """
     T, B, _ = gates.shape
     H = params.hidden_size
@@ -314,7 +316,7 @@ def _sweep(params: ModelParams, gates, c, dlogit, out_mask=None, rec_mask=None):
         do = dh * tanh_c
         dc += dh * go * (1.0 - tanh_c ** 2)
         di = dc * gg
-        df = dc * (c[t - 1] if t else 0.0)
+        df = dc * (c[t - 1] if t else c0)
         dg = dc * gi
         dc = dc * gf
         np.multiply(di * gi, 1.0 - gi, out=gi)
@@ -458,36 +460,44 @@ def backward(
     return grads, dx
 
 
-def _risk_gradient_batch(params: ModelParams, xs: np.ndarray, t1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode gradient of p_t1 with respect to every input vector.
+def _risk_gradient_batch(params: ModelParams, prefix: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Eval-mode gradient of the risk at a window's last step with respect to
+    the window's inputs.
 
-    ``xs`` has shape (B, T, d); returns (p_t1 of shape (B,), grads of shape
-    (B, T, d)) with columns after t1 identically zero.
+    ``prefix`` (t0, d) holds the inputs before the window, shared by every
+    row; ``xs`` (L, B, d) holds B rows of window inputs. The prefix is scanned
+    once for the state after step t0 (the zero state when t0 = 0), and only
+    the window is scanned and swept from it. Returns d p_last / d xs, (L, B, d).
     """
-    B, T, d = xs.shape
-    if not 1 <= t1 <= T:
-        raise ValueError(f"t1 must be in [1, {T}], got {t1}")
+    L, B, d = xs.shape
     H = params.hidden_size
-    gates, c, h = _scan(params, xs[:, :t1].transpose(1, 0, 2))
+    state = (0.0, 0.0)
+    if len(prefix):
+        _, c, h = _scan(params, prefix[:, None])
+        state = (h[-1, 0], c[-1, 0])
+    gates, c, h = _scan(params, xs, state=state)
     p = _sigmoid(h[-1] @ params.w_out + params.b_out[0])
-    dlogit = np.zeros((t1, B))
+    dlogit = np.zeros((L, B))
     dlogit[-1] = p * (1.0 - p)
-    dz = _sweep(params, gates, c, dlogit)
+    dz = _sweep(params, gates, c, dlogit, c0=state[1])
     del c, h  # freed before the product below, which keeps peak memory down
-    grads = np.zeros((B, T, d))
-    grads[:, :t1] = (dz.reshape(t1 * B, 4 * H) @ params.w_gates).reshape(t1, B, d).transpose(1, 0, 2)
-    return p, grads
+    return (dz.reshape(L * B, 4 * H) @ params.w_gates).reshape(L, B, d)
 
 
-def grad_wrt_inputs(params: ModelParams, steps: StepSeries, t1: int):
-    """d(p_t1)/d(x_t) for every step t, eval mode, as an attribution matrix.
+def grad_wrt_inputs(params: ModelParams, steps: StepSeries, t1: int, t0: int = 0):
+    """d(p_t1)/d(x_t) for the steps t of the window (t0, t1], eval mode, as an
+    attribution matrix restricted to that window.
 
-    Column t holds the input gradient at step t; columns after t1 are zero.
+    Column t holds the input gradient at step t; columns outside the window
+    are zero, and no gradient is taken for them.
     """
     from .attribution import AttributionMatrix
 
-    _, grads = _risk_gradient_batch(params, steps.x[None, :, :], t1)
-    return AttributionMatrix(a=grads[0].T.copy(), method="gradient")
+    if not 0 <= t0 < t1 <= steps.T:
+        raise ValueError(f"need 0 <= t0 < t1 <= {steps.T}, got t0={t0}, t1={t1}")
+    a = np.zeros((steps.d, steps.T))
+    a[:, t0:t1] = _risk_gradient_batch(params, steps.x[:t0], steps.x[t0:t1, None])[:, 0].T
+    return AttributionMatrix(a=a, method="gradient", window=(t0, t1))
 
 
 def attention_forward(params: ModelParams, steps: StepSeries) -> tuple[float, np.ndarray]:
@@ -704,15 +714,8 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
         "d": params.d,
         "params": {k: v.tolist() for k, v in params.arrays().items()},
     }
-    tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(tmp_fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    with atomic_open(path) as fh:
+        json.dump(payload, fh)
 
 
 def load_checkpoint(path, expected_catalog: FeatureCatalog | None = None):

@@ -28,6 +28,9 @@ CREATININE_LOOKBACK_H = 48.0
 URINE_THRESHOLD = 25.0       # ml/h
 URINE_SUSTAIN_H = 6.0
 
+# Checkpoints fall at every multiple of this interval after episode start.
+CHECKPOINT_INTERVAL_H = 3.0
+
 # Deterioration shape. The extra measurements at onset+1h and onset+7h make
 # the injury criterion provably reachable by onset+7h: the creatinine rise
 # between them is at least ramp*6 - 2*clip >= 0.3, and the urine run spans 6 h.
@@ -222,18 +225,16 @@ def aki_label(seq: EventSequence, t: float) -> bool:
     return False
 
 
-def first_positive_checkpoint(
-    seq: EventSequence, interval_hours: float = 3.0
-) -> float | None:
-    """Earliest multiple of the checkpoint interval at which the label is
-    positive, scanning to the last event; None when never positive."""
+def first_positive_checkpoint(seq: EventSequence) -> float | None:
+    """Earliest checkpoint (multiple of CHECKPOINT_INTERVAL_H) at which the
+    label is positive, scanning to the last event; None when never positive."""
     if not seq.events:
         return None
     t_last = seq.events[-1].time
     k = 1
     while True:
-        c = k * interval_hours * HOUR
-        if c > t_last + interval_hours * HOUR:
+        c = k * CHECKPOINT_INTERVAL_H * HOUR
+        if c > t_last + CHECKPOINT_INTERVAL_H * HOUR:
             return None
         if aki_label(seq, c):
             return c

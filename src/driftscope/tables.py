@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import tempfile
 from typing import Sequence
 
 from .events import EventFormatError
+
+
+@contextlib.contextmanager
+def atomic_open(path):
+    """Open a temp file beside ``path`` for UTF-8 text, written without newline
+    translation; it replaces ``path`` when the block ends and is deleted if
+    the block raises, which leaves any previous file at ``path`` intact."""
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
 
 
 def format_cell(value) -> str:
@@ -20,18 +37,10 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     """Write rows atomically (temp file + rename). Floats use %.10g so repeated
     runs with identical inputs produce identical bytes. Cells holding a comma,
     quote or line break are quoted; all others are written bare."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([format_cell(c) for c in row] for row in rows)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_cell(c) for c in row] for row in rows)
 
 
 def read_csv(path, header: Sequence[str] | None = None) -> tuple[list[str], list[list[str]]]:

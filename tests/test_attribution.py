@@ -156,6 +156,27 @@ class TestIntegratedGradients:
         assert gaps[-1] < 1e-6
         assert all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
 
+    def test_completeness_from_episode_start(self):
+        # At t0 = 0 the baseline holds every value channel at 0, and the path
+        # scan starts from the zero state.
+        rng = np.random.default_rng(3)
+        steps = random_step_series(rng, T=10, d_features=3)
+        params = self._trained_tiny(steps)
+        t1 = 7
+        baseline = build_carry_forward_baseline(steps, 0)
+        assert np.all(baseline.x[:, : steps.d_features] == 0.0)
+        want = (
+            ds.forward(params, steps)[0].p[t1 - 1]
+            - ds.forward(params, baseline)[0].p[t1 - 1]
+        )
+        gaps = []
+        for m in (8, 32, 128, 512):
+            a = integrated_gradients(params, steps, 0, t1, m=m)
+            assert a.window == (0, t1) and np.all(a.a[:, t1:] == 0.0)
+            gaps.append(abs(float(a.a.sum()) - want))
+        assert gaps[-1] < 1e-6
+        assert all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
+
     def test_matches_linear_system_closed_form(self):
         # Quadratic risk makes the midpoint rule exact at any m, so the general
         # path-integrated machinery must agree with the closed form exactly.

@@ -170,6 +170,25 @@ class TestExplain:
         _, wrows = read_csv(out / "windows.csv")
         assert all(r[5] == "alert" for r in wrows)
 
+    def test_window_from_episode_start(self, trained_dir, tmp_path):
+        # Positive at the first 3 h checkpoint (creatinine +0.4 mg/dl), so the
+        # window runs from episode start: (0, 4].
+        events = [(1800.0, "creatinine", 1.0), (3600.0, "heart_rate", 82.0),
+                  (7200.0, "creatinine", 1.4), (9000.0, "glucose", 120.0),
+                  (14400.0, "heart_rate", 90.0)]
+        log = tmp_path / "events.jsonl"
+        log.write_text("".join(json.dumps({"episode": "early", "time_s": t, "feature": f,
+                                           "value": v, "outcome": 1, "split": "test"}) + "\n"
+                               for t, f, v in events))
+        out = tmp_path / "expl"
+        assert run("explain", "--events", log, "--checkpoint", trained_dir / "checkpoint.json",
+                   "--bins", trained_dir / "bins.json", "--out-dir", out, "--m", "8") == 0
+        _, wrows = read_csv(out / "windows.csv")
+        assert [r[:3] for r in wrows] == [["early", "0", "4"]]
+        _, erows = read_csv(out / "explanations.csv")
+        ig_steps = [int(r[3]) for r in erows if r[1] == "integrated_gradients"]
+        assert ig_steps and all(1 <= j <= 4 for j in ig_steps)
+
 
 def _edit(change):
     """A defect made by changing the payload in place."""

@@ -12,7 +12,6 @@ from driftscope.events import (
     EventSequence,
     FeatureCatalog,
     catalog_from_sequences,
-    decode_steps,
     encode_steps,
     fit_feature_stats,
     parse_event_log,
@@ -183,8 +182,17 @@ class TestEncode:
         )
         seq = EventSequence("e", events, 1, "train")
         steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
-        decoded = decode_steps(steps, catalog)
-        assert decoded == [(e.time, e.feature, e.value) for e in events]
+        feats = [catalog.index(e.feature) for e in events]
+        values = np.zeros((40, 3))
+        values[np.arange(40), feats] = [e.value for e in events]
+        np.testing.assert_array_equal(steps.x[:, :3], values)
+        np.testing.assert_array_equal(steps.x[:, 3:6], np.eye(3)[feats])
+        times = np.array([e.time for e in events])
+        gaps = np.diff(times, prepend=0.0)
+        np.testing.assert_array_equal(steps.x[:, 6], [math.log1p(g / 3600.0) for g in gaps])
+        assert steps.step_feature.tolist() == feats
+        assert steps.step_raw.tolist() == [e.value for e in events]
+        assert steps.step_time.tolist() == times.tolist()
 
 
 @st.composite

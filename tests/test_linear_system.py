@@ -232,12 +232,3 @@ class TestSystemValidation:
         with pytest.raises(ValueError, match="semidefinite"):
             LDSystem(a=np.zeros((2, 2)), b=np.eye(2), h0=np.zeros(2),
                      q=np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(1)
-        sys = random_system(rng, n=3, d=2, q=True)
-        again = LDSystem.loads(sys.dumps())
-        np.testing.assert_array_equal(sys.a, again.a)
-        np.testing.assert_array_equal(sys.b, again.b)
-        np.testing.assert_array_equal(sys.h0, again.h0)
-        np.testing.assert_array_equal(sys.q, again.q)

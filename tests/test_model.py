@@ -19,6 +19,7 @@ from driftscope.model import (
     _dloss_dlogit,
     _forward_with_masks,
     _risk_gradient_batch,
+    _scan,
     _sweep,
     auroc,
     catalog_fingerprint,
@@ -500,22 +501,45 @@ class TestGradWrtInputs:
         rng = np.random.default_rng(12)
         steps = random_step_series(rng, T=6, d_features=2)
         params = nonzero_params(tiny_config(), steps.d)
-        xs = np.stack([steps.x, steps.x * 0.5, steps.x + 0.1])
-        p, g = _risk_gradient_batch(params, xs, 5)
+        window = steps.x[2:5]
+        xs = np.stack([window, window * 0.5, window + 0.1], axis=1)
+        g = _risk_gradient_batch(params, steps.x[:2], xs)
+        assert g.shape == (3, 3, steps.d)
         for i in range(3):
-            pi, gi = _risk_gradient_batch(params, xs[i][None], 5)
-            np.testing.assert_allclose(g[i], gi[0], rtol=1e-12, atol=1e-15)
-            assert p[i] == pytest.approx(pi[0], rel=1e-12)
+            gi = _risk_gradient_batch(params, steps.x[:2], xs[:, i : i + 1])
+            np.testing.assert_allclose(g[:, i], gi[:, 0], rtol=1e-12, atol=1e-15)
 
-
-    def test_batched_core_probability_matches_forward(self):
+    @pytest.mark.parametrize("t0,t1", [(0, 1), (0, 8), (1, 2), (3, 6), (5, 8), (7, 8)])
+    def test_windowed_gradient_matches_full_columns(self, t0, t1):
         rng = np.random.default_rng(21)
         steps = random_step_series(rng, T=8, d_features=3)
         params = nonzero_params(tiny_config(), steps.d)
-        risk, _ = ds.forward(params, steps)
-        for t1 in (1, 4, 8):
-            p, _ = _risk_gradient_batch(params, steps.x[None], t1)
-            assert p[0] == pytest.approx(risk.p[t1 - 1], rel=1e-12)
+        full = ds.grad_wrt_inputs(params, steps, t1)
+        a = ds.grad_wrt_inputs(params, steps, t1, t0)
+        assert a.window == (t0, t1)
+        assert np.all(a.a[:, :t0] == 0.0) and np.all(a.a[:, t1:] == 0.0)
+        np.testing.assert_allclose(a.a[:, t0:t1], full.a[:, t0:t1], rtol=1e-12, atol=1e-18)
+
+    @pytest.mark.parametrize("t0,t1", [(3, 3), (4, 3), (-1, 2), (0, 9)])
+    def test_windowed_gradient_rejects_bad_window(self, t0, t1):
+        rng = np.random.default_rng(22)
+        steps = random_step_series(rng, T=8, d_features=3)
+        params = nonzero_params(tiny_config(), steps.d)
+        with pytest.raises(ValueError, match="t0 < t1"):
+            ds.grad_wrt_inputs(params, steps, t1, t0)
+
+
+class TestScanState:
+    @pytest.mark.parametrize("t0", [1, 4, 8])
+    def test_scan_from_prefix_state_matches_full_scan(self, t0):
+        rng = np.random.default_rng(23)
+        x = np.stack([random_step_series(rng, T=9, d_features=2).x for _ in range(3)], axis=1)
+        params = nonzero_params(tiny_config(hidden_size=5), x.shape[2])
+        gates, c, h = _scan(params, x)
+        for b in range(3):
+            rest = _scan(params, x[t0:, b : b + 1], state=(h[t0 - 1, b], c[t0 - 1, b]))
+            for got, want in zip(rest, (gates, c, h)):
+                np.testing.assert_allclose(got[:, 0], want[t0:, b], rtol=1e-13, atol=1e-16)
 
 
 def separable_corpus(n=40, T=8, seed=0):

@@ -1,7 +1,7 @@
 import pytest
 
 from driftscope.events import EventFormatError
-from driftscope.tables import read_csv, write_csv
+from driftscope.tables import atomic_open, read_csv, write_csv
 
 
 def test_plain_cells_are_written_bare(tmp_path):
@@ -17,6 +17,19 @@ def test_hostile_ids_round_trip(tmp_path, fid):
     header, rows = read_csv(path, ["episode", "feature", "weight"])
     assert header == ["episode", "feature", "weight"]
     assert rows == [[fid, fid, "0.5"], ["e2", "plain", "1.5"]]
+
+
+def test_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a"], [[1]])
+    with pytest.raises(RuntimeError, match="partway"):
+        with atomic_open(path) as fh:
+            fh.write("a\n2\n")
+            raise RuntimeError("partway")
+    with pytest.raises(TypeError):
+        write_csv(path, ["a"], [[2], None])  # the second row is not iterable
+    assert path.read_bytes() == b"a\n1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 def test_empty_file_is_format_error(tmp_path):
