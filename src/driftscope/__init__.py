@@ -51,6 +51,7 @@ from .linear_system import (
 )
 from .model import (
     EncodedEpisode,
+    KeptStates,
     ModelConfig,
     ModelParams,
     RiskSeries,

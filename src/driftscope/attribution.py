@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .events import StepSeries
-from .model import ModelParams, RiskSeries, _risk_gradient_batch
+from .model import KeptStates, ModelParams, RiskSeries, _restart, _risk_gradient_batch
 
 # Methods whose weights are ratios; their neutral (no-evidence) weight is 1.
 RATIO_METHODS = frozenset({"odds_ratio", "rothman"})
@@ -148,21 +148,26 @@ def averaged_gradient_attribution(
 
 
 def integrated_gradients(
-    params: ModelParams, steps: StepSeries, t0: int, t1: int, m: int = 64
+    params: ModelParams, steps: StepSeries, t0: int, t1: int, m: int = 64,
+    states: KeptStates | None = None,
 ) -> AttributionMatrix:
     """Path-integrated gradients of p_t1 from the carry-forward baseline.
 
     Only value channels receive weight: the baseline shares the measurement
     pattern, so the (target - baseline) factor vanishes on indicator and
     delta-time channels. Every path point equals the input up to step t0, so
-    those steps get 0 and the m path points are scanned over (t0, t1] only.
+    those steps get 0 and the m path points are scanned over (t0, t1] only,
+    from the state at t0, which is scanned from the latest of ``states`` at or
+    before t0 (from step 0 without them).
     """
     if not 0 <= t0 < t1 <= steps.T:
         raise ValueError(f"need 0 <= t0 < t1 <= {steps.T}, got t0={t0}, t1={t1}")
     baseline = build_carry_forward_baseline(steps, t0)
+    s, state = _restart(states, t0)
 
     def grad_fn(xs: np.ndarray) -> np.ndarray:  # (m, L, d) path points of the window
-        return _risk_gradient_batch(params, steps.x[:t0], xs.transpose(1, 0, 2)).transpose(1, 0, 2)
+        return _risk_gradient_batch(params, steps.x[s:t0], xs.transpose(1, 0, 2),
+                                    state).transpose(1, 0, 2)
 
     a = np.zeros((steps.d, steps.T))
     a[:, t0:t1] = averaged_gradient_attribution(

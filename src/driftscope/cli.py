@@ -79,7 +79,11 @@ def _usage_scope():
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, "0"))
+    value = os.environ.get(SEED_ENV, "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"${SEED_ENV} must be an integer, got {value!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -393,9 +397,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "seed", None) is None:
-        args.seed = _default_seed()
     try:
+        if getattr(args, "seed", None) is None:
+            args.seed = _default_seed()
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"driftscope: usage error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from .attribution import (
 )
 from .bin_stats import BinTable, stat_weights
 from .events import EventSequence, FeatureCatalog, FeatureStats, StepSeries, encode_steps
-from .model import ModelParams, RiskSeries, attention_forward, forward, grad_wrt_inputs
+from .model import KeptStates, ModelParams, RiskSeries, attention_forward, forward, grad_wrt_inputs
 from .synth import first_positive_checkpoint, ground_truth_set
 
 METHODS = (
@@ -46,12 +46,16 @@ METHODS = (
 
 @dataclass(frozen=True)
 class PreparedEpisode:
-    """The raw episode, its model encoding and its risk series."""
+    """The raw episode, its model encoding, and what explain reads of its one
+    eval scan: the risk series, every ceil(sqrt(T))-th LSTM state and the
+    attention weights (None for a model without an attention head)."""
 
     episode_id: str
     raw: EventSequence
     steps: StepSeries
     risk: RiskSeries
+    states: KeptStates
+    attention: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -91,11 +95,16 @@ def prepare_episodes(
     catalog: FeatureCatalog,
     sequences: Sequence[EventSequence],
 ) -> list[PreparedEpisode]:
+    """Encode each episode and run its one eval scan. Only copies of the
+    scan's kept states and attention weights outlive it, so the scan's cache
+    is freed episode by episode."""
     out = []
     for seq in sequences:
         steps = encode_steps(seq, catalog, stats)
-        risk, _ = forward(params, steps, mode="eval")
-        out.append(PreparedEpisode(seq.episode_id, seq, steps, risk))
+        risk, cache = forward(params, steps, mode="eval")
+        attention = None if params.w_att is None else attention_forward(params, cache.h)[1]
+        out.append(PreparedEpisode(seq.episode_id, seq, steps, risk,
+                                   KeptStates.of_scan(cache.h, cache.c), attention))
     return out
 
 
@@ -170,16 +179,18 @@ def explain_window(
     if method == "random":
         return random_guess(ep.steps, t0, t1, k, seed=[ctx.seed, _seed_tag(window), rep])
     if method == "gradient":
-        return top_k_explanations(grad_wrt_inputs(ctx.params, ep.steps, t1, t0), ep.steps, k)
+        a = grad_wrt_inputs(ctx.params, ep.steps, t1, t0, states=ep.states)
+        return top_k_explanations(a, ep.steps, k)
     if method == "integrated_gradients":
-        a = integrated_gradients(ctx.params, ep.steps, t0, t1, m=ctx.m)
+        a = integrated_gradients(ctx.params, ep.steps, t0, t1, m=ctx.m, states=ep.states)
         return top_k_explanations(a, ep.steps, k)
     shared = {} if shared is None else shared
     key = method.removesuffix("_diff")  # a statistic's two methods share its weights
     if key not in shared:
         if key == "attention":
-            _, weights = attention_forward(ctx.params, ep.steps)
-            shared[key] = event_weight_matrix(weights, ep.steps, method="attention")
+            if ep.attention is None:
+                raise ValueError("method 'attention' requires a model with an attention head")
+            shared[key] = event_weight_matrix(ep.attention, ep.steps, method="attention")
         elif key == "discrete_derivative":
             shared[key] = discrete_time_derivatives(ep.risk, ep.steps)
         elif ctx.bins is None:

@@ -460,20 +460,56 @@ def backward(
     return grads, dx
 
 
-def _risk_gradient_batch(params: ModelParams, prefix: np.ndarray, xs: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class KeptStates:
+    """The LSTM state after every ``stride``-th step of one episode's eval scan.
+
+    With stride = ceil(sqrt(T)) an episode keeps about sqrt(T) states instead
+    of T, and a scan restarted from the latest kept state before a step runs
+    fewer than sqrt(T) steps to reach it: the sqrt(n) checkpointing of Chen et
+    al. 2016, "Training Deep Nets with Sublinear Memory Cost".
+    """
+
+    stride: int
+    h: np.ndarray  # (T // stride, H); row i is the state after step (i + 1) * stride
+    c: np.ndarray
+
+    @classmethod
+    def of_scan(cls, h: np.ndarray, c: np.ndarray) -> "KeptStates":
+        """Copies of every stride-th row of a scan's (T, H) states."""
+        stride = math.isqrt(len(h) - 1) + 1  # ceil(sqrt(T)) for T >= 1
+        return cls(stride, h[stride - 1 :: stride].copy(), c[stride - 1 :: stride].copy())
+
+    def start(self, t0: int):
+        """(s, (h, c)): the latest kept step s <= t0 and the state after it,
+        or (0, zero state) before the first kept step."""
+        i = t0 // self.stride
+        if i == 0:
+            return 0, (0.0, 0.0)
+        return i * self.stride, (self.h[i - 1], self.c[i - 1])
+
+
+def _restart(states: KeptStates | None, t0: int):
+    """Where a scan that must reach step t0 starts: ``states.start(t0)``, or
+    (0, zero state) without kept states."""
+    return (0, (0.0, 0.0)) if states is None else states.start(t0)
+
+
+def _risk_gradient_batch(params: ModelParams, prefix: np.ndarray, xs: np.ndarray,
+                         state=(0.0, 0.0)) -> np.ndarray:
     """Eval-mode gradient of the risk at a window's last step with respect to
     the window's inputs.
 
-    ``prefix`` (t0, d) holds the inputs before the window, shared by every
-    row; ``xs`` (L, B, d) holds B rows of window inputs. The prefix is scanned
-    once for the state after step t0 (the zero state when t0 = 0), and only
-    the window is scanned and swept from it. Returns d p_last / d xs, (L, B, d).
+    ``prefix`` holds the inputs between ``state`` (the zero state by default)
+    and the window, shared by every row; ``xs`` (L, B, d) holds B rows of
+    window inputs. The prefix is scanned once from ``state`` for the state
+    before the window, and only the window is scanned and swept from it.
+    Returns d p_last / d xs, (L, B, d).
     """
     L, B, d = xs.shape
     H = params.hidden_size
-    state = (0.0, 0.0)
     if len(prefix):
-        _, c, h = _scan(params, prefix[:, None])
+        _, c, h = _scan(params, prefix[:, None], state=state)
         state = (h[-1, 0], c[-1, 0])
     gates, c, h = _scan(params, xs, state=state)
     p = _sigmoid(h[-1] @ params.w_out + params.b_out[0])
@@ -484,35 +520,36 @@ def _risk_gradient_batch(params: ModelParams, prefix: np.ndarray, xs: np.ndarray
     return (dz.reshape(L * B, 4 * H) @ params.w_gates).reshape(L, B, d)
 
 
-def grad_wrt_inputs(params: ModelParams, steps: StepSeries, t1: int, t0: int = 0):
+def grad_wrt_inputs(params: ModelParams, steps: StepSeries, t1: int, t0: int = 0,
+                    states: KeptStates | None = None):
     """d(p_t1)/d(x_t) for the steps t of the window (t0, t1], eval mode, as an
     attribution matrix restricted to that window.
 
     Column t holds the input gradient at step t; columns outside the window
-    are zero, and no gradient is taken for them.
+    are zero, and no gradient is taken for them. The state before the window
+    is scanned from the latest of ``states`` at or before t0 (from step 0
+    without them).
     """
     from .attribution import AttributionMatrix
 
     if not 0 <= t0 < t1 <= steps.T:
         raise ValueError(f"need 0 <= t0 < t1 <= {steps.T}, got t0={t0}, t1={t1}")
+    s, state = _restart(states, t0)
     a = np.zeros((steps.d, steps.T))
-    a[:, t0:t1] = _risk_gradient_batch(params, steps.x[:t0], steps.x[t0:t1, None])[:, 0].T
+    a[:, t0:t1] = _risk_gradient_batch(
+        params, steps.x[s:t0], steps.x[t0:t1, None], state)[:, 0].T
     return AttributionMatrix(a=a, method="gradient", window=(t0, t1))
 
 
-def attention_forward(params: ModelParams, steps: StepSeries) -> tuple[float, np.ndarray]:
-    """Bilinear attention over the hidden states.
+def attention_forward(params: ModelParams, h: np.ndarray):
+    """Bilinear attention over one episode's hidden states ``h`` (T, H).
 
     score_t = h_t' (W_att h_T); weights are the softmax of the scores; the
     prediction is the output projection of the weight-averaged hidden state.
+    Returns (prediction, weights (T,), averaged state (H,)).
     """
     if params.w_att is None:
         raise ValueError("model has no attention projection")
-    _, cache = forward(params, steps, mode="eval")
-    return _attention_from_states(params, cache.h)[:2]
-
-
-def _attention_from_states(params: ModelParams, h: np.ndarray):
     scores = h @ (params.w_att @ h[-1])
     scores = scores - scores.max()
     w = np.exp(scores)
@@ -524,7 +561,7 @@ def _attention_from_states(params: ModelParams, h: np.ndarray):
 
 def _attention_loss_grad(params: ModelParams, h: np.ndarray, outcome: int):
     """BCE of the attention prediction and its gradient w.r.t. w_att only."""
-    pred, w, ctx = _attention_from_states(params, h)
+    pred, w, ctx = attention_forward(params, h)
     pc = min(max(pred, P_CLAMP), 1.0 - P_CLAMP)
     bce = -(outcome * math.log(pc) + (1 - outcome) * math.log1p(-pc))
     dlogit = pred - outcome if P_CLAMP < pred < 1.0 - P_CLAMP else 0.0

@@ -15,9 +15,13 @@ from .events import EventFormatError
 def atomic_open(path):
     """Open a temp file beside ``path`` for UTF-8 text, written without newline
     translation; it replaces ``path`` when the block ends and is deleted if
-    the block raises, which leaves any previous file at ``path`` intact."""
+    the block raises, which leaves any previous file at ``path`` intact. The
+    file gets the mode ``open`` would give a new file: 0o666 less the umask."""
     fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
     try:
+        umask = os.umask(0)  # reading the umask means setting it; it is restored at once
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp_path, path)

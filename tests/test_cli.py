@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from dataclasses import astuple
 
 import pytest
@@ -62,6 +64,15 @@ class TestGenData:
     def test_bad_flag_value_is_usage_error(self, tmp_path):
         assert run("gen-data", "--out-dir", tmp_path, "--n-episodes", "10",
                    "--deterioration-fraction", "1.5") == 1
+
+    def test_outputs_get_the_umask_mode(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            assert run("gen-data", "--out-dir", tmp_path, "--n-episodes", "4", "--seed", "1") == 0
+        finally:
+            os.umask(old)
+        for name in ("events.jsonl", "episodes.jsonl"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
 
 
 class TestTrain:
@@ -169,6 +180,22 @@ class TestExplain:
                    "--methods", "random", "--seed", "5") == 0
         _, wrows = read_csv(out / "windows.csv")
         assert all(r[5] == "alert" for r in wrows)
+
+    def test_model_without_attention_head(self, data_dir, tmp_path, capsys):
+        model = tmp_path / "model"
+        assert run("train", "--events", data_dir / "events.jsonl", "--out-dir", model,
+                   "--hidden-size", "8", "--max-epochs", "1", "--seed", "4",
+                   "--no-attention") == 0
+        assert "w_att" not in json.loads((model / "checkpoint.json").read_text())["params"]
+        explain = ["explain", "--events", data_dir / "events.jsonl",
+                   "--checkpoint", model / "checkpoint.json", "--bins", model / "bins.json"]
+        capsys.readouterr()
+        assert run(*explain, "--out-dir", tmp_path / "att", "--methods", "attention") == 2
+        assert "attention" in capsys.readouterr().err
+        assert not (tmp_path / "att" / "explanations.csv").exists()
+        assert run(*explain, "--out-dir", tmp_path / "grad", "--methods", "gradient") == 0
+        _, rows = read_csv(tmp_path / "grad" / "explanations.csv")
+        assert rows and {r[1] for r in rows} == {"gradient"}
 
     def test_window_from_episode_start(self, trained_dir, tmp_path):
         # Positive at the first 3 h checkpoint (creatinine +0.4 mg/dl), so the
@@ -475,3 +502,12 @@ class TestPipelineDeterminism:
 
     def test_usage_error_on_missing_subcommand(self):
         assert run() == 1
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_malformed_seed_env_var_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("DRIFTSCOPE_SEED", value)
+        out = tmp_path / "env"
+        assert run("gen-data", "--out-dir", out, "--n-episodes", "4") == 1
+        err = capsys.readouterr().err
+        assert "driftscope: usage error:" in err and "DRIFTSCOPE_SEED" in err
+        assert not out.exists()

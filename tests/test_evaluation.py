@@ -1,9 +1,12 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 import driftscope as ds
+from driftscope import evaluation
 from driftscope.attribution import Explanation, ExplanationItem, random_guess
 from driftscope.evaluation import (
     MethodContext,
@@ -149,6 +152,52 @@ class TestWindows:
             assert w.t1_time - w.t0_time <= ep.steps.step_time[-1]
             tr = window_truth(ep, w)
             assert all(w.t0 < s <= w.t1 for s, _ in tr.members)
+
+
+class TestPrepare:
+    def _inputs(self, attention):
+        config = ds.ScenarioConfig(seed=61, n_episodes=6, deterioration_fraction=0.5)
+        corpus = ds.generate_corpus(config)
+        catalog = config.catalog()
+        stats = ds.fit_feature_stats(corpus)
+        mcfg = ds.ModelConfig(hidden_size=4, seed=2, max_epochs=0, attention=attention)
+        params = ds.model_init(mcfg, 2 * catalog.d_features + 1)
+        params.w_out[:] = 0.5  # the initial zero projection has zero input gradients
+        return params, stats, catalog, corpus
+
+    def test_attention_weights_are_those_of_the_eval_scan(self):
+        params, stats, catalog, corpus = self._inputs(attention=True)
+        for ep in prepare_episodes(params, stats, catalog, corpus):
+            h = ds.forward(params, ep.steps)[1].h
+            assert np.array_equal(ep.attention, ds.attention_forward(params, h)[1])
+
+    def test_model_without_attention_head(self):
+        params, stats, catalog, corpus = self._inputs(attention=False)
+        prepared = prepare_episodes(params, stats, catalog, corpus)
+        assert all(ep.attention is None for ep in prepared)
+        ctx = MethodContext(params=params, catalog=catalog)
+        w = checkpoint_windows(prepared)[0]
+        ep = next(e for e in prepared if e.episode_id == w.episode_id)
+        with pytest.raises(ValueError, match="attention"):
+            explain_window("attention", ctx, ep, w, 3)
+        assert explain_window("gradient", ctx, ep, w, 3).items
+
+    def test_kept_arrays_do_not_hold_the_scan_cache(self, monkeypatch):
+        params, stats, catalog, corpus = self._inputs(attention=True)
+        refs, real = [], evaluation.forward
+
+        def spy(*args, **kwargs):
+            risk, cache = real(*args, **kwargs)
+            refs.extend(weakref.ref(o) for o in (cache, cache.h.base, cache.c.base))
+            return risk, cache
+
+        monkeypatch.setattr(evaluation, "forward", spy)
+        prepared = prepare_episodes(params, stats, catalog, corpus)
+        gc.collect()
+        assert len(refs) == 3 * len(corpus) and all(r() is None for r in refs)
+        for ep in prepared:
+            for a in (ep.states.h, ep.states.c, ep.attention):
+                assert a.base is None and a.flags.owndata
 
 
 @pytest.fixture(scope="module")

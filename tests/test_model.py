@@ -542,6 +542,49 @@ class TestScanState:
                 np.testing.assert_allclose(got[:, 0], want[t0:, b], rtol=1e-13, atol=1e-16)
 
 
+def _restart_cases():
+    for T in (1, 2, 5, 17, 140):
+        stride = math.ceil(math.sqrt(T))
+        for t0 in sorted({t for t in (0, 1, stride - 1, stride, stride + 1, T - 1) if 0 <= t < T}):
+            yield T, t0
+
+
+class TestKeptStates:
+    def _episode(self, T, seed=31):
+        rng = np.random.default_rng(seed + T)
+        steps = random_step_series(rng, T=T, d_features=3)
+        params = nonzero_params(tiny_config(hidden_size=5), steps.d)
+        _, cache = ds.forward(params, steps)
+        return params, steps, cache
+
+    @pytest.mark.parametrize("T", [1, 2, 5, 16, 17, 140])
+    def test_keeps_every_stride_th_state(self, T):
+        _, _, cache = self._episode(T)
+        kept = ds.KeptStates.of_scan(cache.h, cache.c)
+        assert kept.stride == math.ceil(math.sqrt(T))
+        assert np.array_equal(kept.h, cache.h[kept.stride - 1 :: kept.stride])
+        assert np.array_equal(kept.c, cache.c[kept.stride - 1 :: kept.stride])
+        for t0 in range(T + 1):
+            s, (h, c) = kept.start(t0)
+            assert s <= t0 < s + kept.stride
+            if s:
+                assert np.array_equal(h, cache.h[s - 1]) and np.array_equal(c, cache.c[s - 1])
+            else:
+                assert (h, c) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("T,t0", list(_restart_cases()))
+    def test_restart_from_kept_state_is_bitwise_equal(self, T, t0):
+        params, steps, cache = self._episode(T)
+        kept = ds.KeptStates.of_scan(cache.h, cache.c)
+        for t1 in sorted({t0 + 1, min(t0 + 4, T), T}):
+            want = ds.grad_wrt_inputs(params, steps, t1, t0)
+            got = ds.grad_wrt_inputs(params, steps, t1, t0, states=kept)
+            assert np.array_equal(got.a, want.a) and got.window == want.window
+            want = ds.integrated_gradients(params, steps, t0, t1, m=4)
+            got = ds.integrated_gradients(params, steps, t0, t1, m=4, states=kept)
+            assert np.array_equal(got.a, want.a) and got.window == want.window
+
+
 def separable_corpus(n=40, T=8, seed=0):
     """One feature's value sign perfectly predicts the outcome."""
     rng = np.random.default_rng(seed)
@@ -639,7 +682,7 @@ class TestAttention:
         rng = np.random.default_rng(13)
         steps = random_step_series(rng, T=9, d_features=3)
         params = self._params_with_attention(steps)
-        _, w = ds.attention_forward(params, steps)
+        _, w, _ = ds.attention_forward(params, ds.forward(params, steps)[1].h)
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) < 1e-9
 
@@ -647,7 +690,7 @@ class TestAttention:
         rng = np.random.default_rng(14)
         steps = random_step_series(rng, T=1, d_features=2)
         params = self._params_with_attention(steps)
-        _, w = ds.attention_forward(params, steps)
+        _, w, _ = ds.attention_forward(params, ds.forward(params, steps)[1].h)
         np.testing.assert_allclose(w, [1.0])
 
     def test_identical_states_uniform_weights(self):
@@ -664,7 +707,7 @@ class TestAttention:
         params = self._params_with_attention(steps)
         params.u_gates[:] = 0.0
         params.b_gates[4 : 8] = -60.0  # forget gate ~ 0
-        _, w = ds.attention_forward(params, steps)
+        _, w, _ = ds.attention_forward(params, ds.forward(params, steps)[1].h)
         np.testing.assert_allclose(w, np.full(T, 1 / T), atol=1e-12)
 
     def test_requires_projection(self):
@@ -672,7 +715,7 @@ class TestAttention:
         steps = random_step_series(rng, T=4, d_features=2)
         params = ds.model_init(tiny_config(attention=False), steps.d)
         with pytest.raises(ValueError, match="attention"):
-            ds.attention_forward(params, steps)
+            ds.attention_forward(params, ds.forward(params, steps)[1].h)
 
     def test_attention_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(18)

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import pytest
 
 from driftscope.events import EventFormatError
@@ -30,6 +33,18 @@ def test_failed_write_keeps_previous_file(tmp_path):
         write_csv(path, ["a"], [[2], None])  # the second row is not iterable
     assert path.read_bytes() == b"a\n1\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                         ids=["022", "077", "002"])
+def test_written_file_mode_follows_umask(tmp_path, umask, mode):
+    path = tmp_path / "t.csv"
+    old = os.umask(umask)
+    try:
+        write_csv(path, ["a"], [[1]])
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_empty_file_is_format_error(tmp_path):
