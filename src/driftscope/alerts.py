@@ -8,6 +8,7 @@ a wall-clock time is the last prediction at or before it (step-and-hold).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -33,6 +34,9 @@ class AlertRule:
     first_alert_only: bool = True
 
     def __post_init__(self):
+        for name in ("ratio_threshold", "anchor_time", "horizon", "check_interval"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.ratio_threshold <= 1.0:
             raise ValueError("ratio_threshold must be > 1")
         if not 0.0 < self.floor < 1.0:

@@ -1,9 +1,8 @@
 """Attribution of risk increases to events in a window.
 
-All methods produce an AttributionMatrix over the full input dimension
-(value channels, indicators, delta-time); the weight of the event at step t is
-the entry at its active feature's value-channel row. Windows are half-open
-step intervals (t0, t1] with 1-based steps; t0 = 0 means episode start.
+Every method produces an AttributionMatrix holding one weight per step: the
+weight of the event at that step. Windows are half-open step intervals
+(t0, t1] with 1-based steps; t0 = 0 means episode start.
 """
 
 from __future__ import annotations
@@ -22,37 +21,29 @@ RATIO_METHODS = frozenset({"odds_ratio", "rothman"})
 
 @dataclass(frozen=True)
 class AttributionMatrix:
-    """Weights a (rows x T). Rows 0..d_features-1 are value channels, one per
-    catalog feature; gradient methods also populate indicator/delta rows.
-    ``window`` = (t0, t1] when the matrix has been time-restricted."""
+    """Weights ``a`` (T,): entry j weighs the event at step j + 1.
+    ``window`` = (t0, t1] when the weights have been time-restricted; entries
+    outside it are then zero."""
 
     a: np.ndarray
     method: str
     window: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.a.ndim != 2:
-            raise ValueError("attribution matrix must be 2-D")
+        if self.a.ndim != 1:
+            raise ValueError("attribution weights must be 1-D, one per step")
         if not np.all(np.isfinite(self.a)):
             raise ValueError("attribution weights must be finite")
         if self.window is not None:
             t0, t1 = self.window
-            T = self.a.shape[1]
-            if not 0 <= t0 <= t1 <= T:
-                raise ValueError(f"invalid window ({t0}, {t1}] for T={T}")
-            outside = np.ones(T, dtype=bool)
-            outside[t0:t1] = False
-            if np.any(self.a[:, outside] != 0.0):
+            if not 0 <= t0 <= t1 <= self.T:
+                raise ValueError(f"invalid window ({t0}, {t1}] for T={self.T}")
+            if np.any(self.a[:t0] != 0.0) or np.any(self.a[t1:] != 0.0):
                 raise ValueError("entries outside the window must be zero")
 
     @property
     def T(self) -> int:
-        return self.a.shape[1]
-
-    def event_weights(self, steps: StepSeries) -> np.ndarray:
-        """Per-step weight: the entry at each step's active feature row."""
-        cols = np.arange(self.T)
-        return self.a[steps.step_feature, cols]
+        return self.a.shape[0]
 
 
 @dataclass(frozen=True)
@@ -90,18 +81,18 @@ def time_restrict(a: AttributionMatrix, t0: int, t1: int) -> AttributionMatrix:
     if t0 < 0 or t1 > a.T:
         raise ValueError(f"window ({t0}, {t1}] out of range for T={a.T}")
     out = np.zeros_like(a.a)
-    out[:, t0:t1] = a.a[:, t0:t1]
+    out[t0:t1] = a.a[t0:t1]
     return AttributionMatrix(a=out, method=a.method, window=(t0, t1))
 
 
-def event_weight_matrix(weights: np.ndarray, steps: StepSeries, method: str) -> AttributionMatrix:
-    """Place one scalar weight per step on its active feature's value row."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (steps.T,):
-        raise ValueError(f"expected {steps.T} weights, got shape {w.shape}")
-    a = np.zeros((steps.d, steps.T))
-    a[steps.step_feature, np.arange(steps.T)] = w
-    return AttributionMatrix(a=a, method=method)
+def _window_weights(g: np.ndarray, steps: StepSeries, t0: int, t1: int,
+                    method: str) -> AttributionMatrix:
+    """The weights of the window (t0, t1] from input gradients ``g``
+    (t1 - t0, d), one row per window step: each step keeps the entry at its
+    own feature's value channel, the channel that holds its event's value."""
+    a = np.zeros(steps.T)
+    a[t0:t1] = g[np.arange(t1 - t0), steps.step_feature[t0:t1]]
+    return AttributionMatrix(a=a, method=method, window=(t0, t1))
 
 
 def build_carry_forward_baseline(steps: StepSeries, t0: int) -> StepSeries:
@@ -153,12 +144,12 @@ def integrated_gradients(
 ) -> AttributionMatrix:
     """Path-integrated gradients of p_t1 from the carry-forward baseline.
 
-    Only value channels receive weight: the baseline shares the measurement
-    pattern, so the (target - baseline) factor vanishes on indicator and
-    delta-time channels. Every path point equals the input up to step t0, so
-    those steps get 0 and the m path points are scanned over (t0, t1] only,
-    from the state at t0, which is scanned from the latest of ``states`` at or
-    before t0 (from step 0 without them).
+    Each step's weight is its entry at its own feature's value channel: the
+    baseline shares the measurement pattern, so the (target - baseline)
+    factor vanishes on every other channel. Every path point equals the input
+    up to step t0, so those steps get 0 and the m path points are scanned over
+    (t0, t1] only, from the state at t0, which is scanned from the latest of
+    ``states`` at or before t0 (from step 0 without them).
     """
     if not 0 <= t0 < t1 <= steps.T:
         raise ValueError(f"need 0 <= t0 < t1 <= {steps.T}, got t0={t0}, t1={t1}")
@@ -169,10 +160,8 @@ def integrated_gradients(
         return _risk_gradient_batch(params, steps.x[s:t0], xs.transpose(1, 0, 2),
                                     state).transpose(1, 0, 2)
 
-    a = np.zeros((steps.d, steps.T))
-    a[:, t0:t1] = averaged_gradient_attribution(
-        grad_fn, steps.x[t0:t1], baseline.x[t0:t1], m).T
-    return AttributionMatrix(a=a, method="integrated_gradients", window=(t0, t1))
+    g = averaged_gradient_attribution(grad_fn, steps.x[t0:t1], baseline.x[t0:t1], m)
+    return _window_weights(g, steps, t0, t1, "integrated_gradients")
 
 
 def discrete_time_derivatives(risk: RiskSeries, steps: StepSeries) -> AttributionMatrix:
@@ -187,7 +176,7 @@ def discrete_time_derivatives(risk: RiskSeries, steps: StepSeries) -> Attributio
     if steps.T:
         deltas[0] = risk.p[0] - risk.p_base
         deltas[1:] = risk.p[1:] - risk.p[:-1]
-    return event_weight_matrix(deltas, steps, method="discrete_derivative")
+    return AttributionMatrix(deltas, method="discrete_derivative")
 
 
 def time_diff(
@@ -199,24 +188,23 @@ def time_diff(
     """Subtract each feature's best weight at or before t0 from its in-window
     weights, so unchanged abnormalities score zero.
 
-    Requires per-event weights (each column's mass on its active feature). A
-    feature with no occurrence at or before t0 is differenced against the
+    A feature with no occurrence at or before t0 is differenced against the
     method's neutral weight: 1 for ratio statistics, 0 otherwise.
     """
+    if a.T != steps.T:
+        raise ValueError(f"{a.T} attribution weights for {steps.T} steps")
     if t0 > t1:
         raise ValueError(f"t0={t0} > t1={t1}")
     if t0 < 0 or t1 > a.T:
         raise ValueError(f"window ({t0}, {t1}] out of range for T={a.T}")
     neutral = 1.0 if a.method in RATIO_METHODS else 0.0
-    w = a.event_weights(steps)
     baseline: dict[int, float] = {}
     for j in range(t0):
         f = int(steps.step_feature[j])
-        baseline[f] = max(baseline[f], w[j]) if f in baseline else w[j]
+        baseline[f] = max(baseline[f], a.a[j]) if f in baseline else a.a[j]
     out = np.zeros_like(a.a)
     for j in range(t0, t1):
-        f = int(steps.step_feature[j])
-        out[f, j] = w[j] - baseline.get(f, neutral)
+        out[j] = a.a[j] - baseline.get(int(steps.step_feature[j]), neutral)
     return AttributionMatrix(a=out, method=f"{a.method}_diff", window=(t0, t1))
 
 
@@ -292,13 +280,14 @@ def top_k_explanations(a: AttributionMatrix, steps: StepSeries, k: int) -> Expla
     """
     if a.window is None:
         raise ValueError("attribution matrix must be time-restricted first")
+    if a.T != steps.T:
+        raise ValueError(f"{a.T} attribution weights for {steps.T} steps")
     if k < 1:
         raise ValueError("k must be >= 1")
-    w = a.event_weights(steps)
     candidates = [
-        (float(w[j]), j + 1, int(steps.step_feature[j]))
+        (float(a.a[j]), j + 1, int(steps.step_feature[j]))
         for j in range(a.T)
-        if w[j] != 0.0
+        if a.a[j] != 0.0
     ]
     candidates.sort(key=lambda c: (-c[0], -c[1], c[2]))
     items = []

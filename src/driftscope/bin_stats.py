@@ -10,13 +10,13 @@ become per-event attribution weights.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .attribution import AttributionMatrix, event_weight_matrix
+from .attribution import AttributionMatrix
 from .events import EventSequence, FeatureCatalog, StepSeries
 
 # Pseudo-count added to every cell of a bin's outcome table.
@@ -77,7 +77,9 @@ def _feature_bins_from_json(fid: str, d) -> FeatureBins:
         raise ValueError(f"bins of {fid!r} need cuts, pos, neg and mean_bin")
     cuts = d["cuts"]
     if not (isinstance(cuts, list)
-            and all((_is_int(c) or isinstance(c, float)) and math.isfinite(c) for c in cuts)
+            # finite: not NaN or infinite, and no int too large for a float
+            and all((_is_int(c) or isinstance(c, float)) and abs(c) <= sys.float_info.max
+                    for c in cuts)
             and all(a < b for a, b in zip(cuts, cuts[1:]))):
         raise ValueError(f"bins of {fid!r}: cuts must be finite and strictly increasing")
     n_bins = len(cuts) + 1
@@ -160,4 +162,4 @@ def stat_weights(
             continue
         at = steps.step_feature == f
         weights[at] = bin_statistic(fb, statistic)[fb.bin_of(steps.step_raw[at])]
-    return event_weight_matrix(weights, steps, method=statistic)
+    return AttributionMatrix(weights, method=statistic)

@@ -405,7 +405,7 @@ def main(argv=None) -> int:
         print(f"driftscope: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EventFormatError, CatalogMismatchError, NoAnchorError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError) as exc:
         print(f"driftscope: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergedError, FloatingPointError) as exc:

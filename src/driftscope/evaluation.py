@@ -19,7 +19,6 @@ from .alerts import AlertRule, select_alert_cohort
 from .attribution import (
     AttributionMatrix,
     Explanation,
-    event_weight_matrix,
     discrete_time_derivatives,
     integrated_gradients,
     random_guess,
@@ -190,7 +189,7 @@ def explain_window(
         if key == "attention":
             if ep.attention is None:
                 raise ValueError("method 'attention' requires a model with an attention head")
-            shared[key] = event_weight_matrix(ep.attention, ep.steps, method="attention")
+            shared[key] = AttributionMatrix(ep.attention, method="attention")
         elif key == "discrete_derivative":
             shared[key] = discrete_time_derivatives(ep.risk, ep.steps)
         elif ctx.bins is None:

@@ -213,6 +213,8 @@ def parse_event_log(
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise EventFormatError(f"invalid JSON ({exc.msg})", line=lineno) from None
+        except (ValueError, RecursionError) as exc:  # an over-long integer; deep nesting
+            raise EventFormatError(f"invalid JSON ({exc})", line=lineno) from None
         if not isinstance(rec, dict):
             raise EventFormatError("record is not an object", line=lineno)
         for key in _REQUIRED_KEYS:
@@ -224,8 +226,8 @@ def parse_event_log(
         try:
             time_s = float(rec["time_s"])
             value = float(rec["value"])
-        except (TypeError, ValueError):
-            raise EventFormatError("time_s and value must be numbers", line=lineno) from None
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large
+            raise EventFormatError("time_s and value must be finite numbers", line=lineno) from None
         if not (math.isfinite(time_s) and math.isfinite(value)):
             raise EventFormatError("time_s and value must be finite", line=lineno)
         if time_s < 0:

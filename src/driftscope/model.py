@@ -56,12 +56,12 @@ class ModelConfig:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError("learning_rate must be finite and non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
+        if not math.isfinite(self.clip_norm) or self.clip_norm <= 0:
+            raise ValueError("clip_norm must be finite and positive")
         if not math.isfinite(self.eta) or self.eta < 0:
             raise ValueError("eta must be finite and non-negative")
         if self.max_epochs < 0:
@@ -149,7 +149,8 @@ class StepBatch:
 class ForwardCache:
     """What the reverse sweep and readers of the forward pass need.
 
-    ``gates`` holds the activations [i; f; g; o] of every step. The previous
+    ``gates`` holds the activations [i; f; g; o] of every step until
+    ``backward`` overwrites them with their gradients. The previous
     cell state and the masked previous hidden state are one-step shifts of
     ``c`` and ``h``; tanh(c) is recomputed where it is needed. The shapes are
     those of one series; a batch adds its axis after the time axis,
@@ -426,7 +427,8 @@ def backward(
     For a StepBatch, ``outcome`` holds one label per row and the parameter
     gradients are summed over the rows' losses; input gradients are returned
     for a single series only (None for a batch). Pad steps are seeded with
-    zero, so they carry zero dZ.
+    zero, so they carry zero dZ. The reverse sweep overwrites
+    ``cache.gates`` with dZ, so a cache serves one backward call.
     """
     batch = steps if isinstance(steps, StepBatch) else StepBatch([steps])
     if batch is not steps:
@@ -438,8 +440,8 @@ def backward(
         dlogit[:length, b] = _dloss_dlogit(cache.p[:length, b], y, eta)
     h_out = cache.h if cache.out_mask is None else cache.h * cache.out_mask
     w_out = dlogit.reshape(T * B) @ h_out.reshape(T * B, H)
-    del h_out  # freed before the gates are copied, which is the memory peak
-    dz = _sweep(params, cache.gates.copy(), cache.c, dlogit,
+    del h_out  # freed before h_rec below is built, which keeps peak memory down
+    dz = _sweep(params, cache.gates, cache.c, dlogit,
                 cache.out_mask, cache.rec_mask).reshape(T * B, 4 * H)
     h_rec = np.zeros_like(cache.h)  # the masked hidden state entering each step
     h_rec[1:] = cache.h[:-1]
@@ -522,23 +524,20 @@ def _risk_gradient_batch(params: ModelParams, prefix: np.ndarray, xs: np.ndarray
 
 def grad_wrt_inputs(params: ModelParams, steps: StepSeries, t1: int, t0: int = 0,
                     states: KeptStates | None = None):
-    """d(p_t1)/d(x_t) for the steps t of the window (t0, t1], eval mode, as an
-    attribution matrix restricted to that window.
+    """d(p_t1) / d(value of the step-t event) for the steps t of the window
+    (t0, t1], eval mode, as attribution weights restricted to that window.
 
-    Column t holds the input gradient at step t; columns outside the window
-    are zero, and no gradient is taken for them. The state before the window
-    is scanned from the latest of ``states`` at or before t0 (from step 0
-    without them).
+    Entries outside the window are zero, and no gradient is taken for them.
+    The state before the window is scanned from the latest of ``states`` at
+    or before t0 (from step 0 without them).
     """
-    from .attribution import AttributionMatrix
+    from .attribution import _window_weights
 
     if not 0 <= t0 < t1 <= steps.T:
         raise ValueError(f"need 0 <= t0 < t1 <= {steps.T}, got t0={t0}, t1={t1}")
     s, state = _restart(states, t0)
-    a = np.zeros((steps.d, steps.T))
-    a[:, t0:t1] = _risk_gradient_batch(
-        params, steps.x[s:t0], steps.x[t0:t1, None], state)[:, 0].T
-    return AttributionMatrix(a=a, method="gradient", window=(t0, t1))
+    g = _risk_gradient_batch(params, steps.x[s:t0], steps.x[t0:t1, None], state)[:, 0]
+    return _window_weights(g, steps, t0, t1, "gradient")
 
 
 def attention_forward(params: ModelParams, h: np.ndarray):
@@ -776,7 +775,7 @@ def load_checkpoint(path, expected_catalog: FeatureCatalog | None = None):
         config = ModelConfig(**payload["config"])
         stats = FeatureStats.from_json(payload["stats"])
         arrs = {k: np.asarray(v, dtype=float) for k, v in payload["params"].items()}
-    except (TypeError, KeyError, AttributeError, ValueError) as exc:
+    except (TypeError, KeyError, AttributeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
     if expected_catalog is not None and catalog.ids != expected_catalog.ids:
         raise CatalogMismatchError(

@@ -3,11 +3,12 @@ corpus plus trained models used by the acceptance suite."""
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 import driftscope as ds
 from driftscope.bin_stats import fit_bins
@@ -59,6 +60,36 @@ def single_feature_steps(values, times=None, feature="f") -> tuple[StepSeries, F
         "e", tuple(Event(t, feature, v) for t, v in zip(times, values)), 0, "train"
     )
     return encode_steps(seq, catalog, identity_stats(catalog.ids)), catalog
+
+
+# Any JSON value, with integers too large for a float among the scalars.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -10**400])
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def mutate(payload, path, value, delete):
+    """A copy of the JSON ``payload`` whose node at ``path`` is removed, or
+    replaced by ``value``. Each entry of ``path`` picks a child of the node
+    reached so far, modulo its size; the path ends early at a leaf."""
+    out = copy.deepcopy(payload)
+    parent, key, node = None, None, out
+    for i in path:
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        key = list(node)[i % len(node)] if isinstance(node, dict) else i % len(node)
+        parent, node = node, node[key]
+    if parent is None:
+        return value
+    if delete:
+        del parent[key]
+    else:
+        parent[key] = value
+    return out
 
 
 @pytest.fixture(scope="session")

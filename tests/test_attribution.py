@@ -11,7 +11,6 @@ from driftscope.attribution import (
     averaged_gradient_attribution,
     build_carry_forward_baseline,
     discrete_time_derivatives,
-    event_weight_matrix,
     integrated_gradients,
     random_guess,
     time_diff,
@@ -37,26 +36,22 @@ def steps_from_features(features, values=None, times=None, catalog=None):
 
 class TestTimeRestrict:
     def test_window_masks_steps(self):
-        steps, _ = steps_from_features(["f"] * 4)
-        a = event_weight_matrix(np.array([0.5, -0.2, 0.3, 0.1]), steps, "gradient")
+        a = AttributionMatrix(np.array([0.5, -0.2, 0.3, 0.1]), "gradient")
         out = time_restrict(a, 2, 4)
-        np.testing.assert_array_equal(out.a[0], [0.0, 0.0, 0.3, 0.1])
+        np.testing.assert_array_equal(out.a, [0.0, 0.0, 0.3, 0.1])
         assert out.window == (2, 4)
 
     def test_identity_window(self):
-        steps, _ = steps_from_features(["f"] * 3)
-        a = event_weight_matrix(np.array([1.0, 2.0, 3.0]), steps, "gradient")
+        a = AttributionMatrix(np.array([1.0, 2.0, 3.0]), "gradient")
         out = time_restrict(a, 0, 3)
         np.testing.assert_array_equal(out.a, a.a)
 
     def test_empty_window(self):
-        steps, _ = steps_from_features(["f"] * 3)
-        a = event_weight_matrix(np.array([1.0, 2.0, 3.0]), steps, "gradient")
+        a = AttributionMatrix(np.array([1.0, 2.0, 3.0]), "gradient")
         assert np.all(time_restrict(a, 2, 2).a == 0.0)
 
     def test_inverted_window_rejected(self):
-        steps, _ = steps_from_features(["f"] * 3)
-        a = event_weight_matrix(np.zeros(3), steps, "gradient")
+        a = AttributionMatrix(np.zeros(3), "gradient")
         with pytest.raises(ValueError):
             time_restrict(a, 3, 1)
 
@@ -66,8 +61,7 @@ class TestTimeRestrict:
     )
     def test_idempotent_and_commutes_with_scaling(self, weights, data):
         T = len(weights)
-        steps, _ = steps_from_features(["f"] * T)
-        a = event_weight_matrix(np.asarray(weights), steps, "gradient")
+        a = AttributionMatrix(np.asarray(weights), "gradient")
         t0 = data.draw(st.integers(0, T))
         t1 = data.draw(st.integers(t0, T))
         once = time_restrict(a, t0, t1)
@@ -77,6 +71,11 @@ class TestTimeRestrict:
             AttributionMatrix(a.a * 3.5, method="gradient"), t0, t1
         )
         np.testing.assert_allclose(scaled.a, once.a * 3.5)
+
+    @pytest.mark.parametrize("shape", [(), (2, 3)])
+    def test_weights_must_be_one_per_step(self, shape):
+        with pytest.raises(ValueError, match="1-D"):
+            AttributionMatrix(np.zeros(shape), "gradient")
 
 
 class TestCarryForwardBaseline:
@@ -172,7 +171,7 @@ class TestIntegratedGradients:
         gaps = []
         for m in (8, 32, 128, 512):
             a = integrated_gradients(params, steps, 0, t1, m=m)
-            assert a.window == (0, t1) and np.all(a.a[:, t1:] == 0.0)
+            assert a.window == (0, t1) and np.all(a.a[t1:] == 0.0)
             gaps.append(abs(float(a.a.sum()) - want))
         assert gaps[-1] < 1e-6
         assert all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
@@ -207,21 +206,19 @@ class TestIntegratedGradients:
         params = self._trained_tiny(steps)
         a = integrated_gradients(params, steps, 3, 8, m=4)
         assert a.window == (3, 8)
-        assert np.all(a.a[:, :3] == 0.0)
-        assert np.all(a.a[:, 8:] == 0.0)
-        d_f = steps.d_features
-        assert np.all(a.a[d_f:, :] == 0.0)  # only value channels carry weight
+        assert a.a.shape == (steps.T,)
+        assert np.all(a.a[:3] == 0.0)
+        assert np.all(a.a[8:] == 0.0)
 
 
 class TestDiscreteTimeDerivatives:
     def test_arithmetic_example(self):
-        steps, catalog = steps_from_features(["c", "a", "b"])
+        steps, _ = steps_from_features(["c", "a", "b"])
         risk = RiskSeries(p=np.array([0.1, 0.3, 0.25]), logits=np.zeros(3),
                           step_time=steps.step_time, p_base=0.07)
         a = discrete_time_derivatives(risk, steps)
-        ai, bi = catalog.index("a"), catalog.index("b")
-        assert a.a[ai, 1] == pytest.approx(0.2)
-        assert a.a[bi, 2] == pytest.approx(-0.05)
+        assert a.a[1] == pytest.approx(0.2)
+        assert a.a[2] == pytest.approx(-0.05)
         restricted = time_restrict(a, 1, 3)
         assert restricted.a.sum() == pytest.approx(0.25 - 0.1)
 
@@ -230,8 +227,8 @@ class TestDiscreteTimeDerivatives:
         risk = RiskSeries(p=np.full(4, 0.4), logits=np.zeros(4),
                           step_time=steps.step_time, p_base=0.1)
         a = discrete_time_derivatives(risk, steps)
-        assert np.all(a.a[:, 1:] == 0.0)
-        assert a.a[0, 0] == pytest.approx(0.3)
+        assert np.all(a.a[1:] == 0.0)
+        assert a.a[0] == pytest.approx(0.3)
 
     def test_append_invariance(self):
         rng = np.random.default_rng(3)
@@ -246,7 +243,7 @@ class TestDiscreteTimeDerivatives:
                          step_time=steps.step_time[:6], step_raw=steps.step_raw[:6])
         risk_p, _ = ds.forward(params, prefix)
         a_prefix = discrete_time_derivatives(risk_p, prefix)
-        assert np.array_equal(a_full.a[:, :6], a_prefix.a)
+        assert np.array_equal(a_full.a[:6], a_prefix.a)
 
     def test_telescoping_property(self):
         rng = np.random.default_rng(4)
@@ -268,50 +265,54 @@ class TestDiscreteTimeDerivatives:
 class TestTimeDiff:
     def test_max_subtraction_example(self):
         features = ["f", "g", "f", "g"]
-        steps, catalog = steps_from_features(features)
+        steps, _ = steps_from_features(features)
         weights = np.array([0.2, 0.7, 0.5, 0.7])
-        a = event_weight_matrix(weights, steps, "odds_ratio")
+        a = AttributionMatrix(weights, "odds_ratio")
         out = time_diff(a, steps, 2, 4)
-        fi, gi = catalog.index("f"), catalog.index("g")
-        assert out.a[fi, 2] == pytest.approx(0.3)
-        assert out.a[gi, 3] == pytest.approx(0.0)
+        assert out.a[2] == pytest.approx(0.3)
+        assert out.a[3] == pytest.approx(0.0)
         assert out.method == "odds_ratio_diff"
 
     def test_constant_weights_vanish(self):
         steps, _ = steps_from_features(["f"] * 6)
-        a = event_weight_matrix(np.full(6, 2.4), steps, "rothman")
+        a = AttributionMatrix(np.full(6, 2.4), "rothman")
         out = time_diff(a, steps, 3, 6)
         assert np.all(out.a == 0.0)
 
     def test_neutral_weight_for_new_feature(self):
         features = ["old", "old", "new"]
-        steps, catalog = steps_from_features(features)
-        a = event_weight_matrix(np.array([1.0, 1.0, 4.0]), steps, "odds_ratio")
+        steps, _ = steps_from_features(features)
+        a = AttributionMatrix(np.array([1.0, 1.0, 4.0]), "odds_ratio")
         out = time_diff(a, steps, 2, 3)
-        assert out.a[catalog.index("new"), 2] == pytest.approx(3.0)
+        assert out.a[2] == pytest.approx(3.0)
         # additive methods difference against 0 instead
-        a2 = event_weight_matrix(np.array([1.0, 1.0, 4.0]), steps, "gradient")
+        a2 = AttributionMatrix(np.array([1.0, 1.0, 4.0]), "gradient")
         out2 = time_diff(a2, steps, 2, 3)
-        assert out2.a[catalog.index("new"), 2] == pytest.approx(4.0)
+        assert out2.a[2] == pytest.approx(4.0)
+
+    def test_rejects_weights_of_another_length(self):
+        steps, _ = steps_from_features(["f"] * 3)
+        with pytest.raises(ValueError, match="4 attribution weights for 3 steps"):
+            time_diff(AttributionMatrix(np.ones(4), "odds_ratio"), steps, 1, 3)
 
     def test_latest_variant(self):
         features = ["f", "f", "f"]
         steps, _ = steps_from_features(features)
-        a = event_weight_matrix(np.array([5.0, 1.0, 4.0]), steps, "odds_ratio")
+        a = AttributionMatrix(np.array([5.0, 1.0, 4.0]), "odds_ratio")
         by_max = time_diff(a, steps, 2, 3)
-        assert by_max.a[0, 2] == pytest.approx(-1.0)
+        assert by_max.a[2] == pytest.approx(-1.0)
 
     @given(st.lists(st.floats(0.1, 10, allow_nan=False), min_size=2, max_size=10))
     def test_repeated_profile_is_zero_inside_window(self, profile):
         # Same per-feature weight before and after t0 diffs to zero.
         T = 2 * len(profile)
         steps, _ = steps_from_features(["f"] * T)
-        a = event_weight_matrix(np.array(profile + profile), steps, "odds_ratio")
+        a = AttributionMatrix(np.array(profile + profile), "odds_ratio")
         out = time_diff(a, steps, len(profile), T)
         maxes = np.maximum.accumulate(profile)
         for j, w in enumerate(profile):
             expected = w - maxes[len(profile) - 1]
-            assert out.a[0, len(profile) + j] == pytest.approx(min(expected, 0.0) if expected <= 0 else expected)
+            assert out.a[len(profile) + j] == pytest.approx(min(expected, 0.0) if expected <= 0 else expected)
 
 
 class TestRandomGuess:
@@ -379,14 +380,14 @@ class TestTopK:
         features = ["x", "x", "A", "B", "A"]
         steps, catalog = steps_from_features(features)
         w = np.array([0.0, 0.0, 0.9, 0.7, 0.8])
-        a = time_restrict(event_weight_matrix(w, steps, "gradient"), 0, 5)
+        a = time_restrict(AttributionMatrix(w, "gradient"), 0, 5)
         expl = top_k_explanations(a, steps, 2)
         got = [(it.step, catalog.ids[it.feature], it.weight) for it in expl.items]
         assert got == [(3, "A", 0.9), (4, "B", 0.7)]
 
     def test_all_zero_weights_short(self):
         steps, _ = steps_from_features(["a", "b"])
-        a = time_restrict(event_weight_matrix(np.zeros(2), steps, "gradient"), 0, 2)
+        a = time_restrict(AttributionMatrix(np.zeros(2), "gradient"), 0, 2)
         expl = top_k_explanations(a, steps, 2)
         assert expl.short and expl.items == ()
 
@@ -396,15 +397,21 @@ class TestTopK:
         w = np.zeros(6)
         w[1] = 0.5  # feature A at step 2
         w[5] = 0.5  # feature B at step 6
-        a = time_restrict(event_weight_matrix(w, steps, "gradient"), 0, 6)
+        a = time_restrict(AttributionMatrix(w, "gradient"), 0, 6)
         expl = top_k_explanations(a, steps, 1)
         assert expl.items[0].step == 6
         assert catalog.ids[expl.items[0].feature] == "B"
 
     def test_requires_window(self):
         steps, _ = steps_from_features(["a"])
-        a = event_weight_matrix(np.ones(1), steps, "gradient")
+        a = AttributionMatrix(np.ones(1), "gradient")
         with pytest.raises(ValueError, match="restricted"):
+            top_k_explanations(a, steps, 1)
+
+    def test_rejects_weights_of_another_length(self):
+        steps, _ = steps_from_features(["a", "b"])
+        a = time_restrict(AttributionMatrix(np.ones(3), "gradient"), 0, 2)
+        with pytest.raises(ValueError, match="3 attribution weights for 2 steps"):
             top_k_explanations(a, steps, 1)
 
     @given(st.data())
@@ -418,7 +425,7 @@ class TestTopK:
         t0 = data.draw(st.integers(0, T))
         t1 = data.draw(st.integers(t0, T))
         k = data.draw(st.integers(1, 4))
-        a = time_restrict(event_weight_matrix(w, steps, "gradient"), t0, t1)
+        a = time_restrict(AttributionMatrix(w, "gradient"), t0, t1)
         expl = top_k_explanations(a, steps, k)
         weights = [it.weight for it in expl.items]
         assert all(b <= a_ for a_, b in zip(weights, weights[1:]))

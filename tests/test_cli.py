@@ -248,9 +248,11 @@ CHECKPOINT_DEFECTS = {
     "payload_d": _edit(lambda p: p.update(d=p["d"] + 2)),
     "hidden_size": _edit(lambda p: p["config"].update(hidden_size=p["config"]["hidden_size"] + 1)),
     "non_finite_weight": _edit(lambda p: p["params"]["w_out"].__setitem__(0, float("nan"))),
+    "huge_int_weight": _edit(lambda p: p["params"]["w_out"].__setitem__(0, 10**400)),
     "config_key_misnamed": _edit(_rename_config_key),
     "missing_stats": _edit(lambda p: p.pop("stats")),
     "nan_stats_mean": _edit(lambda p: _stat(p).update(mean=float("nan"))),
+    "huge_int_stats_mean": _edit(lambda p: _stat(p).update(mean=10**400)),
     "zero_stats_std": _edit(lambda p: _stat(p).update(std=0.0)),
     "stats_lo_above_hi": _edit(lambda p: _stat(p).update(lo=_stat(p)["hi"] + 1.0)),
     "missing_catalog": _edit(lambda p: p.pop("catalog")),
@@ -302,6 +304,7 @@ BINS_DEFECTS = {
     "fractional_count": _edit(lambda p: _widest(p)["pos"].__setitem__(0, 0.5)),
     "reversed_cuts": _edit(lambda p: _widest(p)["cuts"].reverse()),
     "non_finite_cut": _edit(lambda p: _widest(p)["cuts"].__setitem__(0, float("nan"))),
+    "huge_int_cut": _edit(lambda p: _widest(p)["cuts"].__setitem__(-1, 10**400)),
     "mean_bin_99": _edit(lambda p: _widest(p).update(mean_bin=99)),
     "mean_bin_negative": _edit(lambda p: _widest(p).update(mean_bin=-1)),
 }
@@ -338,6 +341,52 @@ def test_non_finite_event_is_data_error(data_dir, trained_dir, tmp_path, capsys,
     assert run(command, *args) == 2
     assert "line 1: time_s and value must be finite" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+# Flag values that are not finite. The alert ones would leave the rule's check
+# schedule without an end; `explain` reads the same rule flags.
+@pytest.mark.parametrize("command, flag, value", [
+    ("alerts", "--interval-hours", "nan"),
+    ("alerts", "--horizon-hours", "inf"),
+    ("alerts", "--anchor-hours", "nan"),
+    ("alerts", "--ratio-threshold", "nan"),
+    ("explain", "--interval-hours", "nan"),
+    ("explain", "--ratio-threshold", "inf"),
+    ("gen-data", "--duration-hours", "nan"),
+    ("train", "--clip-norm", "nan"),
+    ("train", "--learning-rate", "inf"),
+])
+def test_non_finite_flag_is_usage_error(data_dir, trained_dir, tmp_path, capsys,
+                                        command, flag, value):
+    events = ["--events", data_dir / "events.jsonl"]
+    model = [*events, "--checkpoint", trained_dir / "checkpoint.json"]
+    args = {"gen-data": [], "train": events, "alerts": model,
+            "explain": [*model, "--windows", "alerts"]}[command]
+    out = tmp_path / "out"
+    assert run(command, *args, "--out-dir", out, flag, value) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--events"), ("alerts", "--checkpoint"), ("explain", "--bins"),
+    ("evaluate", "--windows"),
+])
+def test_directory_as_input_is_data_error(data_dir, trained_dir, explained, tmp_path, capsys,
+                                          command, flag):
+    events = {"--events": data_dir / "events.jsonl"}
+    model = {**events, "--checkpoint": trained_dir / "checkpoint.json"}
+    inputs = {
+        "train": events,
+        "alerts": model,
+        "explain": {**model, "--bins": trained_dir / "bins.json"},
+        "evaluate": {**events, "--explanations": explained / "explanations.csv",
+                     "--windows": explained / "windows.csv"},
+    }[command]
+    inputs[flag] = tmp_path
+    assert run(command, *(a for pair in inputs.items() for a in pair),
+               "--out-dir", tmp_path / "out") == 2
+    assert "data error" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import driftscope as ds
 from driftscope.events import (
+    SPLITS,
     Event,
     EventFormatError,
     EventSequence,
@@ -16,7 +17,7 @@ from driftscope.events import (
     fit_feature_stats,
     parse_event_log,
 )
-from conftest import identity_stats
+from conftest import identity_stats, json_values
 
 
 def line(episode="e1", time_s=0.0, feature="f", value=1.0, outcome=0, split="train"):
@@ -46,11 +47,32 @@ class TestParse:
     @pytest.mark.parametrize("field, value", [
         ("value", float("nan")), ("value", float("inf")), ("value", float("-inf")),
         ("value", "1e400"), ("time_s", float("nan")), ("time_s", float("inf")),
+        pytest.param("time_s", 10**400, id="time_s-huge-int"),
+        pytest.param("value", -10**400, id="value-huge-int"),
     ])
     def test_non_finite_number_rejected_with_line(self, field, value):
         text = "\n".join([line(), line(**{"time_s": 10.0, field: value})])
         with pytest.raises(EventFormatError, match="line 2: time_s and value must be finite"):
             parse_event_log(text)
+
+    @given(st.lists(
+        st.text(max_size=30) | st.fixed_dictionaries({
+            "episode": st.text(max_size=2) | json_values,
+            "time_s": json_values,
+            "feature": st.text(max_size=2) | json_values,
+            "value": json_values,
+            "outcome": st.sampled_from([0, 1]) | json_values,
+            "split": st.sampled_from(SPLITS) | json_values,
+        }).map(json.dumps),
+        max_size=4))
+    @example([line(time_s=10**400)])
+    @example([line().replace("1.0", "1" * 5000)])  # past the integer digit limit
+    @example(["[" * 100_000])  # nested past the recursion limit
+    def test_arbitrary_lines_parse_or_raise_event_format_error(self, lines):
+        try:
+            parse_event_log(lines)
+        except EventFormatError:
+            pass
 
     def test_missing_key_rejected(self):
         with pytest.raises(EventFormatError, match="missing key"):

@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import driftscope as ds
-from driftscope.events import FeatureCatalog
+from driftscope.events import FeatureCatalog, FeatureStat
 from driftscope.model import (
     CatalogMismatchError,
     EncodedEpisode,
@@ -26,7 +28,7 @@ from driftscope.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from conftest import random_step_series
+from conftest import json_values, mutate, random_step_series
 
 
 def tiny_config(**overrides):
@@ -283,19 +285,6 @@ class TestBackward:
             grads, _ = ds.backward(params, cache, steps, outcome, eta=0.0)
             assert grads["b_out"][0] == pytest.approx(0.5 - outcome, rel=1e-12)
 
-    def test_repeat_on_one_cache_is_identical(self):
-        # The reverse sweep works in place on a copy; the cache is left intact.
-        rng = np.random.default_rng(20)
-        steps = random_step_series(rng, T=9, d_features=3)
-        cfg = tiny_config(input_dropout=0.2, output_dropout=0.2, recurrent_dropout=0.2)
-        params = nonzero_params(cfg, steps.d)
-        _, cache = ds.forward(params, steps, mode="train", rng=np.random.default_rng(3), config=cfg)
-        g1, dx1 = ds.backward(params, cache, steps, 1, eta=0.01)
-        g2, dx2 = ds.backward(params, cache, steps, 1, eta=0.01)
-        for key in g1:
-            assert np.array_equal(g1[key], g2[key])
-        assert np.array_equal(dx1, dx2)
-
     def test_input_gradients_shape_and_causality(self):
         rng = np.random.default_rng(8)
         steps = random_step_series(rng, T=6, d_features=2)
@@ -465,11 +454,16 @@ class TestGradWrtInputs:
         assert np.all(a.a == 0.0)
 
     def test_matches_finite_differences_of_forward(self):
+        # The window core's gradient on every input channel; grad_wrt_inputs
+        # keeps each step's entry at its own feature's value channel.
         rng = np.random.default_rng(10)
         steps = random_step_series(rng, T=6, d_features=2)
         params = nonzero_params(tiny_config(), steps.d)
         t1 = 5
+        g = _risk_gradient_batch(params, steps.x[:0], steps.x[:t1, None])[:, 0]
         a = ds.grad_wrt_inputs(params, steps, t1)
+        assert np.array_equal(a.a[:t1], g[np.arange(t1), steps.step_feature[:t1]])
+        assert np.all(a.a[t1:] == 0.0)
         eps = 1e-5
         worst = 0.0
         for t in range(steps.T):
@@ -481,7 +475,8 @@ class TestGradWrtInputs:
                 rm, _ = ds.forward(params, steps)
                 steps.x[t, j] = orig
                 fd = (rp.p[t1 - 1] - rm.p[t1 - 1]) / (2 * eps)
-                worst = max(worst, abs(fd - a.a[j, t]) / max(abs(fd), abs(a.a[j, t]), 1e-6))
+                want = g[t, j] if t < t1 else 0.0
+                worst = max(worst, abs(fd - want) / max(abs(fd), abs(want), 1e-6))
         assert worst < 1e-4
 
     def test_unchanged_by_future_steps(self):
@@ -493,7 +488,7 @@ class TestGradWrtInputs:
         steps.x[t1:, : steps.d_features] += 3.0
         b = ds.grad_wrt_inputs(params, steps, t1)
         assert np.array_equal(a.a, b.a)
-        assert np.all(a.a[:, t1:] == 0.0)
+        assert np.all(a.a[t1:] == 0.0)
 
     def test_batched_core_matches_singles(self):
         # BLAS reduction order differs across batch shapes, so agreement is
@@ -517,8 +512,8 @@ class TestGradWrtInputs:
         full = ds.grad_wrt_inputs(params, steps, t1)
         a = ds.grad_wrt_inputs(params, steps, t1, t0)
         assert a.window == (t0, t1)
-        assert np.all(a.a[:, :t0] == 0.0) and np.all(a.a[:, t1:] == 0.0)
-        np.testing.assert_allclose(a.a[:, t0:t1], full.a[:, t0:t1], rtol=1e-12, atol=1e-18)
+        assert np.all(a.a[:t0] == 0.0) and np.all(a.a[t1:] == 0.0)
+        np.testing.assert_allclose(a.a[t0:t1], full.a[t0:t1], rtol=1e-12, atol=1e-18)
 
     @pytest.mark.parametrize("t0,t1", [(3, 3), (4, 3), (-1, 2), (0, 9)])
     def test_windowed_gradient_rejects_bad_window(self, t0, t1):
@@ -762,6 +757,25 @@ class TestCheckpoint:
         other = FeatureCatalog.from_ids(["sig", "other"])
         with pytest.raises(CatalogMismatchError):
             load_checkpoint(path, expected_catalog=other)
+
+    @given(path=st.lists(st.integers(0, 20), max_size=4), value=json_values,
+           delete=st.booleans())
+    @example(path=[4, 0, 0], value=10**400, delete=False)  # a stats mean too large for a float
+    @example(path=[6, 0, 0, 0], value=10**400, delete=False)  # such a weight
+    def test_mutated_payload_loads_or_raises_value_error(self, tmp_path_factory, path, value,
+                                                         delete):
+        cfg = tiny_config()
+        catalog = FeatureCatalog.from_ids(["sig", "noise"])
+        stats = ds.FeatureStats({"sig": FeatureStat(0.5, 2.0, -1.0, 3.0, degenerate=False)})
+        ckpt = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+        save_checkpoint(ckpt, ds.model_init(cfg, 5), cfg, catalog, stats)
+        payload = json.loads(ckpt.read_text())
+        assert list(payload)[4] == "stats" and list(payload)[6] == "params"
+        ckpt.write_text(json.dumps(mutate(payload, path, value, delete)))
+        try:
+            load_checkpoint(ckpt)
+        except ValueError:
+            pass
 
     def test_fingerprint_depends_on_catalog(self):
         a = catalog_fingerprint(FeatureCatalog.from_ids(["x", "y"]))

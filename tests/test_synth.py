@@ -76,6 +76,13 @@ class TestLabeler:
 
 
 class TestGenerator:
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["duration_hours", "onset_low_hours", "onset_high_hours"])
+    def test_non_finite_hours_rejected(self, field, value):
+        # An infinite duration would generate events without end.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ScenarioConfig(**{field: value})
+
     def test_deterministic(self):
         config = ScenarioConfig(seed=7, n_episodes=4)
         assert generate_patient(config, 2) == generate_patient(config, 2)
