@@ -8,6 +8,7 @@ a wall-clock time is the last prediction at or before it (step-and-hold).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -45,6 +46,9 @@ class AlertRule:
             raise ValueError("anchor_time must be before horizon")
         if self.check_interval <= 0:
             raise ValueError("check_interval must be positive")
+        if (self.horizon - self.anchor_time) / self.check_interval > 2.0 ** 53:
+            raise ValueError("check_interval is too small: more than 2**53 checks "
+                             "before the horizon")
         if self.min_new_events < 0:
             raise ValueError("min_new_events must be non-negative")
 
@@ -67,20 +71,22 @@ def _step_at_or_before(step_time: np.ndarray, when: float) -> int:
 
 
 def _iter_alerts(risk: RiskSeries, rule: AlertRule, episode_id: str):
+    """The alerts of the checks anchor + k * interval (k = 1, 2, ...) up to the
+    horizon, each at the first check that reaches its step. Checks that reach
+    no new step are skipped, not visited, so the loop runs at most once per
+    step however many checks the rule makes."""
     anchor_idx = _step_at_or_before(risk.step_time, rule.anchor_time)
     if anchor_idx < 0:
         raise NoAnchorError(f"no anchor: no prediction at or before {rule.anchor_time} s")
     p0 = float(risk.p[anchor_idx])
     threshold = max(rule.floor, rule.ratio_threshold * p0)
-    seen_steps: set[int] = set()
     k = 1
     while True:
         check = rule.anchor_time + k * rule.check_interval
         if check > rule.horizon + _TIME_EPS:  # checks up to and including the horizon
             break
         j = _step_at_or_before(risk.step_time, check)
-        if j > anchor_idx and j not in seen_steps and risk.p[j] >= threshold:
-            seen_steps.add(j)
+        if j > anchor_idx and risk.p[j] >= threshold:
             yield Alert(
                 episode_id=episode_id,
                 t0=anchor_idx + 1,
@@ -91,7 +97,29 @@ def _iter_alerts(risk: RiskSeries, rule: AlertRule, episode_id: str):
                 p1=float(risk.p[j]),
                 new_event_count=j - anchor_idx,
             )
-        k += 1
+        if j + 1 == risk.T:  # every later check reads this last step again
+            break
+        k = _next_check(rule, k, float(risk.step_time[j + 1]))
+
+
+def _next_check(rule: AlertRule, k: int, when: float) -> int:
+    """The first check after check k whose step-and-hold read reaches a step
+    at time ``when``, or that is past the horizon; check k does neither.
+
+    Check times never fall as k grows, so once a check meets either condition
+    every later one does: the first is bracketed by doubling steps, then
+    bisected, each probe computing the check time as the loop above does. An
+    estimate from (when - anchor) / interval could miss it by many checks when
+    the interval is below the float spacing of the check times.
+    """
+    def done(n: int) -> bool:
+        check = rule.anchor_time + n * rule.check_interval
+        return check + _TIME_EPS >= when or check > rule.horizon + _TIME_EPS
+
+    lo, hi = k, k + 1
+    while not done(hi):
+        lo, hi = hi, hi + 2 * (hi - lo)
+    return lo + 1 + bisect.bisect_left(range(lo + 1, hi + 1), True, key=done)
 
 
 def evaluate_alert_rule(risk: RiskSeries, rule: AlertRule, episode_id: str = "") -> Alert | None:

@@ -13,7 +13,14 @@ from typing import Callable
 import numpy as np
 
 from .events import StepSeries
-from .model import KeptStates, ModelParams, RiskSeries, _restart, _risk_gradient_batch
+from .model import (
+    KeptStates,
+    ModelParams,
+    RiskSeries,
+    _check_window,
+    _risk_gradient_batch,
+    _state_at,
+)
 
 # Methods whose weights are ratios; their neutral (no-evidence) weight is 1.
 RATIO_METHODS = frozenset({"odds_ratio", "rothman"})
@@ -151,13 +158,12 @@ def integrated_gradients(
     (t0, t1] only, from the state at t0, which is scanned from the latest of
     ``states`` at or before t0 (from step 0 without them).
     """
-    if not 0 <= t0 < t1 <= steps.T:
-        raise ValueError(f"need 0 <= t0 < t1 <= {steps.T}, got t0={t0}, t1={t1}")
+    _check_window(steps.T, t0, t1)
     baseline = build_carry_forward_baseline(steps, t0)
-    s, state = _restart(states, t0)
+    state = _state_at(params, steps, t0, states)
 
     def grad_fn(xs: np.ndarray) -> np.ndarray:  # (m, L, d) path points of the window
-        return _risk_gradient_batch(params, steps.x[s:t0], xs.transpose(1, 0, 2),
+        return _risk_gradient_batch(params, steps.x[:0], xs.transpose(1, 0, 2),
                                     state).transpose(1, 0, 2)
 
     g = averaged_gradient_attribution(grad_fn, steps.x[t0:t1], baseline.x[t0:t1], m)

@@ -303,7 +303,11 @@ def cmd_explain(args) -> int:
     episodes, params, catalog, stats, raw = _load_and_prepare(args)
 
     if args.bins:
-        bins = BinTable.from_json(json.loads(Path(args.bins).read_text(encoding="utf-8")))
+        try:
+            payload = json.loads(Path(args.bins).read_text(encoding="utf-8"))
+        except RecursionError:
+            raise ValueError(f"malformed bin table: JSON nested too deeply: {args.bins}") from None
+        bins = BinTable.from_json(payload)
     else:
         bins = fit_bins(raw)
     ctx = MethodContext(params=params, catalog=catalog, bins=bins, m=args.m, seed=args.seed)

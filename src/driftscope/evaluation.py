@@ -28,8 +28,22 @@ from .attribution import (
 )
 from .bin_stats import BinTable, stat_weights
 from .events import EventSequence, FeatureCatalog, FeatureStats, StepSeries, encode_steps
-from .model import KeptStates, ModelParams, RiskSeries, attention_forward, forward, grad_wrt_inputs
+from .model import (
+    KeptStates,
+    ModelParams,
+    RiskSeries,
+    StepBatch,
+    attention_forward,
+    forward,
+    grad_wrt_inputs,
+)
 from .synth import first_positive_checkpoint, ground_truth_set
+
+# Episodes per eval scan in prepare_episodes, and windows per gradient sweep in
+# explain_windows. A (B, H) recurrent product is one BLAS gemm; per step, B=8
+# costs far less than 8 scans of B=1, and wider batches gain little more while
+# each batch's padded cache grows with B.
+EVAL_BATCH = 8
 
 METHODS = (
     "random",
@@ -94,17 +108,30 @@ def prepare_episodes(
     catalog: FeatureCatalog,
     sequences: Sequence[EventSequence],
 ) -> list[PreparedEpisode]:
-    """Encode each episode and run its one eval scan. Only copies of the
-    scan's kept states and attention weights outlive it, so the scan's cache
-    is freed episode by episode."""
-    out = []
-    for seq in sequences:
-        steps = encode_steps(seq, catalog, stats)
-        risk, cache = forward(params, steps, mode="eval")
-        attention = None if params.w_att is None else attention_forward(params, cache.h)[1]
-        out.append(PreparedEpisode(seq.episode_id, seq, steps, risk,
-                                   KeptStates.of_scan(cache.h, cache.c), attention))
+    """Encode each episode and run its eval scan, in batches of ``EVAL_BATCH``
+    episodes of similar length. Only copies of each scan's kept states and
+    attention weights outlive it, so a batch's cache is freed before the next
+    batch runs. Episodes are returned in input order."""
+    encoded = [encode_steps(seq, catalog, stats) for seq in sequences]
+    out: list[PreparedEpisode | None] = [None] * len(sequences)
+    for chunk in _length_chunks([s.T for s in encoded]):
+        risks, cache = forward(params, StepBatch([encoded[i] for i in chunk]), mode="eval")
+        for b, (i, risk) in enumerate(zip(chunk, risks)):
+            h, c = cache.h[: risk.T, b], cache.c[: risk.T, b]
+            attention = None if params.w_att is None else attention_forward(params, h)[1]
+            out[i] = PreparedEpisode(sequences[i].episode_id, sequences[i], encoded[i], risk,
+                                     KeptStates.of_scan(h, c), attention)
+        del cache, h, c  # freed before the next batch's scan, which keeps peak memory down
     return out
+
+
+def _length_chunks(lengths: Sequence[int]) -> Iterator[list[int]]:
+    """Indices in stable order of length, in chunks of ``EVAL_BATCH``: each
+    chunk runs as one right-padded batch, which pads little when lengths are
+    close."""
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    for start in range(0, len(order), EVAL_BATCH):
+        yield order[start : start + EVAL_BATCH]
 
 
 def alert_windows(episodes: Sequence[PreparedEpisode], rule: AlertRule) -> list[Window]:
@@ -150,15 +177,37 @@ def explain_windows(
 ) -> Iterator[tuple[Window, str, list[Explanation]]]:
     """Explain each window with each method, in order, episode by episode:
     weights that are the same in every window of an episode are computed once
-    for its run of windows. ``random`` gives ``random_repeats`` draws, others one."""
+    for its run of windows, and the ``gradient`` weights of all windows first,
+    in batches (``window_gradients``). ``random`` gives ``random_repeats``
+    draws, others one."""
     by_id = {ep.episode_id: ep for ep in episodes}
+    gradients = iter(window_gradients(ctx.params, [(by_id[w.episode_id], w) for w in windows])
+                     if "gradient" in methods else [None] * len(windows))
     for episode_id, run in itertools.groupby(windows, key=lambda w: w.episode_id):
         ep, shared = by_id[episode_id], {}
-        for w in run:
+        for w, gradient in zip(run, gradients):
             for method in methods:
                 reps = random_repeats if method == "random" else 1
-                yield w, method, [explain_window(method, ctx, ep, w, k, rep, shared)
+                yield w, method, [explain_window(method, ctx, ep, w, k, rep, shared, gradient)
                                   for rep in range(reps)]
+
+
+def window_gradients(
+    params: ModelParams, windows: Sequence[tuple[PreparedEpisode, Window]]
+) -> list[AttributionMatrix]:
+    """The ``gradient`` weights of each (episode, window) pair, as
+    ``grad_wrt_inputs(params, ep.steps, w.t1, w.t0, states=ep.states)`` gives
+    them, up to rounding: windows of similar length run as one batch of
+    ``grad_wrt_inputs``, ``EVAL_BATCH`` windows at a time."""
+    out: list[AttributionMatrix | None] = [None] * len(windows)
+    for chunk in _length_chunks([w.t1 - w.t0 for _, w in windows]):
+        pairs = [windows[i] for i in chunk]
+        weights = grad_wrt_inputs(params, StepBatch([ep.steps for ep, _ in pairs]),
+                                  [w.t1 for _, w in pairs], [w.t0 for _, w in pairs],
+                                  [ep.states for ep, _ in pairs])
+        for i, a in zip(chunk, weights):
+            out[i] = a
+    return out
 
 
 def explain_window(
@@ -169,17 +218,20 @@ def explain_window(
     k: int,
     rep: int = 0,
     shared: dict[str, AttributionMatrix] | None = None,
+    gradient: AttributionMatrix | None = None,
 ) -> Explanation:
     """Run one attribution method on one window and select its top-k events.
-    ``shared`` keeps the episode's window-independent weights between calls."""
+    ``shared`` keeps the episode's window-independent weights between calls;
+    ``gradient`` is the window's ``gradient`` weights when already computed."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; available: {', '.join(METHODS)}")
     t0, t1 = window.t0, window.t1
     if method == "random":
         return random_guess(ep.steps, t0, t1, k, seed=[ctx.seed, _seed_tag(window), rep])
     if method == "gradient":
-        a = grad_wrt_inputs(ctx.params, ep.steps, t1, t0, states=ep.states)
-        return top_k_explanations(a, ep.steps, k)
+        if gradient is None:
+            gradient = grad_wrt_inputs(ctx.params, ep.steps, t1, t0, states=ep.states)
+        return top_k_explanations(gradient, ep.steps, k)
     if method == "integrated_gradients":
         a = integrated_gradients(ctx.params, ep.steps, t0, t1, m=ctx.m, states=ep.states)
         return top_k_explanations(a, ep.steps, k)

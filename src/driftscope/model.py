@@ -491,53 +491,92 @@ class KeptStates:
         return i * self.stride, (self.h[i - 1], self.c[i - 1])
 
 
-def _restart(states: KeptStates | None, t0: int):
-    """Where a scan that must reach step t0 starts: ``states.start(t0)``, or
-    (0, zero state) without kept states."""
-    return (0, (0.0, 0.0)) if states is None else states.start(t0)
+def _scan_state(params: ModelParams, x: np.ndarray, state=(0.0, 0.0)):
+    """The state (h, c) after scanning the steps ``x`` (n, d) as one row from
+    ``state``; ``state`` itself when n = 0."""
+    if len(x):
+        _, c, h = _scan(params, x[:, None], state=state)
+        state = (h[-1, 0], c[-1, 0])
+    return state
+
+
+def _state_at(params: ModelParams, steps: StepSeries, t0: int,
+              states: KeptStates | None = None):
+    """The state after step t0, scanned as one row from the latest of
+    ``states`` at or before t0 (from step 0 and the zero state without them)."""
+    s, state = (0, (0.0, 0.0)) if states is None else states.start(t0)
+    return _scan_state(params, steps.x[s:t0], state)
 
 
 def _risk_gradient_batch(params: ModelParams, prefix: np.ndarray, xs: np.ndarray,
-                         state=(0.0, 0.0)) -> np.ndarray:
-    """Eval-mode gradient of the risk at a window's last step with respect to
-    the window's inputs.
+                         state=(0.0, 0.0), lengths=None) -> np.ndarray:
+    """Eval-mode gradient of the risk at each row's last window step with
+    respect to the window's inputs.
 
     ``prefix`` holds the inputs between ``state`` (the zero state by default)
     and the window, shared by every row; ``xs`` (L, B, d) holds B rows of
     window inputs. The prefix is scanned once from ``state`` for the state
     before the window, and only the window is scanned and swept from it.
-    Returns d p_last / d xs, (L, B, d).
+    ``state`` is shared by the rows, or (B, H) arrays, one state per row.
+    With ``lengths`` (B,) the rows are right-padded: row b's window is its
+    first ``lengths[b]`` steps, and it is seeded at its own last step, so its
+    pad steps carry zero dZ and zero gradient. Returns d p_last / d xs, (L, B, d).
     """
     L, B, d = xs.shape
     H = params.hidden_size
-    if len(prefix):
-        _, c, h = _scan(params, prefix[:, None], state=state)
-        state = (h[-1, 0], c[-1, 0])
+    state = _scan_state(params, prefix, state)
     gates, c, h = _scan(params, xs, state=state)
-    p = _sigmoid(h[-1] @ params.w_out + params.b_out[0])
+    if lengths is None:
+        last, rows = L - 1, slice(None)
+    else:
+        last, rows = np.asarray(lengths) - 1, np.arange(B)
+    p = _sigmoid(h[last, rows] @ params.w_out + params.b_out[0])
     dlogit = np.zeros((L, B))
-    dlogit[-1] = p * (1.0 - p)
+    dlogit[last, rows] = p * (1.0 - p)
     dz = _sweep(params, gates, c, dlogit, c0=state[1])
     del c, h  # freed before the product below, which keeps peak memory down
     return (dz.reshape(L * B, 4 * H) @ params.w_gates).reshape(L, B, d)
 
 
-def grad_wrt_inputs(params: ModelParams, steps: StepSeries, t1: int, t0: int = 0,
-                    states: KeptStates | None = None):
+def grad_wrt_inputs(params: ModelParams, steps: StepSeries | StepBatch, t1, t0=0,
+                    states=None):
     """d(p_t1) / d(value of the step-t event) for the steps t of the window
     (t0, t1], eval mode, as attribution weights restricted to that window.
 
     Entries outside the window are zero, and no gradient is taken for them.
     The state before the window is scanned from the latest of ``states`` at
-    or before t0 (from step 0 without them).
+    or before t0 (from step 0 without them). For a StepBatch, ``t1``, ``t0``
+    and ``states`` give each row's window and kept states (or None), and one
+    AttributionMatrix per row is returned: the windows are scanned and swept
+    as one right-padded batch, each from its own state at its t0, which
+    changes only the rounding.
     """
     from .attribution import _window_weights
 
-    if not 0 <= t0 < t1 <= steps.T:
-        raise ValueError(f"need 0 <= t0 < t1 <= {steps.T}, got t0={t0}, t1={t1}")
-    s, state = _restart(states, t0)
-    g = _risk_gradient_batch(params, steps.x[s:t0], steps.x[t0:t1, None], state)[:, 0]
-    return _window_weights(g, steps, t0, t1, "gradient")
+    if not isinstance(steps, StepBatch):
+        _check_window(steps.T, t0, t1)
+        state = _state_at(params, steps, t0, states)
+        g = _risk_gradient_batch(params, steps.x[:0], steps.x[t0:t1, None], state)[:, 0]
+        return _window_weights(g, steps, t0, t1, "gradient")
+    B = len(steps.series)
+    rows = list(zip(steps.series, np.broadcast_to(t0, B).tolist(), t1,
+                    [None] * B if states is None else states))
+    for series, a, b, _ in rows:
+        _check_window(series.T, a, b)
+    lengths = [b - a for _, a, b, _ in rows]
+    xs = np.zeros((max(lengths), B, params.d))
+    h0, c0 = np.zeros((2, B, params.hidden_size))
+    for i, (series, a, b, kept) in enumerate(rows):
+        xs[: b - a, i] = series.x[a:b]
+        h0[i], c0[i] = _state_at(params, series, a, kept)
+    g = _risk_gradient_batch(params, xs[:0, 0], xs, (h0, c0), lengths)
+    return [_window_weights(g[: b - a, i], series, a, b, "gradient")
+            for i, (series, a, b, _) in enumerate(rows)]
+
+
+def _check_window(T: int, t0: int, t1: int) -> None:
+    if not 0 <= t0 < t1 <= T:
+        raise ValueError(f"need 0 <= t0 < t1 <= {T}, got t0={t0}, t1={t1}")
 
 
 def attention_forward(params: ModelParams, h: np.ndarray):
@@ -757,14 +796,18 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
 def load_checkpoint(path, expected_catalog: FeatureCatalog | None = None):
     """Load a checkpoint; refuses to load against a mismatched catalog.
 
-    A payload that is not an object, lacks a section, or has a section of the
+    A file that is not JSON (or nests past Python's recursion limit), a
+    payload that is not an object, lacks a section, or has a section of the
     wrong form (such as an unknown config key or invalid stats) raises ValueError. Every weight
     array must have the shape that ``config.hidden_size`` H and
     d = 2 * len(catalog) + 1 give it, and finite entries; otherwise ValueError.
     Returns (params, config, catalog, stats).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"malformed checkpoint: JSON nested too deeply: {path}") from None
     if not isinstance(payload, dict) or payload.get("format") != "driftscope-checkpoint-v1":
         raise ValueError(f"not a driftscope checkpoint: {path}")
     missing = [k for k in ("catalog", "config", "stats", "params") if k not in payload]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import os
 import tempfile
 from typing import Sequence
@@ -39,12 +40,21 @@ def format_cell(value) -> str:
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     """Write rows atomically (temp file + rename). Floats use %.10g so repeated
-    runs with identical inputs produce identical bytes. Cells holding a comma,
-    quote or line break are quoted; all others are written bare."""
+    runs with identical inputs produce identical bytes. The bytes are those of
+    ``csv.writer``'s minimal quoting: a cell holding a comma, quote or line
+    break is quoted, others are bare. A row is joined directly unless a cell
+    holds one of those characters or the row is one empty cell; then it goes
+    through ``csv.writer``."""
     with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([format_cell(c) for c in row] for row in rows)
+        for row in itertools.chain([header], rows):
+            cells = [f"{c:.10g}" if isinstance(c, float) else str(c) for c in row]  # format_cell
+            line = ",".join(cells)
+            if (line and line.count(",") == len(cells) - 1
+                    and '"' not in line and "\r" not in line and "\n" not in line):
+                fh.write(line + "\n")
+            else:
+                writer.writerow(cells)
 
 
 def read_csv(path, header: Sequence[str] | None = None) -> tuple[list[str], list[list[str]]]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ from driftscope.events import (
 from driftscope.evaluation import prepare_episodes
 from driftscope.model import EncodedEpisode
 
-settings.register_profile("suite", deadline=None, max_examples=50)
+# On CI (``CI`` set), examples are derived from each test rather than drawn
+# afresh, and a failure prints the blob that reproduces it.
+settings.register_profile("suite", deadline=None, max_examples=50,
+                          **(dict(derandomize=True, print_blob=True) if "CI" in os.environ else {}))
 settings.load_profile("suite")
 
 # Frozen benchmark configuration shared by the acceptance criteria.

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from driftscope.alerts import AlertRule, NoAnchorError, evaluate_alert_rule, select_alert_cohort
+from driftscope.alerts import (
+    Alert,
+    AlertRule,
+    NoAnchorError,
+    _iter_alerts,
+    _step_at_or_before,
+    evaluate_alert_rule,
+    select_alert_cohort,
+)
 from driftscope.model import RiskSeries
 
 H = 3600.0
@@ -168,3 +176,74 @@ class TestRuleValidation:
             AlertRule(anchor_time=10 * H, horizon=9 * H)
         with pytest.raises(ValueError):
             AlertRule(check_interval=0.0)
+
+    def test_more_than_2_pow_53_checks_rejected(self):
+        with pytest.raises(ValueError, match="too small"):
+            AlertRule(check_interval=12 * H / 2.0**54)
+        AlertRule(check_interval=12 * H / 2.0**52)
+
+
+def every_check_alerts(risk, rule):
+    """The alerts of visiting every check anchor + k * interval up to the
+    horizon in turn: the reference the step-skipping loop must match."""
+    eps = 1e-9
+    anchor_idx = _step_at_or_before(risk.step_time, rule.anchor_time)
+    p0 = float(risk.p[anchor_idx])
+    threshold = max(rule.floor, rule.ratio_threshold * p0)
+    seen, out, k = set(), [], 1
+    while rule.anchor_time + k * rule.check_interval <= rule.horizon + eps:
+        j = _step_at_or_before(risk.step_time, rule.anchor_time + k * rule.check_interval)
+        if j > anchor_idx and j not in seen and risk.p[j] >= threshold:
+            seen.add(j)
+            out.append(Alert("e", anchor_idx + 1, j + 1, float(risk.step_time[anchor_idx]),
+                             float(risk.step_time[j]), p0, float(risk.p[j]), j - anchor_idx))
+        k += 1
+    return out
+
+
+@st.composite
+def alert_cases(draw):
+    """A rule of at most 300 checks and a risk series with an anchor step.
+    Step times fall on or within a few ulps of check times, or anywhere; the
+    interval may be below the float spacing of the anchor time, where check
+    times repeat."""
+    anchor = draw(st.sampled_from([0.0, 1.0, 12 * H, 43199.99999999999]))
+    interval = draw(st.one_of(st.floats(1e-13, 1e-9), st.floats(1e-3, 3 * H),
+                              st.sampled_from([0.1, 1.0 / 3.0, 2 * H])))
+    n_checks = draw(st.integers(1, 300))
+    horizon = anchor + n_checks * interval + draw(st.sampled_from([0.0, 1e-9, -1e-9, 1e-10]))
+    horizon = max(horizon, float(np.nextafter(anchor, np.inf)))
+    grid = st.builds(lambda k, off: anchor + k * interval + off,
+                     st.integers(0, n_checks + 2),
+                     st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, 5e-12, -5e-12]))
+    anywhere = st.floats(anchor - 2 * H, horizon + 2 * interval)
+    times = sorted(draw(st.lists(st.one_of(grid, anywhere), min_size=1, max_size=40)))
+    times[0] = min(times[0], anchor)  # the series has an anchor step
+    p = draw(st.lists(st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.9]),
+                      min_size=len(times), max_size=len(times)))
+    rule = AlertRule(ratio_threshold=draw(st.sampled_from([1.5, 2.0, 3.0])), floor=0.2,
+                     anchor_time=anchor, horizon=horizon, check_interval=interval,
+                     min_new_events=0, first_alert_only=False)
+    series = RiskSeries(p=np.array(p), logits=np.zeros(len(p)), step_time=np.array(times),
+                        p_base=0.01)
+    return series, rule
+
+
+@given(alert_cases())
+@example((risk_series([0.1, 0.9, 0.5, 0.95], [12.0, 13.0, 14.0 + 1e-9 / H, 15.0]), AlertRule()))
+@example((RiskSeries(p=np.array([0.1, 0.5, 0.9]), logits=np.zeros(3),
+                     step_time=np.array([43200.0, 43200.0 + 2**-38, 43200.0 + 2**-36]),
+                     p_base=0.01),
+          AlertRule(anchor_time=43200.0, horizon=43200.0 + 300e-13, check_interval=1e-13,
+                    min_new_events=0, first_alert_only=False)))
+def test_skipping_checks_yields_the_alerts_of_every_check(case):
+    series, rule = case
+    assert list(_iter_alerts(series, rule, "e")) == every_check_alerts(series, rule)
+
+
+def test_interval_below_step_gaps_reaches_every_step():
+    # 1e-9 h: 1.2e10 checks over 12 h, but at most one loop turn per step.
+    times = np.array([11.0, 12.0, 12.5, 13.0, 20.0, 23.999, 24.0, 30.0]) * H
+    series = risk_series([0.1, 0.1, 0.9, 0.05, 0.3, 0.15, 0.25, 0.9], times / H)
+    rule = AlertRule(check_interval=1e-9 * H, min_new_events=0, first_alert_only=False)
+    assert [a.t1 for a in _iter_alerts(series, rule, "e")] == [3, 5, 7]

@@ -3,6 +3,7 @@ import os
 import stat
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from driftscope.bin_stats import BinTable
@@ -366,6 +367,51 @@ def test_non_finite_flag_is_usage_error(data_dir, trained_dir, tmp_path, capsys,
     assert run(command, *args, "--out-dir", out, flag, value) == 1
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+# 1e-9 h is about 1.2e10 checks from anchor to horizon, each step far apart.
+def test_tiny_check_interval_finishes(data_dir, trained_dir, tmp_path):
+    model = ["--events", data_dir / "events.jsonl", "--checkpoint", trained_dir / "checkpoint.json"]
+    rule = ["--interval-hours", "1e-9", "--all-alerts", "--min-new-events", "0",
+            "--ratio-threshold", "1.001"]
+    assert run("alerts", *model, "--out-dir", tmp_path / "a", *rule) == 0
+    _, alerts = read_csv(tmp_path / "a" / "alerts.csv")
+    # Every step from the anchor to the horizon is read by some check, except
+    # a step followed by another at the same time.
+    params, _, catalog, stats = load_checkpoint(trained_dir / "checkpoint.json")
+    with open(data_dir / "events.jsonl", encoding="utf-8") as fh:
+        raw = parse_event_log(fh, catalog=catalog)
+    want = []
+    for ep in prepare_episodes(params, stats, catalog, raw):
+        times, p = ep.risk.step_time, ep.risk.p
+        anchor = int(np.searchsorted(times, 12 * 3600.0 + 1e-9, side="right")) - 1
+        if anchor < 0:
+            continue
+        gaps = np.append(np.diff(times), np.inf)
+        assert np.all((gaps == 0.0) | (gaps > 1e-9 * 3600.0))
+        end = int(np.searchsorted(times, 24 * 3600.0 + 1e-9, side="right"))
+        threshold = max(0.2, 1.001 * p[anchor])
+        want += [(ep.episode_id, str(j + 1)) for j in range(anchor + 1, end)
+                 if gaps[j] > 0.0 and p[j] >= threshold]
+    assert want and [(r[0], r[2]) for r in alerts] == sorted(want, key=lambda a: (a[0], int(a[1])))
+    assert run("explain", *model, "--out-dir", tmp_path / "x", "--windows", "alerts",
+               "--methods", "random", *rule) == 0
+    _, windows = read_csv(tmp_path / "x" / "windows.csv")
+    assert [(w[0], w[1], w[2]) for w in windows] == [(a[0], a[1], a[2]) for a in alerts]
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--bins"])
+def test_deeply_nested_json_is_data_error(data_dir, trained_dir, tmp_path, capsys, flag):
+    inputs = {"--events": data_dir / "events.jsonl",
+              "--checkpoint": trained_dir / "checkpoint.json",
+              "--bins": trained_dir / "bins.json"}
+    inputs[flag] = tmp_path / "deep.json"
+    inputs[flag].write_text("[" * 100_000)
+    out = tmp_path / "out"
+    assert run("explain", *(a for pair in inputs.items() for a in pair), "--out-dir", out,
+               "--methods", "odds_ratio") == 2
+    assert "nested too deeply" in capsys.readouterr().err
+    assert not (out / "explanations.csv").exists()
 
 
 @pytest.mark.parametrize("command, flag", [

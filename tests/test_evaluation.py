@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import itertools
+import math
 import weakref
 
 import numpy as np
@@ -155,8 +157,8 @@ class TestWindows:
 
 
 class TestPrepare:
-    def _inputs(self, attention):
-        config = ds.ScenarioConfig(seed=61, n_episodes=6, deterioration_fraction=0.5)
+    def _inputs(self, attention, n_episodes=6):
+        config = ds.ScenarioConfig(seed=61, n_episodes=n_episodes, deterioration_fraction=0.5)
         corpus = ds.generate_corpus(config)
         catalog = config.catalog()
         stats = ds.fit_feature_stats(corpus)
@@ -167,9 +169,39 @@ class TestPrepare:
 
     def test_attention_weights_are_those_of_the_eval_scan(self):
         params, stats, catalog, corpus = self._inputs(attention=True)
-        for ep in prepare_episodes(params, stats, catalog, corpus):
-            h = ds.forward(params, ep.steps)[1].h
-            assert np.array_equal(ep.attention, ds.attention_forward(params, h)[1])
+        prepared = prepare_episodes(params, stats, catalog, corpus)
+        for chunk in evaluation._length_chunks([ep.steps.T for ep in prepared]):
+            eps = [prepared[i] for i in chunk]
+            h = ds.forward(params, ds.StepBatch([ep.steps for ep in eps]))[1].h
+            for b, ep in enumerate(eps):
+                want = ds.attention_forward(params, h[: ep.steps.T, b])[1]
+                assert np.array_equal(ep.attention, want)
+
+    def _mixed_corpus(self):
+        """11 episodes cut to lengths 1 to about 150 (two batches of scans),
+        a one-step episode among them, in an order that is not by length."""
+        params, stats, catalog, corpus = self._inputs(attention=True, n_episodes=11)
+        keep = [1, 150, 7, 2, 90, 33, 150, 5, 64, 3, 120]
+        return params, stats, catalog, [dataclasses.replace(seq, events=seq.events[:n])
+                                        for seq, n in zip(corpus, keep)]
+
+    def test_batched_scans_match_single_series_scans(self):
+        params, stats, catalog, corpus = self._mixed_corpus()
+        prepared = prepare_episodes(params, stats, catalog, corpus)
+        assert [ep.episode_id for ep in prepared] == [seq.episode_id for seq in corpus]
+        assert min(ep.steps.T for ep in prepared) == 1
+        assert len(prepared) > evaluation.EVAL_BATCH
+        for ep in prepared:
+            risk, one = ds.forward(params, ep.steps)
+            np.testing.assert_allclose(ep.risk.p, risk.p, rtol=1e-13)
+            np.testing.assert_allclose(ep.risk.logits, risk.logits, rtol=1e-13, atol=1e-16)
+            assert np.array_equal(ep.risk.step_time, ep.steps.step_time)
+            kept = ds.KeptStates.of_scan(one.h, one.c)
+            assert ep.states.stride == kept.stride
+            np.testing.assert_allclose(ep.states.h, kept.h, rtol=1e-13, atol=1e-16)
+            np.testing.assert_allclose(ep.states.c, kept.c, rtol=1e-13, atol=1e-16)
+            np.testing.assert_allclose(ep.attention, ds.attention_forward(params, one.h)[1],
+                                       rtol=1e-13)
 
     def test_model_without_attention_head(self):
         params, stats, catalog, corpus = self._inputs(attention=False)
@@ -188,16 +220,57 @@ class TestPrepare:
 
         def spy(*args, **kwargs):
             risk, cache = real(*args, **kwargs)
-            refs.extend(weakref.ref(o) for o in (cache, cache.h.base, cache.c.base))
+            refs.extend(weakref.ref(o) for o in (cache, cache.h, cache.c))
             return risk, cache
 
         monkeypatch.setattr(evaluation, "forward", spy)
         prepared = prepare_episodes(params, stats, catalog, corpus)
         gc.collect()
-        assert len(refs) == 3 * len(corpus) and all(r() is None for r in refs)
+        n_scans = math.ceil(len(corpus) / evaluation.EVAL_BATCH)
+        assert len(refs) == 3 * n_scans and all(r() is None for r in refs)
         for ep in prepared:
             for a in (ep.states.h, ep.states.c, ep.attention):
                 assert a.base is None and a.flags.owndata
+
+
+class TestWindowGradients:
+    def _episodes(self):
+        config = ds.ScenarioConfig(seed=62, n_episodes=3, deterioration_fraction=0.5)
+        corpus = ds.generate_corpus(config)
+        catalog = config.catalog()
+        stats = ds.fit_feature_stats(corpus)
+        params = ds.model_init(ds.ModelConfig(hidden_size=5, seed=4, max_epochs=0),
+                               2 * catalog.d_features + 1)
+        params.w_out[:] = 0.5  # the initial zero projection has zero input gradients
+        return params, prepare_episodes(params, stats, catalog, corpus)
+
+    def _windows(self, ep):
+        """Windows from t0 = 0, windows starting on a kept state and next to
+        one, one-step windows and windows of many lengths."""
+        T, stride = ep.steps.T, ep.states.stride
+        spans = [(0, 1), (0, 2), (0, T), (stride, stride + 1), (stride, stride + 9),
+                 (2 * stride, T), (stride - 1, 3 * stride), (stride + 1, stride + 2),
+                 (T - 1, T), (T // 2, T // 2 + 1), (T // 3, T // 2), (5, 40)]
+        return [evaluation.Window(ep.episode_id, t0, t1, 0.0, 0.0, "checkpoint")
+                for t0, t1 in spans]
+
+    def test_batched_gradients_match_per_window_gradients(self):
+        params, prepared = self._episodes()
+        pairs = [(ep, w) for ep in prepared for w in self._windows(ep)]
+        got = evaluation.window_gradients(params, pairs)
+        assert len(got) == len(pairs) > evaluation.EVAL_BATCH
+        for a, (ep, w) in zip(got, pairs):
+            want = ds.grad_wrt_inputs(params, ep.steps, w.t1, w.t0, states=ep.states)
+            assert a.method == "gradient" and a.window == (w.t0, w.t1)
+            assert np.all(a.a[: w.t0] == 0.0) and np.all(a.a[w.t1 :] == 0.0)
+            np.testing.assert_allclose(a.a, want.a, rtol=1e-12, atol=1e-18)
+
+    @pytest.mark.parametrize("t0,t1", [(3, 3), (4, 3), (-1, 2)])
+    def test_rejects_bad_window(self, t0, t1):
+        params, prepared = self._episodes()
+        w = evaluation.Window(prepared[0].episode_id, t0, t1, 0.0, 0.0, "checkpoint")
+        with pytest.raises(ValueError, match="t0 < t1"):
+            evaluation.window_gradients(params, [(prepared[0], w)])
 
 
 @pytest.fixture(scope="module")
@@ -257,3 +330,24 @@ class TestBenchmark:
         ep = next(e for e in prepared if e.episode_id == w.episode_id)
         with pytest.raises(ValueError, match="bin table"):
             explain_window("odds_ratio", bare, ep, w, 3)
+
+
+def test_explain_windows_keeps_window_then_method_order(small_run):
+    # Gradient weights are computed in batches sorted by window length; the
+    # rows still come window by window, methods in the order asked.
+    prepared, ctx = small_run
+    windows = evaluation.alert_windows(prepared, ds.AlertRule(min_new_events=0,
+                                                              first_alert_only=False))
+    windows += checkpoint_windows(prepared)
+    lengths = [w.t1 - w.t0 for w in windows]
+    assert len(windows) > evaluation.EVAL_BATCH and lengths != sorted(lengths)
+    methods = ["attention", "gradient", "random", "discrete_derivative"]
+    got = list(evaluation.explain_windows(ctx, prepared, windows, methods, k=3))
+    assert [(w, m) for w, m, _ in got] == [(w, m) for w in windows for m in methods]
+    by_id = {ep.episode_id: ep for ep in prepared}
+    for w, m, (e,) in got:
+        want = explain_window(m, ctx, by_id[w.episode_id], w, 3)
+        assert [(it.step, it.feature) for it in e.items] == [(it.step, it.feature)
+                                                             for it in want.items]
+        np.testing.assert_allclose([it.weight for it in e.items],
+                                   [it.weight for it in want.items], rtol=1e-12)

@@ -504,6 +504,46 @@ class TestGradWrtInputs:
             gi = _risk_gradient_batch(params, steps.x[:2], xs[:, i : i + 1])
             np.testing.assert_allclose(g[:, i], gi[:, 0], rtol=1e-12, atol=1e-15)
 
+    def test_padded_rows_from_own_states_match_singles(self):
+        # Rows of lengths 1 to 6, each from its own state (zero for one row);
+        # each is seeded at its own last step, and its pad steps get exactly 0.
+        rng = np.random.default_rng(13)
+        steps = random_step_series(rng, T=12, d_features=2)
+        params = nonzero_params(tiny_config(hidden_size=5), steps.d)
+        _, c, h = _scan(params, steps.x[:, None])
+        starts, lengths = [0, 3, 6, 2, 5], [6, 1, 4, 3, 2]
+        states = [(0.0, 0.0) if s == 0 else (h[s - 1, 0], c[s - 1, 0]) for s in starts]
+        xs = np.zeros((max(lengths), len(starts), steps.d))
+        for b, (s, n) in enumerate(zip(starts, lengths)):
+            xs[:n, b] = steps.x[s : s + n]
+        state = tuple(np.stack([np.broadcast_to(hc[i], 5) for hc in states]) for i in (0, 1))
+        g = _risk_gradient_batch(params, steps.x[:0], xs, state, lengths)
+        assert g.shape == (6, 5, steps.d)
+        for b, (s, n) in enumerate(zip(starts, lengths)):
+            one = _risk_gradient_batch(params, steps.x[:s], steps.x[s : s + n, None])[:, 0]
+            np.testing.assert_allclose(g[:n, b], one, rtol=1e-12, atol=1e-18)
+            assert np.all(g[n:, b] == 0.0)
+
+    def test_batch_of_windows_matches_one_window_each(self):
+        rng = np.random.default_rng(14)
+        series = [random_step_series(rng, T=T, d_features=2) for T in (9, 1, 17, 4)]
+        params = nonzero_params(tiny_config(hidden_size=5), series[0].d)
+        t1s = [9, 1, 12, 3]
+        got = ds.grad_wrt_inputs(params, StepBatch(series), t1s)  # from step 0
+        for a, steps, t1 in zip(got, series, t1s):
+            want = ds.grad_wrt_inputs(params, steps, t1)
+            np.testing.assert_allclose(a.a, want.a, rtol=1e-12, atol=1e-18)
+        kept = [ds.KeptStates.of_scan(cache.h, cache.c)
+                for cache in (ds.forward(params, steps)[1] for steps in series)]
+        t0s = [6, 0, 5, 1]  # 6 and 5 are kept steps (strides 3 and 5), 0 and 1 are not
+        got = ds.grad_wrt_inputs(params, StepBatch(series), t1s, t0s, kept)
+        for a, steps, t0, t1, states in zip(got, series, t0s, t1s, kept):
+            want = ds.grad_wrt_inputs(params, steps, t1, t0, states=states)
+            assert a.window == (t0, t1)
+            np.testing.assert_allclose(a.a, want.a, rtol=1e-12, atol=1e-18)
+        with pytest.raises(ValueError, match="t0 < t1"):
+            ds.grad_wrt_inputs(params, StepBatch(series), t1s, [6, 1, 4, 1])
+
     @pytest.mark.parametrize("t0,t1", [(0, 1), (0, 8), (1, 2), (3, 6), (5, 8), (7, 8)])
     def test_windowed_gradient_matches_full_columns(self, t0, t1):
         rng = np.random.default_rng(21)

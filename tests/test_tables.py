@@ -1,10 +1,50 @@
+import csv
+import io
 import os
 import stat
 
 import pytest
+from hypothesis import given, strategies as st
 
 from driftscope.events import EventFormatError
-from driftscope.tables import atomic_open, read_csv, write_csv
+from driftscope.tables import atomic_open, format_cell, read_csv, write_csv
+
+
+def csv_writer_bytes(header, rows):
+    """What csv.writer of the running interpreter writes for the same cells."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_cell(c) for c in row] for row in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+HOSTILE = ["a,b", 'say "hi"', '"', "cr\rx", "lf\nx", "\r\n", " lead", "trail ", " ",
+           "crème brûlée", "心拍", "", ",", "x\ty", "#"]
+
+
+@pytest.mark.parametrize("cell", HOSTILE)
+def test_bytes_are_those_of_csv_writer(tmp_path, cell):
+    path = tmp_path / "t.csv"
+    header = ["episode", "feature", "weight"]
+    rows = [[cell, "plain", 0.5], ["e2", cell, 1.5], [cell], ["e3", "f", 2]]
+    write_csv(path, header, rows)
+    assert path.read_bytes() == csv_writer_bytes(header, rows)
+
+
+def test_row_of_one_empty_cell_is_quoted(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a"], [[""], ["x"], ["", ""]])
+    assert path.read_bytes() == b'a\n""\nx\n,\n'
+    assert path.read_bytes() == csv_writer_bytes(["a"], [[""], ["x"], ["", ""]])
+
+
+@given(st.lists(st.lists(st.one_of(st.text(), st.floats(allow_nan=False), st.integers()),
+                         min_size=1, max_size=4), max_size=5))
+def test_any_cells_give_the_bytes_of_csv_writer(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, ["h"], rows)
+    assert path.read_bytes() == csv_writer_bytes(["h"], rows)
 
 
 def test_plain_cells_are_written_bare(tmp_path):
