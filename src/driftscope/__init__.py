@@ -21,7 +21,7 @@ from .attribution import (
 )
 from .bin_stats import BinTable, bin_statistic, fit_bins, stat_weights
 from .events import (
-    Event,
+    Events,
     EventSequence,
     FeatureCatalog,
     FeatureStats,
@@ -47,7 +47,6 @@ from .linear_system import (
     lds_input_gradient,
     lds_integrated_gradient,
     lds_run,
-    lds_time_derivative,
 )
 from .model import (
     EncodedEpisode,

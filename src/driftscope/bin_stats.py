@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .attribution import AttributionMatrix
-from .events import EventSequence, FeatureCatalog, StepSeries
+from .events import EventSequence, FeatureCatalog, StepSeries, train_values
 
 # Pseudo-count added to every cell of a bin's outcome table.
 LAPLACE_ALPHA = 0.5
@@ -104,19 +104,10 @@ def fit_bins(corpus: Sequence[EventSequence], bins_per_feature: int = 10) -> Bin
     """
     if bins_per_feature < 2:
         raise ValueError("bins_per_feature must be >= 2")
-    train = [seq for seq in corpus if seq.split == "train"]
-    if not train:
-        raise ValueError("corpus contains no train-split sequences")
-    values: dict[str, list[tuple[float, int]]] = {}
-    for seq in train:
-        for e in seq.events:
-            values.setdefault(e.feature, []).append((e.value, seq.outcome))
+    qs = np.linspace(0, 1, bins_per_feature + 1)[1:-1]
     by_feature = {}
-    for fid, pairs in values.items():
-        vals = np.asarray([v for v, _ in pairs], dtype=float)
-        outs = np.asarray([o for _, o in pairs], dtype=np.int64)
-        qs = np.linspace(0, 1, bins_per_feature + 1)[1:-1]
-        cuts = np.unique(np.quantile(vals, qs))
+    for fid, (vals, outs) in train_values(corpus).items():
+        cuts = _distinct(np.sort(_quantiles(np.sort(vals), qs))) + 0.0  # a zero cut is +0.0
         # Keep only cuts that actually separate data.
         cuts = cuts[(cuts > vals.min()) & (cuts <= vals.max())]
         bins = np.searchsorted(cuts, vals, side="right")
@@ -126,6 +117,27 @@ def fit_bins(corpus: Sequence[EventSequence], bins_per_feature: int = 10) -> Bin
         mean_bin = int(np.searchsorted(cuts, vals.mean(), side="right"))
         by_feature[fid] = FeatureBins(cuts=cuts, pos=pos, neg=neg, mean_bin=mean_bin)
     return BinTable(by_feature)
+
+
+# np.quantile and np.unique would import numpy.ma (1.7 MB); these two give
+# their results bit for bit, but for the sign of a zero, which np.quantile takes
+# from the order in which its partition leaves -0.0 and 0.0.
+def _quantiles(ordered: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``np.quantile(ordered, qs)`` (method "linear") of a sorted array."""
+    virtual = (len(ordered) - 1) * qs
+    below = np.floor(virtual)
+    last = virtual >= len(ordered) - 1  # both neighbours are the last value
+    below_i = np.where(last, -1, below).astype(np.intp)
+    above_i = np.where(last, -1, below + 1).astype(np.intp)
+    gamma = virtual - below_i
+    a, b = ordered[below_i], ordered[above_i]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a sorted array."""
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
 def bin_statistic(fb: FeatureBins, statistic: str, alpha: float = LAPLACE_ALPHA) -> np.ndarray:

@@ -8,10 +8,12 @@ throughout the public API; array index ``j`` holds step ``j + 1``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -30,17 +32,41 @@ class EventFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Event:
-    """One timestamped observation of a single feature, in native units."""
+class Events:
+    """One episode's events as three aligned arrays, in time order: ``time``
+    (seconds since episode start), ``feature`` (identifier strings, an object
+    array) and ``value`` (native units). Times must be finite and
+    non-negative, values finite. Two instances are equal when their arrays are."""
 
-    time: float
-    feature: str
-    value: float
+    def __init__(self, time, feature, value):
+        self.time = np.asarray(time, dtype=float)
+        self.feature = np.asarray(feature, dtype=object)
+        self.value = np.asarray(value, dtype=float)
+        if not (self.time.ndim == self.feature.ndim == self.value.ndim == 1
+                and len(self.time) == len(self.feature) == len(self.value)):
+            raise ValueError("time, feature and value must be 1-D arrays of one length")
+        if not (np.all(np.isfinite(self.time)) and np.all(np.isfinite(self.value))):
+            raise EventFormatError("event times and values must be finite")
+        if len(self.time) and self.time.min() < 0:
+            j = int(np.argmax(self.time < 0))
+            raise EventFormatError(f"negative time {self.time[j]} for feature {self.feature[j]!r}")
 
-    def __post_init__(self):
-        if self.time < 0:
-            raise EventFormatError(f"negative time {self.time} for feature {self.feature!r}")
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, index: slice) -> "Events":
+        return Events(self.time[index], self.feature[index], self.value[index])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Events):
+            return NotImplemented
+        return (np.array_equal(self.time, other.time) and np.array_equal(self.value, other.value)
+                and np.array_equal(self.feature, other.feature))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Events(time={self.time!r}, feature={self.feature!r}, value={self.value!r})"
 
 
 @dataclass(frozen=True)
@@ -48,19 +74,18 @@ class EventSequence:
     """Time-ordered events of one episode with its binary outcome label."""
 
     episode_id: str
-    events: tuple[Event, ...]
+    events: Events
     outcome: int
     split: str
 
     def __post_init__(self):
-        if not self.events:
+        if not len(self.events):
             raise EventFormatError(f"episode {self.episode_id!r} has no events")
         if self.split not in SPLITS:
             raise EventFormatError(f"unknown split {self.split!r}")
         if self.outcome not in (0, 1):
             raise EventFormatError(f"outcome must be 0 or 1, got {self.outcome!r}")
-        times = [e.time for e in self.events]
-        if any(b < a for a, b in zip(times, times[1:])):
+        if np.any(self.events.time[1:] < self.events.time[:-1]):
             raise EventFormatError(f"episode {self.episode_id!r} events not time-sorted")
 
     def __len__(self) -> int:
@@ -101,6 +126,13 @@ class FeatureCatalog:
         except KeyError:
             raise KeyError(f"unknown feature identifier {feature!r}") from None
 
+    def indices(self, features: Sequence[str]) -> np.ndarray:
+        """``index`` of each identifier, as an int64 array."""
+        try:
+            return np.fromiter(map(self._index.__getitem__, features), np.int64, len(features))
+        except KeyError as exc:
+            raise KeyError(f"unknown feature identifier {exc.args[0]!r}") from None
+
 
 @dataclass(frozen=True)
 class FeatureStat:
@@ -125,6 +157,18 @@ class FeatureStats:
             return 0.0
         clamped = min(max(value, st.lo), st.hi)
         return (clamped - st.mean) / st.std
+
+    def normalize_values(self, ids: Sequence[str], index: np.ndarray,
+                         value: np.ndarray) -> np.ndarray:
+        """``normalize_value(ids[index[j]], value[j])`` for every j, bit for bit."""
+        sts = [self.by_feature.get(fid) for fid in ids]
+        active = np.array([st is not None and not st.degenerate for st in sts], dtype=bool)
+        lo, hi, mean, std = np.array([(st.lo, st.hi, st.mean, st.std) if on
+                                      else (-math.inf, math.inf, 0.0, 1.0)
+                                      for st, on in zip(sts, active)], dtype=float)[index].T
+        clamped = np.where(lo > value, lo, value)  # max(value, lo), min(., hi): ties keep
+        clamped = np.where(hi < clamped, hi, clamped)  # the first argument, as they do
+        return np.where(active[index], (clamped - mean) / std, 0.0)
 
     def to_json(self) -> dict:
         return {
@@ -170,9 +214,9 @@ class StepSeries:
         if d != 2 * self.d_features + 1:
             raise ValueError(f"input dim {d} inconsistent with {self.d_features} features")
         ind = self.x[:, self.d_features : 2 * self.d_features]
-        if T and not np.allclose(ind.sum(axis=1), 1.0):
+        if not np.all(np.abs(ind.sum(axis=1) - 1.0) <= 1e-8 + 1e-5):  # np.allclose, faster
             raise ValueError("each step must have exactly one active indicator")
-        if np.any(np.diff(self.step_time) < 0):
+        if np.any(self.step_time[1:] < self.step_time[:-1]):
             raise ValueError("step_time must be non-decreasing")
 
     @property
@@ -184,13 +228,154 @@ class StepSeries:
         return self.x.shape[1]
 
 
-def _coerce_lines(stream: str | Iterable[str]) -> Iterator[str]:
-    if isinstance(stream, str):
-        return iter(stream.splitlines())
-    return iter(stream)
-
-
 _REQUIRED_KEYS = ("episode", "time_s", "feature", "value", "outcome", "split")
+
+# Lines decoded together; each block becomes arrays before the next is read.
+_BLOCK_LINES = 4096
+
+# A line exactly as write_event_log writes it, with no escape in either string
+# and both numbers written as floats (a fraction or an exponent), then the
+# block separator. Such a line decodes to what the regex captures: the string
+# contents as they stand, and float() of each number as json.loads gives it.
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+_SEPARATOR = "\x1e"  # a control character, so never inside a valid line
+_REGULAR_LINE = re.compile(
+    r'\{"episode": ' + _STRING + r', "time_s": ' + _FLOAT + r', "feature": ' + _STRING
+    + r', "value": ' + _FLOAT + r', "outcome": ([01]), "split": "(' + "|".join(SPLITS)
+    + r')"\}\n?' + _SEPARATOR)
+_GROUPS = 1 + _REGULAR_LINE.groups  # re.split's output per line: the gap before it, then its groups
+
+
+class _LogColumns:
+    """An event log read so far, as columns: per event the index of its
+    episode and of its feature (both in order of first appearance), its time
+    and its value, kept in input order, one array each per block."""
+
+    def __init__(self, catalog: FeatureCatalog | None):
+        self.catalog = catalog
+        self.episodes: dict[str, int] = {}
+        self.meta: list[int] = []  # per episode: 3 * outcome + index of its split
+        self.features: dict[str, int] = {}
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def add_regular(self, lines: list[str]) -> bool:
+        """Add a block of lines if every one is a regular line (see
+        ``_REGULAR_LINE``) that ``add_lines`` would accept; else add nothing
+        and return False."""
+        try:
+            text = _SEPARATOR.join(lines) + _SEPARATOR
+        except TypeError:  # bytes lines, which json.loads also reads
+            return False
+        if text.count(_SEPARATOR) != len(lines):
+            return False  # a line holds the separator
+        parts = _REGULAR_LINE.split(text)
+        if any(parts[::_GROUPS]):
+            return False  # some text was not a regular line
+        n = len(lines)
+        time = np.fromiter(map(float, parts[2::_GROUPS]), float, n)
+        value = np.fromiter(map(float, parts[4::_GROUPS]), float, n)
+        if not (np.all(np.isfinite(value)) and np.all((time >= 0) & (time < math.inf))):
+            return False
+        names = parts[3::_GROUPS]
+        new_features = [f for f in dict.fromkeys(names) if f not in self.features]
+        if self.catalog is not None and not all(f in self.catalog for f in new_features):
+            return False
+        episodes = parts[1::_GROUPS]
+        new_episodes = [e for e in dict.fromkeys(episodes) if e not in self.episodes]
+        first_code = len(self.episodes)
+        self.episodes.update((e, first_code + i) for i, e in enumerate(new_episodes))
+        episode = np.fromiter(map(self.episodes.__getitem__, episodes), np.intp, n)
+        meta = np.fromiter(map(_META_CODE.__getitem__, zip(parts[5::_GROUPS], parts[6::_GROUPS])),
+                           np.intp, n)
+        # New episodes take codes in order of first appearance, so an event
+        # opens its episode where its code exceeds every code before it.
+        opens = episode > np.maximum.accumulate(np.concatenate(([first_code - 1], episode[:-1])))
+        known = np.concatenate((np.asarray(self.meta, dtype=np.intp), meta[opens]))
+        if not np.array_equal(known[episode], meta):  # an outcome or split conflicts
+            for e in new_episodes:
+                del self.episodes[e]
+            return False
+        self.meta.extend(meta[opens].tolist())
+        self.features.update({f: len(self.features) + i for i, f in enumerate(new_features)})
+        feature = np.fromiter(map(self.features.__getitem__, names), np.intp, n)
+        self.blocks.append((episode, time, feature, value))
+        return True
+
+    def add_lines(self, lines: list[str], first_lineno: int) -> None:
+        """Check and add lines one at a time; the first bad line raises
+        EventFormatError with its number."""
+        rows = []
+        for lineno, line in enumerate(lines, start=first_lineno):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise EventFormatError(f"invalid JSON ({exc.msg})", line=lineno) from None
+            except (ValueError, RecursionError) as exc:  # an over-long integer; deep nesting
+                raise EventFormatError(f"invalid JSON ({exc})", line=lineno) from None
+            if not isinstance(rec, dict):
+                raise EventFormatError("record is not an object", line=lineno)
+            for key in _REQUIRED_KEYS:
+                if key not in rec:
+                    raise EventFormatError(f"missing key {key!r}", line=lineno)
+            episode, feature = rec["episode"], rec["feature"]
+            if not isinstance(episode, str) or not isinstance(feature, str):
+                raise EventFormatError("episode and feature must be strings", line=lineno)
+            try:
+                time_s = float(rec["time_s"])
+                value = float(rec["value"])
+            except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large
+                raise EventFormatError("time_s and value must be finite numbers",
+                                       line=lineno) from None
+            if not (math.isfinite(time_s) and math.isfinite(value)):
+                raise EventFormatError("time_s and value must be finite", line=lineno)
+            if time_s < 0:
+                raise EventFormatError(f"negative time {time_s}", line=lineno)
+            if rec["outcome"] not in (0, 1):
+                raise EventFormatError(f"outcome must be 0 or 1, got {rec['outcome']!r}",
+                                       line=lineno)
+            if rec["split"] not in SPLITS:
+                raise EventFormatError(f"unknown split {rec['split']!r}", line=lineno)
+            if self.catalog is not None and feature not in self.catalog:
+                raise EventFormatError(f"unknown feature identifier {feature!r}", line=lineno)
+            meta = 3 * int(rec["outcome"]) + SPLITS.index(rec["split"])
+            if episode in self.episodes:
+                if self.meta[self.episodes[episode]] != meta:
+                    raise EventFormatError(
+                        f"episode {episode!r} has conflicting outcome/split", line=lineno
+                    )
+            else:
+                self.episodes[episode] = len(self.episodes)
+                self.meta.append(meta)
+            rows.append((self.episodes[episode], time_s,
+                         self.features.setdefault(feature, len(self.features)), value))
+        if rows:
+            episodes, times, features, values = zip(*rows)
+            self.blocks.append((np.array(episodes, dtype=np.intp), np.array(times, dtype=float),
+                                np.array(features, dtype=np.intp), np.array(values, dtype=float)))
+
+    def sequences(self) -> list[EventSequence]:
+        """One sequence per episode in order of first appearance; events by
+        time, then catalog order, then input order."""
+        if not self.episodes:
+            return []
+        episode, time, feature, value = (np.concatenate(c) for c in zip(*self.blocks))
+        names = list(self.features)
+        catalog = self.catalog or FeatureCatalog.from_ids(sorted(names))
+        rank = catalog.indices(names)
+        order = np.lexsort((rank[feature], time, episode))  # stable: ties keep input order
+        time, value = time[order], value[order]
+        feature = np.array(names, dtype=object)[feature[order]]
+        ends = np.cumsum(np.bincount(episode, minlength=len(self.episodes))).tolist()
+        return [EventSequence(eid, Events(time[a:b], feature[a:b], value[a:b]),
+                              meta // 3, SPLITS[meta % 3])
+                for eid, meta, a, b in zip(self.episodes, self.meta, [0, *ends], ends)]
+
+
+_META_CODE = {(outcome, split): 3 * int(outcome) + i
+              for outcome in "01" for i, split in enumerate(SPLITS)}
 
 
 def parse_event_log(
@@ -202,90 +387,51 @@ def parse_event_log(
     ties broken by catalog order, then input order. When ``catalog`` is given,
     records naming features outside it are rejected; otherwise a catalog over
     the sorted set of observed identifiers is derived for tie-breaking.
+
+    Lines are read in blocks of ``_BLOCK_LINES``. A block of regular lines, as
+    ``write_event_log`` writes them, is decoded as a whole into arrays; any
+    other block is read line by line, and that is the only path that raises.
     """
-    raw: dict[str, list[tuple[float, str, float, int]]] = {}
-    meta: dict[str, tuple[int, str]] = {}
-    seen_features: set[str] = set()
-    for lineno, line in enumerate(_coerce_lines(stream), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EventFormatError(f"invalid JSON ({exc.msg})", line=lineno) from None
-        except (ValueError, RecursionError) as exc:  # an over-long integer; deep nesting
-            raise EventFormatError(f"invalid JSON ({exc})", line=lineno) from None
-        if not isinstance(rec, dict):
-            raise EventFormatError("record is not an object", line=lineno)
-        for key in _REQUIRED_KEYS:
-            if key not in rec:
-                raise EventFormatError(f"missing key {key!r}", line=lineno)
-        episode, feature = rec["episode"], rec["feature"]
-        if not isinstance(episode, str) or not isinstance(feature, str):
-            raise EventFormatError("episode and feature must be strings", line=lineno)
-        try:
-            time_s = float(rec["time_s"])
-            value = float(rec["value"])
-        except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large
-            raise EventFormatError("time_s and value must be finite numbers", line=lineno) from None
-        if not (math.isfinite(time_s) and math.isfinite(value)):
-            raise EventFormatError("time_s and value must be finite", line=lineno)
-        if time_s < 0:
-            raise EventFormatError(f"negative time {time_s}", line=lineno)
-        if rec["outcome"] not in (0, 1):
-            raise EventFormatError(f"outcome must be 0 or 1, got {rec['outcome']!r}", line=lineno)
-        if rec["split"] not in SPLITS:
-            raise EventFormatError(f"unknown split {rec['split']!r}", line=lineno)
-        if catalog is not None and feature not in catalog:
-            raise EventFormatError(f"unknown feature identifier {feature!r}", line=lineno)
-        outcome, split = int(rec["outcome"]), rec["split"]
-        if episode in meta:
-            if meta[episode] != (outcome, split):
-                raise EventFormatError(
-                    f"episode {episode!r} has conflicting outcome/split", line=lineno
-                )
-        else:
-            meta[episode] = (outcome, split)
-            raw[episode] = []
-        seen_features.add(feature)
-        raw[episode].append((time_s, feature, value, lineno))
-
-    if catalog is None:
-        catalog = FeatureCatalog.from_ids(sorted(seen_features))
-
-    sequences = []
-    for episode, recs in raw.items():
-        # Stable sort keeps input order for (time, feature) ties.
-        recs.sort(key=lambda r: (r[0], catalog.index(r[1])))
-        outcome, split = meta[episode]
-        events = tuple(Event(time=t, feature=f, value=v) for t, f, v, _ in recs)
-        sequences.append(EventSequence(episode, events, outcome, split))
-    return sequences
+    lines = iter(stream.splitlines() if isinstance(stream, str) else stream)
+    columns = _LogColumns(catalog)
+    lineno = 1
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        if not columns.add_regular(block):
+            columns.add_lines(block, lineno)
+        lineno += len(block)
+    return columns.sequences()
 
 
 def write_event_log(fh: TextIO, sequences: Sequence[EventSequence]) -> None:
-    """Write sequences to an open text file in the JSONL event format."""
+    """Write sequences to an open text file in the JSONL event format: one
+    line per event, as ``json.dumps`` writes the record."""
     for seq in sequences:
-        for e in seq.events:
-            fh.write(
-                json.dumps(
-                    {
-                        "episode": seq.episode_id,
-                        "time_s": e.time,
-                        "feature": e.feature,
-                        "value": e.value,
-                        "outcome": seq.outcome,
-                        "split": seq.split,
-                    }
-                )
-                + "\n"
-            )
+        ev = seq.events
+        head = f'{{"episode": {json.dumps(seq.episode_id)}, "time_s": '
+        tail = f', "outcome": {json.dumps(seq.outcome)}, "split": {json.dumps(seq.split)}}}\n'
+        names = {f: json.dumps(f) for f in dict.fromkeys(ev.feature)}
+        # repr(float) is how json.dumps writes a finite float
+        fh.write("".join([f'{head}{t!r}, "feature": {names[f]}, "value": {v!r}{tail}'
+                          for t, f, v in zip(ev.time.tolist(), ev.feature, ev.value.tolist())]))
 
 
 def catalog_from_sequences(sequences: Iterable[EventSequence]) -> FeatureCatalog:
     """Derive a deterministic catalog: sorted unique feature identifiers."""
-    ids = sorted({e.feature for seq in sequences for e in seq.events})
-    return FeatureCatalog.from_ids(ids)
+    return FeatureCatalog.from_ids(sorted(set().union(*(seq.events.feature for seq in sequences))))
+
+
+def train_values(corpus: Sequence[EventSequence]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per feature, in order of first appearance: the values of the train
+    split in corpus order, and the outcome of each value's episode."""
+    train = [seq for seq in corpus if seq.split == "train"]
+    if not train:
+        raise ValueError("corpus contains no train-split sequences")
+    feature = np.concatenate([seq.events.feature for seq in train])
+    value = np.concatenate([seq.events.value for seq in train])
+    outcome = np.repeat([seq.outcome for seq in train], [len(seq) for seq in train])
+    codes = {fid: i for i, fid in enumerate(dict.fromkeys(feature))}
+    code = np.fromiter(map(codes.__getitem__, feature), np.intp, len(feature))
+    return {fid: (value[code == i], outcome[code == i]) for fid, i in codes.items()}
 
 
 def fit_feature_stats(corpus: Sequence[EventSequence]) -> FeatureStats:
@@ -296,16 +442,8 @@ def fit_feature_stats(corpus: Sequence[EventSequence]) -> FeatureStats:
     unaffected by clamping. Features with fewer than two distinct clamped
     values are flagged degenerate and normalize to 0.
     """
-    train = [seq for seq in corpus if seq.split == "train"]
-    if not train:
-        raise ValueError("corpus contains no train-split sequences")
-    values: dict[str, list[float]] = {}
-    for seq in train:
-        for e in seq.events:
-            values.setdefault(e.feature, []).append(e.value)
     by_feature = {}
-    for fid, vals in values.items():
-        arr = np.asarray(vals, dtype=float)
+    for fid, (arr, _) in train_values(corpus).items():
         lo = float(np.percentile(arr, 1, method="lower"))
         hi = float(np.percentile(arr, 99, method="higher"))
         clamped = np.clip(arr, lo, hi)
@@ -323,22 +461,16 @@ def encode_steps(seq: EventSequence, catalog: FeatureCatalog, stats: FeatureStat
     log(1 + dt / 3600) with dt the seconds since the previous step (since
     episode start for step 1).
     """
-    T = len(seq.events)
-    d_f = catalog.d_features
+    ev = seq.events
+    T, d_f = len(ev), catalog.d_features
+    feature = catalog.indices(ev.feature)
+    steps = np.arange(T)
     x = np.zeros((T, 2 * d_f + 1), dtype=float)
-    step_feature = np.empty(T, dtype=np.int64)
-    step_time = np.empty(T, dtype=float)
-    step_raw = np.empty(T, dtype=float)
-    prev_time = 0.0
-    for j, e in enumerate(seq.events):
-        i = catalog.index(e.feature)
-        x[j, i] = stats.normalize_value(e.feature, e.value)
-        x[j, d_f + i] = 1.0
-        x[j, 2 * d_f] = math.log1p((e.time - prev_time) / SECONDS_PER_HOUR)
-        step_feature[j] = i
-        step_time[j] = e.time
-        step_raw[j] = e.value
-        prev_time = e.time
-    return StepSeries(x=x, step_feature=step_feature, step_time=step_time,
-                      step_raw=step_raw, d_features=d_f)
-
+    x[steps, feature] = stats.normalize_values(catalog.ids, feature, ev.value)
+    x[steps, d_f + feature] = 1.0
+    dt = ev.time.copy()
+    dt[1:] -= ev.time[:-1]
+    # math.log1p, not np.log1p: the two differ in the last bit for some inputs
+    x[:, 2 * d_f] = list(map(math.log1p, (dt / SECONDS_PER_HOUR).tolist()))
+    return StepSeries(x=x, step_feature=feature, step_time=ev.time.copy(),
+                      step_raw=ev.value.copy(), d_features=d_f)

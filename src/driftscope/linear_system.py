@@ -135,22 +135,3 @@ def lds_integrated_gradient(
         w = w @ sys.a
     return out
 
-
-def lds_time_derivative(sys: LDSystem, trace: LDSTrace, x: Sequence) -> np.ndarray:
-    """Per-step value of h_t' Q A h_{t-1} + h_t' Q B x_t.
-
-    The transition matrix is taken from ``sys`` verbatim, so the caller chooses
-    the interpretation; passing the generator of a continuous-time system along
-    with a trace of its Euler discretization approximates (p_t - p_{t-1}) / dt.
-    """
-    arr = _as_input_array(sys, x)
-    if arr.shape[0] != trace.T:
-        raise ValueError("trace and inputs disagree on T")
-    q = sys.q_eff
-    out = np.empty(trace.T)
-    h_prev = sys.h0
-    for t in range(trace.T):
-        h = trace.hidden[t]
-        out[t] = h @ q @ (sys.a @ h_prev) + h @ q @ (sys.b @ arr[t])
-        h_prev = h
-    return out

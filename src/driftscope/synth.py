@@ -10,12 +10,13 @@ scheduled through the deterioration so positive episodes always do.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import Event, EventSequence, FeatureCatalog
+from .events import Events, EventSequence, FeatureCatalog
 
 CREATININE = "creatinine"
 URINE_RATE = "urine_rate"
@@ -30,6 +31,7 @@ URINE_SUSTAIN_H = 6.0
 
 # Checkpoints fall at every multiple of this interval after episode start.
 CHECKPOINT_INTERVAL_H = 3.0
+_CHECKPOINT_CHUNK = 256  # checkpoints labelled at a time
 
 # Deterioration shape. The extra measurements at onset+1h and onset+7h make
 # the injury criterion provably reachable by onset+7h: the creatinine rise
@@ -132,41 +134,42 @@ def generate_patient(config: ScenarioConfig, index: int) -> EventSequence:
         cr_hit = mech in (0, 2)
         urine_hit = mech in (1, 2)
 
-    records: list[tuple[float, str, float]] = []
+    times, values = [], []
     for spec in config.features:
-        times = []
+        t_h = []
         t = float(rng.exponential(spec.mean_gap_hours))
         while t <= config.duration_hours:
-            times.append(t)
+            t_h.append(t)
             t += float(rng.exponential(spec.mean_gap_hours))
         if deteriorated:
             if spec.name == CREATININE and cr_hit:
-                times.extend(onset_h + o for o in _CR_EXTRA_OFFSETS_H
-                             if onset_h + o <= config.duration_hours)
+                t_h.extend(onset_h + o for o in _CR_EXTRA_OFFSETS_H
+                           if onset_h + o <= config.duration_hours)
             if spec.name == URINE_RATE and urine_hit:
-                times.extend(onset_h + o for o in _URINE_EXTRA_OFFSETS_H
-                             if onset_h + o <= config.duration_hours)
-        times.sort()
-        n = len(times)
-        noise = _clipped_noise(rng, spec.noise_sd, spec.noise_clip, n)
-        values = spec.baseline + noise
-        for j, th in enumerate(times):
-            v = float(values[j])
-            if deteriorated and th >= onset_h:
-                if spec.name == CREATININE and cr_hit:
-                    v += min(_CR_RAMP_PER_HOUR * (th - onset_h), _CR_RAMP_CAP)
-                elif spec.name == URINE_RATE and urine_hit:
-                    low_noise = float(np.clip(noise[j] * (_URINE_LOW_SD / spec.noise_sd),
-                                              -_URINE_LOW_CLIP, _URINE_LOW_CLIP))
-                    v = _URINE_LOW + low_noise
-            records.append((th * HOUR, spec.name, v))
+                t_h.extend(onset_h + o for o in _URINE_EXTRA_OFFSETS_H
+                           if onset_h + o <= config.duration_hours)
+        th = np.sort(np.array(t_h, dtype=float))
+        noise = _clipped_noise(rng, spec.noise_sd, spec.noise_clip, len(th))
+        v = spec.baseline + noise
+        if deteriorated:
+            after = th >= onset_h
+            if spec.name == CREATININE and cr_hit:
+                v = np.where(after, v + np.minimum(_CR_RAMP_PER_HOUR * (th - onset_h),
+                                                   _CR_RAMP_CAP), v)
+            elif spec.name == URINE_RATE and urine_hit:
+                low_noise = np.clip(noise * (_URINE_LOW_SD / spec.noise_sd),
+                                    -_URINE_LOW_CLIP, _URINE_LOW_CLIP)
+                v = np.where(after, _URINE_LOW + low_noise, v)
+        times.append(th * HOUR)
+        values.append(v)
 
-    order = {spec.name: i for i, spec in enumerate(config.features)}
-    records.sort(key=lambda r: (r[0], order[r[1]]))
-    events = tuple(Event(time=t, feature=f, value=v) for t, f, v in records)
+    spec_index = np.repeat(np.arange(len(config.features)), [len(t) for t in times])
+    time = np.concatenate(times)
+    order = np.lexsort((spec_index, time))  # stable: a feature's own times stay in order
+    names = np.array([spec.name for spec in config.features], dtype=object)
     return EventSequence(
         episode_id=f"ep{index:05d}",
-        events=events,
+        events=Events(time[order], names[spec_index[order]], np.concatenate(values)[order]),
         outcome=int(deteriorated),
         split=_split_for_index(index),
     )
@@ -192,6 +195,28 @@ def episode_metadata(config: ScenarioConfig, index: int) -> dict:
     return {"deteriorated": deteriorated, "onset_s": onset_s, "mechanism": mechanism}
 
 
+def _labels(events: Events, ts: np.ndarray) -> np.ndarray:
+    """``aki_label`` at each time in ``ts``, as a bool array."""
+    cr = events.feature == CREATININE
+    t_cr, v_cr = events.time[cr], events.value[cr]
+    # Events are time-sorted, so each lookback window (t - 48 h, t] is a slice.
+    starts = np.searchsorted(t_cr, ts - CREATININE_LOOKBACK_H * HOUR, side="right").tolist()
+    ends = np.searchsorted(t_cr, ts, side="right").tolist()
+    creatinine = [b - a > 1 and bool((v_cr[a + 1 : b] - np.minimum.accumulate(v_cr[a : b - 1])
+                                      >= CREATININE_RISE).any())
+                  for a, b in zip(starts, ends)]
+
+    ur = events.feature == URINE_RATE
+    t_ur, low = events.time[ur], events.value[ur] < URINE_THRESHOLD
+    # The run starts after the last at-threshold observation at or before t.
+    seen = np.searchsorted(t_ur, ts, side="right")
+    last_high = np.maximum.accumulate(np.where(low, -1, np.arange(len(low))))
+    run_start = np.concatenate(([-1], last_high))[seen] + 1
+    run_time = np.append(t_ur, 0.0)[np.minimum(run_start, len(t_ur))]
+    urine = (seen - run_start >= 2) & (ts - run_time >= URINE_SUSTAIN_H * HOUR - 1e-9)
+    return np.asarray(creatinine, dtype=bool) | urine
+
+
 def aki_label(seq: EventSequence, t: float) -> bool:
     """Injury state at time t (seconds), from raw values.
 
@@ -201,47 +226,25 @@ def aki_label(seq: EventSequence, t: float) -> bool:
     observation at or before t must have two or more members and start at least
     6 h before t, with no at-threshold observation inside it.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
-    lo = t - CREATININE_LOOKBACK_H * HOUR
-    running_min = math.inf
-    for e in seq.events:
-        if e.feature != CREATININE or e.time > t:
-            continue
-        if e.time <= lo:
-            continue
-        v = e.value
-        if v - running_min >= CREATININE_RISE:
-            return True
-        running_min = min(running_min, v)
-
-    run: list[float] = []  # times of the trailing sub-threshold run
-    for e in seq.events:
-        if e.feature != URINE_RATE or e.time > t:
-            continue
-        if e.value < URINE_THRESHOLD:
-            run.append(e.time)
-        else:
-            run = []
-    if len(run) >= 2 and t - run[0] >= URINE_SUSTAIN_H * HOUR - 1e-9:
-        return True
-    return False
+    return bool(_labels(seq.events, np.array([t], dtype=float))[0])
 
 
 def first_positive_checkpoint(seq: EventSequence) -> float | None:
     """Earliest checkpoint (multiple of CHECKPOINT_INTERVAL_H) at which the
-    label is positive, scanning to the last event; None when never positive."""
-    if not seq.events:
-        return None
-    t_last = seq.events[-1].time
-    k = 1
-    while True:
-        c = k * CHECKPOINT_INTERVAL_H * HOUR
-        if c > t_last + CHECKPOINT_INTERVAL_H * HOUR:
+    label is positive, scanning to the last event; None when never positive.
+    Checkpoints are labelled in chunks, so memory stays bounded however late
+    the last event."""
+    last = seq.events.time[-1] + CHECKPOINT_INTERVAL_H * HOUR
+    for k in itertools.count(1, _CHECKPOINT_CHUNK):
+        checkpoints = np.arange(k, k + _CHECKPOINT_CHUNK) * CHECKPOINT_INTERVAL_H * HOUR
+        checkpoints = checkpoints[checkpoints <= last]
+        if not len(checkpoints):
             return None
-        if aki_label(seq, c):
-            return c
-        k += 1
+        positive = np.flatnonzero(_labels(seq.events, checkpoints))
+        if len(positive):
+            return float(checkpoints[positive[0]])
 
 
 def ground_truth_set(seq: EventSequence, t0: int, t1: int) -> set[tuple[int, str]]:
@@ -253,8 +256,6 @@ def ground_truth_set(seq: EventSequence, t0: int, t1: int) -> set[tuple[int, str
     """
     if not 0 <= t0 <= t1 <= len(seq.events):
         raise ValueError(f"invalid window ({t0}, {t1}] for {len(seq.events)} events")
-    return {
-        (step, seq.events[step - 1].feature)
-        for step in range(t0 + 1, t1 + 1)
-        if seq.events[step - 1].feature in (CREATININE, URINE_RATE)
-    }
+    feature = seq.events.feature[t0:t1]
+    signal = np.flatnonzero((feature == CREATININE) | (feature == URINE_RATE))
+    return set(zip((signal + t0 + 1).tolist(), feature[signal]))

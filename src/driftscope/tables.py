@@ -38,15 +38,20 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def _quoted(cell: str) -> str:
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     """Write rows atomically (temp file + rename). Floats use %.10g so repeated
-    runs with identical inputs produce identical bytes. The bytes are those of
-    ``csv.writer``'s minimal quoting: a cell holding a comma, quote or line
-    break is quoted, others are bare. A row is joined directly unless a cell
-    holds one of those characters or the row is one empty cell; then it goes
-    through ``csv.writer``."""
+    runs with identical inputs produce identical bytes. Quoting is minimal: a
+    cell holding a comma, quote, CR or LF is quoted, with quotes doubled, and
+    so is the cell of a row of one empty cell; others are bare. These are the
+    bytes of ``csv.writer`` with that quoting rule (Python 3.11's writer leaves
+    a lone CR bare, and ``read_csv`` would then split the row)."""
     with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         for row in itertools.chain([header], rows):
             cells = [f"{c:.10g}" if isinstance(c, float) else str(c) for c in row]  # format_cell
             line = ",".join(cells)
@@ -54,7 +59,7 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
                     and '"' not in line and "\r" not in line and "\n" not in line):
                 fh.write(line + "\n")
             else:
-                writer.writerow(cells)
+                fh.write('""\n' if cells == [""] else ",".join(map(_quoted, cells)) + "\n")
 
 
 def read_csv(path, header: Sequence[str] | None = None) -> tuple[list[str], list[list[str]]]:

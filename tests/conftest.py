@@ -14,7 +14,7 @@ from hypothesis import settings, strategies as st
 import driftscope as ds
 from driftscope.bin_stats import fit_bins
 from driftscope.events import (
-    Event,
+    Events,
     EventSequence,
     FeatureCatalog,
     FeatureStat,
@@ -56,13 +56,17 @@ def identity_stats(features) -> FeatureStats:
                          for f in features})
 
 
+def events_of(triples) -> Events:
+    """The events of (time, feature, value) triples, in the given order."""
+    time, feature, value = zip(*triples)
+    return Events(time, feature, value)
+
+
 def single_feature_steps(values, times=None, feature="f") -> tuple[StepSeries, FeatureCatalog]:
     catalog = FeatureCatalog.from_ids([feature])
     if times is None:
         times = [3600.0 * i for i in range(len(values))]
-    seq = EventSequence(
-        "e", tuple(Event(t, feature, v) for t, v in zip(times, values)), 0, "train"
-    )
+    seq = EventSequence("e", events_of([(t, feature, v) for t, v in zip(times, values)]), 0, "train")
     return encode_steps(seq, catalog, identity_stats(catalog.ids)), catalog
 
 

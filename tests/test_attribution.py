@@ -17,10 +17,10 @@ from driftscope.attribution import (
     time_restrict,
     top_k_explanations,
 )
-from driftscope.events import Event, EventSequence, FeatureCatalog, encode_steps
+from driftscope.events import EventSequence, FeatureCatalog, encode_steps
 from driftscope.linear_system import LDSystem, lds_integrated_gradient, lds_run
 from driftscope.model import RiskSeries
-from conftest import identity_stats, random_step_series, single_feature_steps
+from conftest import events_of, identity_stats, random_step_series, single_feature_steps
 
 
 def steps_from_features(features, values=None, times=None, catalog=None):
@@ -29,7 +29,7 @@ def steps_from_features(features, values=None, times=None, catalog=None):
     values = values if values is not None else [0.0] * len(features)
     times = times if times is not None else [3600.0 * i for i in range(len(features))]
     seq = EventSequence(
-        "e", tuple(Event(t, f, v) for t, f, v in zip(times, features, values)), 0, "train"
+        "e", events_of(zip(times, features, values)), 0, "train"
     )
     return encode_steps(seq, catalog, identity_stats(catalog.ids)), catalog
 

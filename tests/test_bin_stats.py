@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import driftscope as ds
 from driftscope.bin_stats import (
     LAPLACE_ALPHA,
     BinTable,
@@ -12,14 +17,14 @@ from driftscope.bin_stats import (
     fit_bins,
     stat_weights,
 )
-from driftscope.events import Event, EventSequence, FeatureCatalog, encode_steps
-from conftest import identity_stats, json_values, mutate
+from driftscope.events import EventSequence, FeatureCatalog, encode_steps
+from conftest import events_of, identity_stats, json_values, mutate
 
 
 def corpus_from_values(values, outcomes, feature="f"):
     """One single-event episode per value, outcome per episode."""
     return [
-        EventSequence(f"e{i}", (Event(0.0, feature, float(v)),), int(o), "train")
+        EventSequence(f"e{i}", events_of([(0.0, feature, float(v))]), int(o), "train")
         for i, (v, o) in enumerate(zip(values, outcomes))
     ]
 
@@ -94,6 +99,34 @@ class TestFitBins:
         assert fb.bin_of(values.mean()) == fb.mean_bin
 
 
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=16)
+                    | st.sampled_from([0.0, 1.0, 1e300, -1e300]), min_size=1, max_size=40),
+           st.integers(min_value=2, max_value=12))
+    @example([1.0, 1.0, 2.0], 10)
+    @example([5.0], 4)
+    @example([1.0, 1.0, -0.0, 0.0, 0.0, -0.0, 0.0], 4)
+    @example([1.049001171530397, 6.40422650443282], 2)  # the two lerp forms differ at 0.5
+    def test_cuts_are_those_of_quantile_and_unique(self, values, bins_per_feature):
+        """fit_bins's cuts are np.unique(np.quantile(...)) bit for bit, but for the
+        sign of a zero cut: np.quantile's depends on its partition's order."""
+        vals = np.asarray(values, dtype=float)
+        qs = np.linspace(0, 1, bins_per_feature + 1)[1:-1]
+        want = np.unique(np.quantile(vals, qs))
+        want = want[(want > vals.min()) & (want <= vals.max())] + 0.0
+        got = fit_bins(corpus_from_values(vals, [0] * len(vals)), bins_per_feature)
+        assert got.by_feature["f"].cuts.tobytes() == want.tobytes()
+
+    def test_fit_bins_does_not_load_numpy_ma(self):
+        # np.quantile and np.unique import numpy.ma, which costs 1.7 MB per run.
+        code = ("import sys; import driftscope as ds; "
+                "ds.fit_bins(ds.generate_corpus(ds.ScenarioConfig(n_episodes=20))); "
+                "print('numpy.ma' in sys.modules)")
+        src = pathlib.Path(ds.__file__).resolve().parent.parent
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert out.stdout.strip() == "False"
+
+
 class TestOddsRatio:
     def test_count_arithmetic_oracle(self):
         t = table(pos=[30, 10], neg=[70, 90], cuts=[0.0])
@@ -150,10 +183,10 @@ class TestStatWeights:
             outcome = i % 2
             shift = 3.0 if outcome else 0.0
             events = (
-                Event(0.0, "f", float(rng.normal() + shift)),
-                Event(60.0, "g", float(rng.normal())),
+                (0.0, "f", float(rng.normal() + shift)),
+                (60.0, "g", float(rng.normal())),
             )
-            episodes.append(EventSequence(f"e{i}", events, outcome, "train"))
+            episodes.append(EventSequence(f"e{i}", events_of(events), outcome, "train"))
         bt = fit_bins(episodes, bins_per_feature=4)
         return catalog, episodes, bt
 
@@ -165,14 +198,14 @@ class TestStatWeights:
             a = stat_weights(steps, catalog, bt, statistic)
             assert a.method == statistic
             assert a.a.shape == (steps.T,)
-            for j, e in enumerate(seq.events):
-                fb = bt.by_feature[e.feature]
-                want = bin_statistic(fb, statistic)[fb.bin_of(e.value)]
+            for j, (f, v) in enumerate(zip(seq.events.feature, seq.events.value)):
+                fb = bt.by_feature[f]
+                want = bin_statistic(fb, statistic)[fb.bin_of(v)]
                 assert a.a[j] == pytest.approx(want)
 
     def test_same_bin_events_have_equal_weights(self):
         catalog, _, bt = self._fixture()
-        seq = EventSequence("e", (Event(0.0, "f", 0.2), Event(60.0, "f", 0.21)), 0, "train")
+        seq = EventSequence("e", events_of([(0.0, "f", 0.2), (60.0, "f", 0.21)]), 0, "train")
         fb = bt.by_feature["f"]
         assert fb.bin_of(0.2) == fb.bin_of(0.21)
         steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
@@ -183,7 +216,7 @@ class TestStatWeights:
     def test_feature_absent_from_table_gets_one(self, statistic):
         _, _, bt = self._fixture()
         catalog = FeatureCatalog.from_ids(["f", "g", "h"])  # "h" never seen in train
-        seq = EventSequence("e", (Event(0.0, "h", 5.0), Event(60.0, "f", 4.0)), 0, "train")
+        seq = EventSequence("e", events_of([(0.0, "h", 5.0), (60.0, "f", 4.0)]), 0, "train")
         steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
         a = stat_weights(steps, catalog, bt, statistic)
         assert a.a[0] == 1.0
@@ -197,7 +230,7 @@ class TestStatWeights:
         per_bin = bin_statistic(fb, "odds_ratio")
         assert per_bin[0] != per_bin[1]
         below = float(np.nextafter(cut, -np.inf))
-        seq = EventSequence("e", (Event(0.0, "f", cut), Event(60.0, "f", below)), 0, "train")
+        seq = EventSequence("e", events_of([(0.0, "f", cut), (60.0, "f", below)]), 0, "train")
         a = stat_weights(encode_steps(seq, catalog, identity_stats(catalog.ids)),
                          catalog, bt, "odds_ratio")
         assert a.a[0] == per_bin[1]
@@ -220,15 +253,15 @@ class TestStatWeights:
         seq = episodes[1]
         steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
         a = stat_weights(steps, catalog, bt, "odds_ratio")
-        value = seq.events[0].value
+        value = seq.events.value[0]
         in_pos = in_neg = out_pos = out_neg = 0
         fb = bt.by_feature["f"]
         target_bin = fb.bin_of(value)
         for ep in episodes:
-            for e in ep.events:
-                if e.feature != "f":
+            for f, v in zip(ep.events.feature, ep.events.value):
+                if f != "f":
                     continue
-                if fb.bin_of(e.value) == target_bin:
+                if fb.bin_of(v) == target_bin:
                     in_pos += ep.outcome
                     in_neg += 1 - ep.outcome
                 else:
@@ -242,7 +275,7 @@ class TestStatWeights:
         values = rng.normal(size=1200)
         outcomes = rng.integers(0, 2, size=1200)
         corpus = [
-            EventSequence(f"e{i}", (Event(0.0, "f", float(v)),), int(o), "train")
+            EventSequence(f"e{i}", events_of([(0.0, "f", float(v))]), int(o), "train")
             for i, (v, o) in enumerate(zip(values, outcomes))
         ]
         doubled = corpus + [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -65,6 +66,23 @@ class TestGenData:
     def test_bad_flag_value_is_usage_error(self, tmp_path):
         assert run("gen-data", "--out-dir", tmp_path, "--n-episodes", "10",
                    "--deterioration-fraction", "1.5") == 1
+
+    @pytest.mark.parametrize("flags, digests", [
+        (["--n-episodes", "12", "--deterioration-fraction", "0.5", "--duration-hours", "36",
+          "--seed", "5"],
+         {"events.jsonl": "3d4cec3b6bc3aa0421905e270cf221278851b8f3c0fc5f4f221a71bd200a5108",
+          "episodes.jsonl": "70144d6d4b6f1ca01a80e25829c1ea49c80791505ff59fd8641fa38aa693200d"}),
+        (["--n-episodes", "20", "--deterioration-fraction", "1.0", "--duration-hours", "72",
+          "--seed", "9"],
+         {"events.jsonl": "9c0860b0303365350bb1ea4d3a5e097ba09ba16890ca279bd542dfea13f2123a",
+          "episodes.jsonl": "f95a2158a1d32be724970cc1385302fade38da3a3b8a93fb98003bd03d3d4743"}),
+    ], ids=["36h-seed5", "72h-seed9"])
+    def test_generated_bytes_are_pinned(self, tmp_path, flags, digests):
+        # Digests of the per-event generator and json.dumps writer that came
+        # before the columnar ones; any change to the generated data shows here.
+        assert run("gen-data", "--out-dir", tmp_path, *flags) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_outputs_get_the_umask_mode(self, tmp_path):
         old = os.umask(0o022)

@@ -1,23 +1,31 @@
+import dataclasses
+import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import driftscope as ds
+from driftscope import events
 from driftscope.events import (
     SPLITS,
-    Event,
     EventFormatError,
+    Events,
     EventSequence,
     FeatureCatalog,
+    FeatureStat,
+    FeatureStats,
     catalog_from_sequences,
     encode_steps,
     fit_feature_stats,
     parse_event_log,
+    write_event_log,
 )
-from conftest import identity_stats, json_values
+from driftscope.synth import ScenarioConfig, generate_corpus
+from conftest import events_of, identity_stats, json_values
 
 
 def line(episode="e1", time_s=0.0, feature="f", value=1.0, outcome=0, split="train"):
@@ -30,7 +38,7 @@ class TestParse:
         text = "\n".join([line(time_s=7200.0), line(time_s=3600.0)])
         seqs = parse_event_log(text)
         assert len(seqs) == 1
-        assert [e.time for e in seqs[0].events] == [3600.0, 7200.0]
+        assert seqs[0].events.time.tolist() == [3600.0, 7200.0]
 
     def test_empty_stream(self):
         assert parse_event_log("") == []
@@ -96,7 +104,7 @@ class TestParse:
             line(feature="b", time_s=5.0, value=3.0),
         ])
         seqs = parse_event_log(text, catalog=catalog)
-        got = [(e.feature, e.value) for e in seqs[0].events]
+        got = list(zip(seqs[0].events.feature, seqs[0].events.value))
         assert got == [("a", 2.0), ("b", 1.0), ("b", 3.0)]
 
     def test_deterministic(self):
@@ -106,7 +114,7 @@ class TestParse:
 
 class TestFeatureStats:
     def test_degenerate_feature_normalizes_to_zero(self):
-        seq = EventSequence("e", tuple(Event(float(i), "f", 1.0) for i in range(3)), 0, "train")
+        seq = EventSequence("e", events_of([(float(i), "f", 1.0) for i in range(3)]), 0, "train")
         stats = fit_feature_stats([seq])
         st_ = stats.by_feature["f"]
         assert st_.mean == 1.0 and st_.degenerate
@@ -114,7 +122,7 @@ class TestFeatureStats:
         assert stats.normalize_value("f", 99.0) == 0.0
 
     def test_two_point_statistics_unclamped(self):
-        seq = EventSequence("e", (Event(0.0, "f", 0.0), Event(1.0, "f", 10.0)), 0, "train")
+        seq = EventSequence("e", events_of([(0.0, "f", 0.0), (1.0, "f", 10.0)]), 0, "train")
         stats = fit_feature_stats([seq])
         st_ = stats.by_feature["f"]
         assert st_.mean == 5.0 and st_.std == 5.0
@@ -123,23 +131,23 @@ class TestFeatureStats:
         # Oracle: direct sample statistics on 1000 draws from N(5, 2).
         rng = np.random.default_rng(42)
         vals = rng.normal(5.0, 2.0, size=1000)
-        events = tuple(Event(float(i), "f", float(v)) for i, v in enumerate(vals))
-        stats = fit_feature_stats([EventSequence("e", events, 0, "train")])
+        events = tuple((float(i), "f", float(v)) for i, v in enumerate(vals))
+        stats = fit_feature_stats([EventSequence("e", events_of(events), 0, "train")])
         assert abs(stats.by_feature["f"].mean - 5.0) < 3 * 2.0 / math.sqrt(1000)
 
     def test_only_train_split_used(self):
-        train = EventSequence("a", (Event(0.0, "f", 0.0), Event(1.0, "f", 2.0)), 0, "train")
-        test = EventSequence("b", (Event(0.0, "f", 100.0),), 0, "test")
+        train = EventSequence("a", events_of([(0.0, "f", 0.0), (1.0, "f", 2.0)]), 0, "train")
+        test = EventSequence("b", events_of([(0.0, "f", 100.0)]), 0, "test")
         stats = fit_feature_stats([train, test])
         assert stats.by_feature["f"].mean == 1.0
 
     def test_feature_absent_from_train_maps_to_zero(self):
-        train = EventSequence("a", (Event(0.0, "f", 0.0), Event(1.0, "f", 2.0)), 0, "train")
+        train = EventSequence("a", events_of([(0.0, "f", 0.0), (1.0, "f", 2.0)]), 0, "train")
         stats = fit_feature_stats([train])
         assert stats.normalize_value("ghost", 123.0) == 0.0
 
     def test_requires_train_split(self):
-        seq = EventSequence("a", (Event(0.0, "f", 1.0),), 0, "test")
+        seq = EventSequence("a", events_of([(0.0, "f", 1.0)]), 0, "test")
         with pytest.raises(ValueError, match="train"):
             fit_feature_stats([seq])
 
@@ -147,9 +155,9 @@ class TestFeatureStats:
 class TestNormalize:
     def _stats(self):
         rng = np.random.default_rng(0)
-        events = tuple(Event(float(i), "f", float(v))
+        events = tuple((float(i), "f", float(v))
                        for i, v in enumerate(rng.normal(10, 3, size=500)))
-        corpus = [EventSequence("e", events, 0, "train")]
+        corpus = [EventSequence("e", events_of(events), 0, "train")]
         return corpus, fit_feature_stats(corpus)
 
     def test_mean_maps_to_zero_and_unit_scaling(self):
@@ -167,7 +175,7 @@ class TestNormalize:
     def test_raw_value_retained(self):
         corpus, stats = self._stats()
         steps = encode_steps(corpus[0], FeatureCatalog.from_ids(["f"]), stats)
-        assert steps.step_raw.tolist() == [e.value for e in corpus[0].events]
+        assert steps.step_raw.tolist() == corpus[0].events.value.tolist()
 
     def test_double_normalize_centers_train_values(self):
         corpus, stats = self._stats()
@@ -180,7 +188,7 @@ class TestNormalize:
 class TestEncode:
     def test_single_event_vector(self):
         catalog = FeatureCatalog.from_ids(["temp", "hr"])
-        seq = EventSequence("e", (Event(3600.0, "temp", 0.5),), 0, "train")
+        seq = EventSequence("e", events_of([(3600.0, "temp", 0.5)]), 0, "train")
         steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
         assert steps.T == 1
         np.testing.assert_allclose(steps.x[0], [0.5, 0.0, 1.0, 0.0, math.log(2.0)])
@@ -189,7 +197,7 @@ class TestEncode:
     def test_simultaneous_events_zero_gap(self):
         catalog = FeatureCatalog.from_ids(["a", "b"])
         seq = EventSequence(
-            "e", (Event(100.0, "a", 1.0), Event(100.0, "b", 2.0)), 0, "train"
+            "e", events_of([(100.0, "a", 1.0), (100.0, "b", 2.0)]), 0, "train"
         )
         steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
         assert steps.T == 2
@@ -199,21 +207,21 @@ class TestEncode:
         rng = np.random.default_rng(3)
         catalog = FeatureCatalog.from_ids(["a", "b", "c"])
         events = tuple(
-            Event(float(i) * 60.0, catalog.ids[rng.integers(3)], float(rng.normal()))
+            (float(i) * 60.0, catalog.ids[rng.integers(3)], float(rng.normal()))
             for i in range(40)
         )
-        seq = EventSequence("e", events, 1, "train")
+        seq = EventSequence("e", events_of(events), 1, "train")
         steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
-        feats = [catalog.index(e.feature) for e in events]
+        feats = [catalog.index(f) for _, f, _ in events]
         values = np.zeros((40, 3))
-        values[np.arange(40), feats] = [e.value for e in events]
+        values[np.arange(40), feats] = [v for _, _, v in events]
         np.testing.assert_array_equal(steps.x[:, :3], values)
         np.testing.assert_array_equal(steps.x[:, 3:6], np.eye(3)[feats])
-        times = np.array([e.time for e in events])
+        times = np.array([t for t, _, _ in events])
         gaps = np.diff(times, prepend=0.0)
         np.testing.assert_array_equal(steps.x[:, 6], [math.log1p(g / 3600.0) for g in gaps])
         assert steps.step_feature.tolist() == feats
-        assert steps.step_raw.tolist() == [e.value for e in events]
+        assert steps.step_raw.tolist() == [v for _, _, v in events]
         assert steps.step_time.tolist() == times.tolist()
 
 
@@ -224,11 +232,11 @@ def small_sequences(draw):
     times = sorted(draw(st.lists(
         st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=n, max_size=n)))
     events = tuple(
-        Event(times[i], draw(st.sampled_from(features)),
+        (times[i], draw(st.sampled_from(features)),
               draw(st.floats(min_value=-50, max_value=50, allow_nan=False)))
         for i in range(n)
     )
-    return EventSequence("e", events, draw(st.sampled_from([0, 1])), "train")
+    return EventSequence("e", events_of(events), draw(st.sampled_from([0, 1])), "train")
 
 
 @given(small_sequences())
@@ -247,7 +255,7 @@ def test_encoding_invariants(seq):
 
 
 def test_catalog_from_sequences_sorted():
-    seqs = [EventSequence("e", (Event(0.0, "z", 1.0), Event(1.0, "a", 1.0)), 0, "train")]
+    seqs = [EventSequence("e", events_of([(0.0, "z", 1.0), (1.0, "a", 1.0)]), 0, "train")]
     assert catalog_from_sequences(seqs).ids == ("a", "z")
 
 
@@ -257,7 +265,267 @@ def test_catalog_rejects_duplicates():
 
 
 def test_stats_json_round_trip():
-    seq = EventSequence("e", (Event(0.0, "f", 0.0), Event(1.0, "f", 10.0)), 0, "train")
+    seq = EventSequence("e", events_of([(0.0, "f", 0.0), (1.0, "f", 10.0)]), 0, "train")
     stats = fit_feature_stats([seq])
     again = ds.FeatureStats.from_json(json.loads(json.dumps(stats.to_json())))
     assert again.by_feature == stats.by_feature
+
+
+def reference_parse(stream, catalog=None):
+    """The per-line parser that came before block decoding, kept as the
+    reference: (episode, [(time, feature, value), ...], outcome, split) per
+    episode, or the same EventFormatError."""
+    raw, meta, seen_features = {}, {}, set()
+    lines = iter(stream.splitlines()) if isinstance(stream, str) else iter(stream)
+    for lineno, ln in enumerate(lines, start=1):
+        if not ln.strip():
+            continue
+        try:
+            rec = json.loads(ln)
+        except json.JSONDecodeError as exc:
+            raise EventFormatError(f"invalid JSON ({exc.msg})", line=lineno) from None
+        except (ValueError, RecursionError) as exc:
+            raise EventFormatError(f"invalid JSON ({exc})", line=lineno) from None
+        if not isinstance(rec, dict):
+            raise EventFormatError("record is not an object", line=lineno)
+        for key in ("episode", "time_s", "feature", "value", "outcome", "split"):
+            if key not in rec:
+                raise EventFormatError(f"missing key {key!r}", line=lineno)
+        episode, feature = rec["episode"], rec["feature"]
+        if not isinstance(episode, str) or not isinstance(feature, str):
+            raise EventFormatError("episode and feature must be strings", line=lineno)
+        try:
+            time_s = float(rec["time_s"])
+            value = float(rec["value"])
+        except (TypeError, ValueError, OverflowError):
+            raise EventFormatError("time_s and value must be finite numbers", line=lineno) from None
+        if not (math.isfinite(time_s) and math.isfinite(value)):
+            raise EventFormatError("time_s and value must be finite", line=lineno)
+        if time_s < 0:
+            raise EventFormatError(f"negative time {time_s}", line=lineno)
+        if rec["outcome"] not in (0, 1):
+            raise EventFormatError(f"outcome must be 0 or 1, got {rec['outcome']!r}", line=lineno)
+        if rec["split"] not in SPLITS:
+            raise EventFormatError(f"unknown split {rec['split']!r}", line=lineno)
+        if catalog is not None and feature not in catalog:
+            raise EventFormatError(f"unknown feature identifier {feature!r}", line=lineno)
+        outcome, split = int(rec["outcome"]), rec["split"]
+        if episode in meta:
+            if meta[episode] != (outcome, split):
+                raise EventFormatError(f"episode {episode!r} has conflicting outcome/split",
+                                       line=lineno)
+        else:
+            meta[episode] = (outcome, split)
+            raw[episode] = []
+        seen_features.add(feature)
+        raw[episode].append((time_s, feature, value))
+    if catalog is None:
+        catalog = FeatureCatalog.from_ids(sorted(seen_features))
+    return [(episode, sorted(recs, key=lambda r: (r[0], catalog.index(r[1]))), *meta[episode])
+            for episode, recs in raw.items()]
+
+
+def parse_outcome(parse, stream, catalog):
+    """What a parser gives: its episodes, written with repr so that -0.0 and
+    0.0 differ, or the line and message of its EventFormatError."""
+    try:
+        out = parse(stream, catalog)
+    except EventFormatError as exc:
+        return ("error", exc.line, str(exc))
+    if parse is parse_event_log:
+        out = [(s.episode_id, list(zip(s.events.time.tolist(), s.events.feature.tolist(),
+                                      s.events.value.tolist())), s.outcome, s.split) for s in out]
+    return repr(out)
+
+
+def record(episode="a", time_s=0.0, feature="f", value=1.0, outcome=0, split="train"):
+    return {"episode": episode, "time_s": time_s, "feature": feature, "value": value,
+            "outcome": outcome, "split": split}
+
+
+# Regular records, as write_event_log writes them, and lines that are not:
+# records with a field of another type or value, and lines that are not
+# records at all.
+numbers = (st.floats(min_value=0, max_value=1e6) | st.sampled_from([0.0, -0.0, 1e300, 5e-324])
+           | st.floats())
+regular_lines = st.builds(
+    record, episode=st.sampled_from(["a", "b", "c,d", "é"]),
+    time_s=st.floats(min_value=0, max_value=1e6) | st.sampled_from([-0.0, 1e300, 5e-324]),
+    feature=st.sampled_from(["f", "g", "h", "\x7f", " "]),
+    value=st.floats(allow_nan=False, allow_infinity=False),
+    outcome=st.sampled_from([0, 1]), split=st.sampled_from(SPLITS)).map(json.dumps)
+other_lines = st.one_of(
+    st.builds(record, episode=st.sampled_from(["a", "b", 'q"', "a\\u"]),
+              time_s=numbers | st.integers(min_value=-1, max_value=10**400)
+              | st.sampled_from(["1.5", True, False, None, -0, 10**400]),
+              value=numbers | st.integers() | st.sampled_from(["2", True, -10**400]),
+              outcome=st.sampled_from([0, 1, True, False, 1.0, 2, "1"]),
+              split=st.sampled_from([*SPLITS, "dev", 0])).map(json.dumps),
+    st.sampled_from(["", "  ", "\t", '{"a": [1', '2]}, {"b": 3}', "[]", "{}", "null",
+                     json.dumps(record()) + " ", " " + json.dumps(record()),
+                     json.dumps(record()) + json.dumps(record()),
+                     json.dumps(record()).replace(" ", ""),
+                     json.dumps(record(), ensure_ascii=False).replace("0.0", "0"),
+                     json.dumps(record()).replace('"train"', '"train", "episode": "b"')]),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def log_lines(draw):
+    """Regular lines with a few others put in at random places."""
+    lines = draw(st.lists(regular_lines, max_size=12))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(other_lines))
+    return lines
+
+
+@given(lines=log_lines(),
+       form=st.sampled_from(["list", "text", "file", "crlf", "\x0b", "\x0c", "\u2028"]),
+       block=st.integers(min_value=1, max_value=5),
+       catalog=st.sampled_from([None, FeatureCatalog.from_ids(["g", "f", "h"])]))
+@example(lines=['{"a": [1', '2]}, {"b": 3}'], form="list", block=2, catalog=None)
+@example(lines=[json.dumps(record()) + "\x1e" + json.dumps(record(time_s=1.0))],
+         form="list", block=2, catalog=None)  # the block separator inside a line
+@example(lines=[json.dumps(record()) + "\n" + json.dumps(record(time_s=1.0)), ""],
+         form="list", block=2, catalog=None)  # a line holding two records
+@example(lines=[" " + json.dumps(record()), json.dumps(record()) + json.dumps(record())],
+         form="list", block=2, catalog=None)  # as many records as lines, but not one each
+@example(lines=[json.dumps(record(time_s=-1.5))], form="list", block=1, catalog=None)
+@example(lines=[json.dumps(record()).replace('"value": 1.0', '"value": -0')], form="list",
+         block=1, catalog=None)  # json.loads reads -0 as the int 0
+@example(lines=[json.dumps(record(time_s=3600.0)), "", json.dumps(record(time_s=0.0))],
+         form="text", block=1, catalog=None)
+@example(lines=[json.dumps(record()), json.dumps(record(outcome=1, time_s=2.0))],
+         form="file", block=1, catalog=None)
+@example(lines=[json.dumps(record(split="test")), json.dumps(record(time_s=2.0))],
+         form="list", block=4, catalog=None)
+@example(lines=[json.dumps(record(time_s=10**400))], form="list", block=4, catalog=None)
+@example(lines=[json.dumps(record(value="1.5")), json.dumps(record(time_s=True))],
+         form="list", block=4, catalog=None)
+@example(lines=[json.dumps(record(feature="f\x0bg")), json.dumps(record(feature="f\u2028"))],
+         form="\u2028", block=4, catalog=None)
+def test_parse_matches_the_per_line_reference(lines, form, block, catalog):
+    """Block decoding gives the reference's sequences, or its error with the
+    same line and message, for any log, block size and form of input."""
+    if form == "list":
+        stream = list(lines)
+    elif form in ("text", "file"):
+        stream = "\n".join(lines)
+    elif form == "crlf":
+        stream = io.StringIO("\r\n".join(lines), newline="")
+    else:
+        stream = form.join(lines)
+    with mock.patch.object(events, "_BLOCK_LINES", block):
+        if form == "file":
+            got = parse_outcome(parse_event_log, io.StringIO(stream), catalog)
+            want = parse_outcome(reference_parse, io.StringIO(stream), catalog)
+        elif form == "crlf":
+            got = parse_outcome(parse_event_log, stream, catalog)
+            stream.seek(0)
+            want = parse_outcome(reference_parse, stream, catalog)
+        else:
+            got = parse_outcome(parse_event_log, stream, catalog)
+            want = parse_outcome(reference_parse, stream, catalog)
+    assert got == want
+
+
+def test_regular_blocks_take_the_block_path(tmp_path):
+    """The generated log decodes without the per-line loop, and gives what
+    the reference gives."""
+    corpus = generate_corpus(ScenarioConfig(seed=4, n_episodes=12))
+    path = tmp_path / "events.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_event_log(fh, corpus)
+    with mock.patch.object(events._LogColumns, "add_lines", side_effect=AssertionError):
+        with open(path, encoding="utf-8") as fh:
+            parsed = parse_event_log(fh)
+    assert parsed == corpus
+    with open(path, encoding="utf-8") as fh:
+        assert parse_outcome(parse_event_log, path.read_text(), None) == \
+            parse_outcome(reference_parse, fh, None)
+
+
+def reference_encode(seq, catalog, stats):
+    """The per-event loop that came before encode_steps's array indexing."""
+    T, d_f = len(seq), catalog.d_features
+    x = np.zeros((T, 2 * d_f + 1))
+    prev = 0.0
+    for j, (t, f, v) in enumerate(zip(seq.events.time.tolist(), seq.events.feature,
+                                      seq.events.value.tolist())):
+        i = catalog.index(f)
+        x[j, i] = stats.normalize_value(f, v)
+        x[j, d_f + i] = 1.0
+        x[j, 2 * d_f] = math.log1p((t - prev) / 3600.0)
+        prev = t
+    return x
+
+
+@pytest.mark.parametrize("seed, hours", [(0, 36.0), (1, 72.0)])
+def test_encode_steps_matches_the_per_event_loop(seed, hours):
+    corpus = generate_corpus(ScenarioConfig(seed=seed, n_episodes=20, duration_hours=hours))
+    catalog = catalog_from_sequences(corpus)
+    stats = fit_feature_stats(corpus[:8])
+    # one feature degenerate and one never seen: both normalize to 0
+    stats.by_feature["sodium"] = dataclasses.replace(stats.by_feature["sodium"], degenerate=True)
+    del stats.by_feature["glucose"]
+    for seq in corpus:
+        steps = encode_steps(seq, catalog, stats)
+        assert steps.x.tobytes() == reference_encode(seq, catalog, stats).tobytes()
+        assert steps.step_feature.tolist() == [catalog.index(f) for f in seq.events.feature]
+        assert np.array_equal(steps.step_time, seq.events.time)
+        assert np.array_equal(steps.step_raw, seq.events.value)
+
+
+def test_encode_steps_keeps_the_sign_of_a_clamped_zero():
+    """min(max(v, lo), hi) keeps its first argument on ties, so -0.0 clamped at
+    a bound of 0.0 stays -0.0, as in normalize_value."""
+    catalog = FeatureCatalog.from_ids(["f", "g"])
+    stats = FeatureStats({"f": FeatureStat(0.0, 1.0, 0.0, 2.0, degenerate=False),
+                          "g": FeatureStat(0.0, 1.0, -2.0, -0.0, degenerate=False)})
+    seq = EventSequence("e", events_of([(0.0, "f", -0.0), (1.0, "g", 0.0), (2.0, "f", 0.0),
+                                        (3.0, "g", -0.0)]), 0, "train")
+    steps = encode_steps(seq, catalog, stats)
+    assert steps.x.tobytes() == reference_encode(seq, catalog, stats).tobytes()
+
+
+def test_encode_steps_names_an_unknown_feature():
+    seq = EventSequence("e", events_of([(0.0, "f", 1.0), (1.0, "ghost", 2.0)]), 0, "train")
+    with pytest.raises(KeyError, match="ghost"):
+        encode_steps(seq, FeatureCatalog.from_ids(["f"]), identity_stats(["f"]))
+
+
+class TestEvents:
+    def test_columns_must_align(self):
+        with pytest.raises(ValueError, match="one length"):
+            Events([0.0, 1.0], ["f"], [1.0, 2.0])
+
+    @pytest.mark.parametrize("time, value", [([float("nan")], [1.0]), ([0.0], [float("inf")])])
+    def test_non_finite_rejected(self, time, value):
+        with pytest.raises(EventFormatError, match="finite"):
+            Events(time, ["f"], value)
+
+    def test_negative_time_named(self):
+        with pytest.raises(EventFormatError, match="negative time -1.0 for feature 'g'"):
+            Events([0.0, -1.0], ["f", "g"], [1.0, 2.0])
+
+    def test_equality_and_slices(self):
+        ev = events_of([(0.0, "f", 1.0), (1.0, "g", 2.0), (1.0, "f", 3.0)])
+        assert ev == events_of([(0.0, "f", 1.0), (1.0, "g", 2.0), (1.0, "f", 3.0)])
+        assert ev != events_of([(0.0, "f", 1.0), (1.0, "f", 2.0), (1.0, "f", 3.0)])
+        assert ev[1:] == events_of([(1.0, "g", 2.0), (1.0, "f", 3.0)])
+        assert len(ev[:1]) == 1
+
+    def test_unsorted_sequence_rejected(self):
+        with pytest.raises(EventFormatError, match="not time-sorted"):
+            EventSequence("e", events_of([(1.0, "f", 1.0), (0.0, "f", 2.0)]), 0, "train")
+
+
+def test_written_log_is_json_dumps_of_each_record():
+    seq = EventSequence('e"1', events_of([(0.0, "f", -0.0), (1e-7, "é", 1e300)]), 1, "test")
+    buf = io.StringIO()
+    write_event_log(buf, [seq])
+    assert buf.getvalue() == "".join(
+        json.dumps({"episode": 'e"1', "time_s": t, "feature": f, "value": v, "outcome": 1,
+                    "split": "test"}) + "\n"
+        for t, f, v in [(0.0, "f", -0.0), (1e-7, "é", 1e300)])

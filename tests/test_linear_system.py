@@ -6,7 +6,6 @@ from driftscope.linear_system import (
     lds_input_gradient,
     lds_integrated_gradient,
     lds_run,
-    lds_time_derivative,
 )
 
 
@@ -179,47 +178,6 @@ class TestIntegratedGradient:
         sys = LDSystem(a=np.zeros((2, 2)), b=np.eye(2), h0=np.zeros(2))
         with pytest.raises(ValueError, match="shape"):
             lds_integrated_gradient(sys, np.zeros((3, 2)), np.zeros((4, 2)), 2)
-
-
-class TestTimeDerivative:
-    def test_reduces_when_a_zero(self):
-        rng = np.random.default_rng(4)
-        sys = LDSystem(a=np.zeros((3, 3)), b=rng.normal(size=(3, 2)), h0=rng.normal(size=3))
-        x = rng.normal(size=(5, 2))
-        trace = lds_run(sys, x)
-        got = lds_time_derivative(sys, trace, x)
-        want = [trace.hidden[t] @ (sys.b @ x[t]) for t in range(5)]
-        np.testing.assert_allclose(got, want)
-
-    def test_all_zero(self):
-        sys = LDSystem(a=np.eye(2), b=np.ones((2, 1)), h0=np.zeros(2))
-        x = np.zeros((4, 1))
-        trace = lds_run(sys, x)
-        np.testing.assert_array_equal(lds_time_derivative(sys, trace, x), np.zeros(4))
-
-    def test_near_continuous_limit(self):
-        # Generator M with Euler discretization A = I + eps*M, B_d = eps*B;
-        # the formula with the generator approximates (p_t - p_{t-1}) / eps.
-        rng = np.random.default_rng(3)
-        n, d = 3, 2
-        m = rng.normal(size=(n, n)) * 0.4
-        b = rng.normal(size=(n, d))
-        h0 = rng.normal(size=n)
-        generator = LDSystem(a=m, b=b, h0=h0)
-        errs = {}
-        for eps in (1e-2, 1e-3):
-            steps = int(2.0 / eps)
-            tgrid = np.arange(1, steps + 1) * eps
-            u = np.stack([np.sin(tgrid), np.cos(0.5 * tgrid)], axis=1)
-            disc = LDSystem(a=np.eye(n) + eps * m, b=eps * b, h0=h0)
-            trace = lds_run(disc, u)
-            formula = lds_time_derivative(generator, trace, u)
-            fd = np.empty(steps)
-            fd[0] = (trace.risk[0] - 0.5 * h0 @ h0) / eps
-            fd[1:] = np.diff(trace.risk) / eps
-            errs[eps] = (np.max(np.abs(formula - fd)), np.max(np.abs(fd)))
-        assert errs[1e-3][0] < 0.2 * errs[1e-2][0]
-        assert errs[1e-3][0] < 0.05 * errs[1e-3][1]
 
 
 class TestSystemValidation:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from driftscope.events import Event, EventSequence
+from driftscope.events import EventSequence
 from driftscope.synth import (
     CREATININE,
     HOUR,
@@ -14,64 +17,65 @@ from driftscope.synth import (
     generate_patient,
     ground_truth_set,
 )
+from conftest import events_of
 
 
 def seq_of(events):
-    return EventSequence("e", tuple(events), 0, "train")
+    return EventSequence("e", events_of(events), 0, "train")
 
 
 class TestLabeler:
     def test_creatinine_rise_at_threshold(self):
-        seq = seq_of([Event(8 * HOUR, CREATININE, 1.0), Event(47 * HOUR, CREATININE, 1.3)])
+        seq = seq_of([(8 * HOUR, CREATININE, 1.0), (47 * HOUR, CREATININE, 1.3)])
         assert aki_label(seq, 48 * HOUR)
 
     def test_decrease_not_labeled(self):
         seq = seq_of([
-            Event(8 * HOUR, CREATININE, 1.4),
-            Event(20 * HOUR, URINE_RATE, 80.0),
-            Event(47 * HOUR, CREATININE, 1.0),
+            (8 * HOUR, CREATININE, 1.4),
+            (20 * HOUR, URINE_RATE, 80.0),
+            (47 * HOUR, CREATININE, 1.0),
         ])
         assert not aki_label(seq, 48 * HOUR)
 
     def test_rise_must_be_time_ordered(self):
         # max - min is 0.4 but the high value comes first
-        seq = seq_of([Event(8 * HOUR, CREATININE, 1.4), Event(40 * HOUR, CREATININE, 1.0)])
+        seq = seq_of([(8 * HOUR, CREATININE, 1.4), (40 * HOUR, CREATININE, 1.0)])
         assert not aki_label(seq, 48 * HOUR)
 
     def test_rise_outside_lookback_ignored(self):
-        seq = seq_of([Event(1 * HOUR, CREATININE, 1.0), Event(60 * HOUR, CREATININE, 1.4)])
+        seq = seq_of([(1 * HOUR, CREATININE, 1.0), (60 * HOUR, CREATININE, 1.4)])
         assert not aki_label(seq, 60 * HOUR)  # first value is 59h back, outside 48h
 
     def test_sustained_low_urine(self):
         t = 20 * HOUR
         seq = seq_of([
-            Event(t - 6 * HOUR, URINE_RATE, 20.0),
-            Event(t - 3 * HOUR, URINE_RATE, 20.0),
-            Event(t - 0.5 * HOUR, URINE_RATE, 20.0),
+            (t - 6 * HOUR, URINE_RATE, 20.0),
+            (t - 3 * HOUR, URINE_RATE, 20.0),
+            (t - 0.5 * HOUR, URINE_RATE, 20.0),
         ])
         assert aki_label(seq, t)
 
     def test_normal_value_breaks_the_run(self):
         t = 20 * HOUR
         seq = seq_of([
-            Event(t - 8 * HOUR, URINE_RATE, 20.0),
-            Event(t - 5 * HOUR, URINE_RATE, 30.0),
-            Event(t - 4 * HOUR, URINE_RATE, 20.0),
-            Event(t - 1 * HOUR, URINE_RATE, 20.0),
+            (t - 8 * HOUR, URINE_RATE, 20.0),
+            (t - 5 * HOUR, URINE_RATE, 30.0),
+            (t - 4 * HOUR, URINE_RATE, 20.0),
+            (t - 1 * HOUR, URINE_RATE, 20.0),
         ])
         assert not aki_label(seq, t)  # run spans only 4h after the normal value
 
     def test_single_low_observation_insufficient(self):
         t = 20 * HOUR
-        seq = seq_of([Event(t - 7 * HOUR, URINE_RATE, 20.0)])
+        seq = seq_of([(t - 7 * HOUR, URINE_RATE, 20.0)])
         assert not aki_label(seq, t)
 
     def test_monotone_in_later_creatinine(self):
         t = 48 * HOUR
-        base = [Event(8 * HOUR, CREATININE, 1.0), Event(40 * HOUR, CREATININE, 1.35)]
+        base = [(8 * HOUR, CREATININE, 1.0), (40 * HOUR, CREATININE, 1.35)]
         assert aki_label(seq_of(base), t)
         for higher in (1.5, 2.0, 5.0):
-            seq = seq_of([base[0], Event(40 * HOUR, CREATININE, higher)])
+            seq = seq_of([base[0], (40 * HOUR, CREATININE, higher)])
             assert aki_label(seq, t)
 
 
@@ -139,11 +143,11 @@ class TestGenerator:
 class TestGroundTruth:
     def _seq(self):
         return seq_of([
-            Event(1 * HOUR, "heart_rate", 80.0),
-            Event(2 * HOUR, CREATININE, 1.0),
-            Event(3 * HOUR, "glucose", 100.0),
-            Event(4 * HOUR, URINE_RATE, 50.0),
-            Event(5 * HOUR, CREATININE, 1.2),
+            (1 * HOUR, "heart_rate", 80.0),
+            (2 * HOUR, CREATININE, 1.0),
+            (3 * HOUR, "glucose", 100.0),
+            (4 * HOUR, URINE_RATE, 50.0),
+            (5 * HOUR, CREATININE, 1.2),
         ])
 
     def test_collects_signal_steps(self):
@@ -161,12 +165,94 @@ class TestGroundTruth:
             for t0, t1 in ((0, T), (T // 3, 2 * T // 3), (T - 1, T)):
                 truth = ground_truth_set(seq, t0, t1)
                 scan = {
-                    (j + 1, e.feature)
-                    for j, e in enumerate(seq.events)
-                    if t0 < j + 1 <= t1 and e.feature in (CREATININE, URINE_RATE)
+                    (j + 1, f)
+                    for j, f in enumerate(seq.events.feature)
+                    if t0 < j + 1 <= t1 and f in (CREATININE, URINE_RATE)
                 }
                 assert truth == scan
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
             ground_truth_set(self._seq(), 3, 99)
+
+
+def reference_label(seq, t):
+    """The per-event loop that came before ``aki_label``'s array form."""
+    lo = t - 48.0 * HOUR
+    running_min = math.inf
+    triples = list(zip(seq.events.time.tolist(), seq.events.feature, seq.events.value.tolist()))
+    for time, feature, value in triples:
+        if feature != CREATININE or time > t or time <= lo:
+            continue
+        if value - running_min >= 0.3:
+            return True
+        running_min = min(running_min, value)
+    run = []
+    for time, feature, value in triples:
+        if feature != URINE_RATE or time > t:
+            continue
+        run = run + [time] if value < 25.0 else []
+    return len(run) >= 2 and t - run[0] >= 6.0 * HOUR - 1e-9
+
+
+def reference_first_positive(seq):
+    t_last = float(seq.events.time[-1])
+    k = 1
+    while True:
+        c = k * 3.0 * HOUR
+        if c > t_last + 3.0 * HOUR:
+            return None
+        if reference_label(seq, c):
+            return c
+        k += 1
+
+
+def probe_times(seq):
+    """Every half hour, and each event time with its neighbouring floats and
+    the edges of the lookback and sustain windows."""
+    t = seq.events.time
+    edges = np.concatenate([t, t + 48.0 * HOUR, t + 6.0 * HOUR - 1e-9, t + 6.0 * HOUR])
+    near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    grid = np.arange(0.0, t[-1] + 50 * HOUR, 0.5 * HOUR)
+    return np.concatenate([grid, near[near >= 0]]).tolist()
+
+
+@pytest.mark.parametrize("seed, hours, positive", [(0, 36.0, 0.5), (1, 72.0, 1.0), (2, 36.0, 0.0)])
+def test_labels_match_the_per_event_loops(seed, hours, positive):
+    corpus = generate_corpus(ScenarioConfig(seed=seed, n_episodes=16, duration_hours=hours,
+                                            deterioration_fraction=positive))
+    for seq in corpus:
+        assert first_positive_checkpoint(seq) == reference_first_positive(seq)
+        for t in probe_times(seq):
+            assert aki_label(seq, t) == reference_label(seq, t), (seq.episode_id, t)
+        T = len(seq)
+        for t0, t1 in [(0, T), (0, 0), (T, T), (T // 4, 3 * T // 4), (T - 2, T), (1, 2)]:
+            scan = {(j + 1, f) for j, f in enumerate(seq.events.feature)
+                    if t0 < j + 1 <= t1 and f in (CREATININE, URINE_RATE)}
+            assert ground_truth_set(seq, t0, t1) == scan
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=80), st.sampled_from([CREATININE, URINE_RATE]),
+                          st.sampled_from([0.9, 1.0, 1.2, 1.3, 1.31, 20.0, 24.99, 25.0, 30.0])),
+                min_size=1, max_size=14))
+def test_label_of_hand_made_episodes_matches_the_loops(triples):
+    triples = sorted((h * HOUR, f, v) for h, f, v in triples)
+    seq = seq_of(triples)
+    assert first_positive_checkpoint(seq) == reference_first_positive(seq)
+    for t in probe_times(seq):
+        assert aki_label(seq, t) == reference_label(seq, t)
+
+
+def test_checkpoint_three_hours_after_the_last_event_counts():
+    # The last event is at 6 h; the run turns positive at the 9 h checkpoint.
+    seq = seq_of([(1 * HOUR, URINE_RATE, 20.0), (6 * HOUR, URINE_RATE, 20.0)])
+    assert first_positive_checkpoint(seq) == 9 * HOUR == reference_first_positive(seq)
+
+
+def test_late_last_event_labels_in_bounded_chunks():
+    # 100,000 checkpoints before the last event; the labels run a chunk at a time.
+    seq = seq_of([(1 * HOUR, URINE_RATE, 80.0), (300_000 * HOUR, URINE_RATE, 80.0)])
+    assert first_positive_checkpoint(seq) is None
+    seq = seq_of([(1 * HOUR, URINE_RATE, 80.0), (200_000 * HOUR, URINE_RATE, 20.0),
+                  (200_004 * HOUR, URINE_RATE, 20.0), (300_000 * HOUR, URINE_RATE, 80.0)])
+    assert first_positive_checkpoint(seq) == 200_007 * HOUR

@@ -11,12 +11,16 @@ from driftscope.tables import atomic_open, format_cell, read_csv, write_csv
 
 
 def csv_writer_bytes(header, rows):
-    """What csv.writer of the running interpreter writes for the same cells."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([format_cell(c) for c in row] for row in rows)
-    return buf.getvalue().encode("utf-8")
+    """What csv.writer of the running interpreter writes for the same cells,
+    with a cell holding a CR quoted as well. The writer quotes a cell holding
+    any character of its line terminator, so each row is written with "\r\n"
+    and then ends in "\n"."""
+    lines = []
+    for row in [header, *rows]:
+        buf = io.StringIO(newline="")
+        csv.writer(buf, lineterminator="\r\n").writerow([format_cell(c) for c in row])
+        lines.append(buf.getvalue()[: -len("\r\n")] + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 HOSTILE = ["a,b", 'say "hi"', '"', "cr\rx", "lf\nx", "\r\n", " lead", "trail ", " ",
@@ -51,6 +55,12 @@ def test_plain_cells_are_written_bare(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b", "c"], [["x-1", 2, 0.1 + 0.2], ["y", -3, 1e-12]])
     assert path.read_bytes() == b"a,b,c\nx-1,2,0.3\ny,-3,1e-12\n"
+
+
+def test_lone_cr_cell_round_trips(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["episode", "feature", "weight"], [["a\rb", "f", 0.5]])
+    assert read_csv(path, ["episode", "feature", "weight"])[1] == [["a\rb", "f", "0.5"]]
 
 
 @pytest.mark.parametrize("fid", ['heart,rate', 'say "hi"', 'line\nbreak', 'crème, "brûlée"'])
