@@ -1,8 +1,9 @@
 """Attribution of risk increases to events in a window.
 
-Every method produces an AttributionMatrix holding one weight per step: the
-weight of the event at that step. Windows are half-open step intervals
-(t0, t1] with 1-based steps; t0 = 0 means episode start.
+Every method produces an AttributionMatrix holding the weights of one window
+(t0, t1]: one weight per step, the weight of the event at that step. Windows
+are half-open step intervals with 1-based steps; t0 = 0 means episode start.
+Weights that do not depend on the window cover the whole episode: (0, T].
 """
 
 from __future__ import annotations
@@ -28,29 +29,21 @@ RATIO_METHODS = frozenset({"odds_ratio", "rothman"})
 
 @dataclass(frozen=True)
 class AttributionMatrix:
-    """Weights ``a`` (T,): entry j weighs the event at step j + 1.
-    ``window`` = (t0, t1] when the weights have been time-restricted; entries
-    outside it are then zero."""
+    """Weights ``a`` (t1 - t0,) of the window ``window`` = (t0, t1]: entry i
+    weighs the event at step t0 + i + 1."""
 
     a: np.ndarray
     method: str
-    window: tuple[int, int] | None = None
+    window: tuple[int, int]
 
     def __post_init__(self):
         if self.a.ndim != 1:
             raise ValueError("attribution weights must be 1-D, one per step")
         if not np.all(np.isfinite(self.a)):
             raise ValueError("attribution weights must be finite")
-        if self.window is not None:
-            t0, t1 = self.window
-            if not 0 <= t0 <= t1 <= self.T:
-                raise ValueError(f"invalid window ({t0}, {t1}] for T={self.T}")
-            if np.any(self.a[:t0] != 0.0) or np.any(self.a[t1:] != 0.0):
-                raise ValueError("entries outside the window must be zero")
-
-    @property
-    def T(self) -> int:
-        return self.a.shape[0]
+        t0, t1 = self.window
+        if t0 < 0 or t1 - t0 != len(self.a):
+            raise ValueError(f"{len(self.a)} attribution weights for window ({t0}, {t1}]")
 
 
 @dataclass(frozen=True)
@@ -82,14 +75,12 @@ class Explanation:
 
 
 def time_restrict(a: AttributionMatrix, t0: int, t1: int) -> AttributionMatrix:
-    """Zero all weights outside the window (t0, t1] and record the window."""
-    if t0 > t1:
-        raise ValueError(f"t0={t0} > t1={t1}")
-    if t0 < 0 or t1 > a.T:
-        raise ValueError(f"window ({t0}, {t1}] out of range for T={a.T}")
-    out = np.zeros_like(a.a)
-    out[t0:t1] = a.a[t0:t1]
-    return AttributionMatrix(a=out, method=a.method, window=(t0, t1))
+    """The weights of the window (t0, t1], which must lie inside ``a.window``:
+    a view of ``a.a``."""
+    s0, s1 = a.window
+    if not s0 <= t0 <= t1 <= s1:
+        raise ValueError(f"window ({t0}, {t1}] is not inside ({s0}, {s1}]")
+    return AttributionMatrix(a=a.a[t0 - s0 : t1 - s0], method=a.method, window=(t0, t1))
 
 
 def _window_weights(g: np.ndarray, steps: StepSeries, t0: int, t1: int,
@@ -97,8 +88,7 @@ def _window_weights(g: np.ndarray, steps: StepSeries, t0: int, t1: int,
     """The weights of the window (t0, t1] from input gradients ``g``
     (t1 - t0, d), one row per window step: each step keeps the entry at its
     own feature's value channel, the channel that holds its event's value."""
-    a = np.zeros(steps.T)
-    a[t0:t1] = g[np.arange(t1 - t0), steps.step_feature[t0:t1]]
+    a = g[np.arange(t1 - t0), steps.step_feature[t0:t1]]
     return AttributionMatrix(a=a, method=method, window=(t0, t1))
 
 
@@ -114,13 +104,11 @@ def build_carry_forward_baseline(steps: StepSeries, t0: int) -> StepSeries:
     if not 0 <= t0 <= steps.T:
         raise ValueError(f"t0 must be in [0, {steps.T}], got {t0}")
     x = steps.x.copy()
-    last: dict[int, float] = {}
-    for j in range(t0):
-        f = int(steps.step_feature[j])
-        last[f] = x[j, f]
-    for j in range(t0, steps.T):
-        f = int(steps.step_feature[j])
-        x[j, f] = last.get(f, 0.0)
+    last = np.full(steps.d_features, -1)  # each feature's last index among steps 1..t0
+    np.maximum.at(last, steps.step_feature[:t0], np.arange(t0))
+    carried = np.where(last >= 0, x[last, np.arange(steps.d_features)], 0.0)
+    after = steps.step_feature[t0:]
+    x[np.arange(t0, steps.T), after] = carried[after]
     return replace(steps, x=x)
 
 
@@ -154,17 +142,17 @@ def integrated_gradients(
     Each step's weight is its entry at its own feature's value channel: the
     baseline shares the measurement pattern, so the (target - baseline)
     factor vanishes on every other channel. Every path point equals the input
-    up to step t0, so those steps get 0 and the m path points are scanned over
-    (t0, t1] only, from the state at t0, which is scanned from the latest of
-    ``states`` at or before t0 (from step 0 without them).
+    up to step t0, so the m path points are scanned over (t0, t1] only, from
+    the state at t0, which is scanned from the latest of ``states`` at or
+    before t0 (from step 0 without them).
     """
     _check_window(steps.T, t0, t1)
     baseline = build_carry_forward_baseline(steps, t0)
     state = _state_at(params, steps, t0, states)
 
     def grad_fn(xs: np.ndarray) -> np.ndarray:  # (m, L, d) path points of the window
-        return _risk_gradient_batch(params, steps.x[:0], xs.transpose(1, 0, 2),
-                                    state).transpose(1, 0, 2)
+        return _risk_gradient_batch(params, xs.transpose(1, 0, 2), state,
+                                    [t1 - t0] * m).transpose(1, 0, 2)
 
     g = averaged_gradient_attribution(grad_fn, steps.x[t0:t1], baseline.x[t0:t1], m)
     return _window_weights(g, steps, t0, t1, "integrated_gradients")
@@ -182,7 +170,7 @@ def discrete_time_derivatives(risk: RiskSeries, steps: StepSeries) -> Attributio
     if steps.T:
         deltas[0] = risk.p[0] - risk.p_base
         deltas[1:] = risk.p[1:] - risk.p[:-1]
-    return AttributionMatrix(deltas, method="discrete_derivative")
+    return AttributionMatrix(deltas, method="discrete_derivative", window=(0, steps.T))
 
 
 def time_diff(
@@ -192,25 +180,21 @@ def time_diff(
     t1: int,
 ) -> AttributionMatrix:
     """Subtract each feature's best weight at or before t0 from its in-window
-    weights, so unchanged abnormalities score zero.
+    weights, so unchanged abnormalities score zero. ``a`` holds weights from
+    episode start, window (0, s1] with t1 <= s1.
 
     A feature with no occurrence at or before t0 is differenced against the
     method's neutral weight: 1 for ratio statistics, 0 otherwise.
     """
-    if a.T != steps.T:
-        raise ValueError(f"{a.T} attribution weights for {steps.T} steps")
-    if t0 > t1:
-        raise ValueError(f"t0={t0} > t1={t1}")
-    if t0 < 0 or t1 > a.T:
-        raise ValueError(f"window ({t0}, {t1}] out of range for T={a.T}")
+    s0, s1 = a.window
+    if not s0 == 0 <= t0 <= t1 <= s1 <= steps.T:
+        raise ValueError(f"cannot difference window ({t0}, {t1}] from weights over "
+                         f"({s0}, {s1}] of {steps.T} steps")
     neutral = 1.0 if a.method in RATIO_METHODS else 0.0
-    baseline: dict[int, float] = {}
-    for j in range(t0):
-        f = int(steps.step_feature[j])
-        baseline[f] = max(baseline[f], a.a[j]) if f in baseline else a.a[j]
-    out = np.zeros_like(a.a)
-    for j in range(t0, t1):
-        out[j] = a.a[j] - baseline.get(int(steps.step_feature[j]), neutral)
+    best = np.full(steps.d_features, -np.inf)
+    np.maximum.at(best, steps.step_feature[:t0], a.a[:t0])
+    best[best == -np.inf] = neutral  # weights are finite: -inf marks an absent feature
+    out = a.a[t0:t1] - best[steps.step_feature[t0:t1]]
     return AttributionMatrix(a=out, method=f"{a.method}_diff", window=(t0, t1))
 
 
@@ -278,35 +262,28 @@ def _weighted_subset(weights, k: int, rng: np.random.Generator) -> list[int]:
 
 
 def top_k_explanations(a: AttributionMatrix, steps: StepSeries, k: int) -> Explanation:
-    """Greedy top-k events by weight, keeping the first event per feature.
+    """Greedy top-k events of the window by weight, keeping the first event
+    per feature.
 
-    Exact-zero weights never rank (outside-window entries are zero by
-    construction). Ties break toward the later step, then the lower feature
-    index. Fewer than k nonzero-weight features yields a short explanation.
+    Exact-zero weights never rank. Ties break toward the later step (each
+    step holds one event, so no tie reaches the feature index). Fewer than k
+    nonzero-weight features yields a short explanation.
     """
-    if a.window is None:
-        raise ValueError("attribution matrix must be time-restricted first")
-    if a.T != steps.T:
-        raise ValueError(f"{a.T} attribution weights for {steps.T} steps")
+    t0, t1 = a.window
+    if t1 > steps.T:
+        raise ValueError(f"window ({t0}, {t1}] out of range for T={steps.T}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    candidates = [
-        (float(a.a[j]), j + 1, int(steps.step_feature[j]))
-        for j in range(a.T)
-        if a.a[j] != 0.0
-    ]
-    candidates.sort(key=lambda c: (-c[0], -c[1], c[2]))
-    items = []
+    ranked = np.flatnonzero(a.a)
+    ranked = t0 + ranked[np.lexsort((-ranked, -a.a[ranked]))]  # weight, then step, descending
+    items: list[ExplanationItem] = []
     seen: set[int] = set()
-    for weight, step, feature in candidates:
+    for j, feature in zip(ranked.tolist(), steps.step_feature[ranked].tolist()):
         if feature in seen:
             continue
         seen.add(feature)
-        j = step - 1
-        items.append(ExplanationItem(
-            step=step, feature=feature, time=float(steps.step_time[j]),
-            raw=float(steps.step_raw[j]), weight=weight,
-        ))
+        items.append(ExplanationItem(step=j + 1, feature=feature, time=float(steps.step_time[j]),
+                                     raw=float(steps.step_raw[j]), weight=float(a.a[j - t0])))
         if len(items) == k:
             break
     return Explanation(items=tuple(items), k=k, short=len(items) < k)

@@ -174,4 +174,4 @@ def stat_weights(
             continue
         at = steps.step_feature == f
         weights[at] = bin_statistic(fb, statistic)[fb.bin_of(steps.step_raw[at])]
-    return AttributionMatrix(weights, method=statistic)
+    return AttributionMatrix(weights, method=statistic, window=(0, steps.T))

@@ -241,7 +241,7 @@ def explain_window(
         if key == "attention":
             if ep.attention is None:
                 raise ValueError("method 'attention' requires a model with an attention head")
-            shared[key] = AttributionMatrix(ep.attention, method="attention")
+            shared[key] = AttributionMatrix(ep.attention, "attention", (0, ep.steps.T))
         elif key == "discrete_derivative":
             shared[key] = discrete_time_derivatives(ep.risk, ep.steps)
         elif ctx.bins is None:

@@ -12,7 +12,6 @@ fitted after the recurrent trunk, with the trunk frozen.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -491,45 +490,31 @@ class KeptStates:
         return i * self.stride, (self.h[i - 1], self.c[i - 1])
 
 
-def _scan_state(params: ModelParams, x: np.ndarray, state=(0.0, 0.0)):
-    """The state (h, c) after scanning the steps ``x`` (n, d) as one row from
-    ``state``; ``state`` itself when n = 0."""
-    if len(x):
-        _, c, h = _scan(params, x[:, None], state=state)
+def _state_at(params: ModelParams, steps: StepSeries, t0: int,
+              states: KeptStates | None = None):
+    """The state (h, c) after step t0, scanned as one row from the latest of
+    ``states`` at or before t0 (from step 0 and the zero state without them)."""
+    s, state = (0, (0.0, 0.0)) if states is None else states.start(t0)
+    if s < t0:
+        _, c, h = _scan(params, steps.x[s:t0, None], state=state)
         state = (h[-1, 0], c[-1, 0])
     return state
 
 
-def _state_at(params: ModelParams, steps: StepSeries, t0: int,
-              states: KeptStates | None = None):
-    """The state after step t0, scanned as one row from the latest of
-    ``states`` at or before t0 (from step 0 and the zero state without them)."""
-    s, state = (0, (0.0, 0.0)) if states is None else states.start(t0)
-    return _scan_state(params, steps.x[s:t0], state)
-
-
-def _risk_gradient_batch(params: ModelParams, prefix: np.ndarray, xs: np.ndarray,
-                         state=(0.0, 0.0), lengths=None) -> np.ndarray:
+def _risk_gradient_batch(params: ModelParams, xs: np.ndarray, state, lengths) -> np.ndarray:
     """Eval-mode gradient of the risk at each row's last window step with
     respect to the window's inputs.
 
-    ``prefix`` holds the inputs between ``state`` (the zero state by default)
-    and the window, shared by every row; ``xs`` (L, B, d) holds B rows of
-    window inputs. The prefix is scanned once from ``state`` for the state
-    before the window, and only the window is scanned and swept from it.
-    ``state`` is shared by the rows, or (B, H) arrays, one state per row.
-    With ``lengths`` (B,) the rows are right-padded: row b's window is its
-    first ``lengths[b]`` steps, and it is seeded at its own last step, so its
-    pad steps carry zero dZ and zero gradient. Returns d p_last / d xs, (L, B, d).
+    ``xs`` (L, B, d) holds B rows of window inputs, right-padded: row b's
+    window is its first ``lengths[b]`` steps, scanned and swept from
+    ``state`` (h, c), which the rows share or which holds (B, H) arrays, one
+    state per row. Each row is seeded at its own last step, so its pad steps
+    carry zero dZ and zero gradient. Returns d p_last / d xs, (L, B, d).
     """
     L, B, d = xs.shape
     H = params.hidden_size
-    state = _scan_state(params, prefix, state)
     gates, c, h = _scan(params, xs, state=state)
-    if lengths is None:
-        last, rows = L - 1, slice(None)
-    else:
-        last, rows = np.asarray(lengths) - 1, np.arange(B)
+    last, rows = np.asarray(lengths) - 1, np.arange(B)
     p = _sigmoid(h[last, rows] @ params.w_out + params.b_out[0])
     dlogit = np.zeros((L, B))
     dlogit[last, rows] = p * (1.0 - p)
@@ -541,23 +526,19 @@ def _risk_gradient_batch(params: ModelParams, prefix: np.ndarray, xs: np.ndarray
 def grad_wrt_inputs(params: ModelParams, steps: StepSeries | StepBatch, t1, t0=0,
                     states=None):
     """d(p_t1) / d(value of the step-t event) for the steps t of the window
-    (t0, t1], eval mode, as attribution weights restricted to that window.
+    (t0, t1], eval mode, as the attribution weights of that window.
 
-    Entries outside the window are zero, and no gradient is taken for them.
     The state before the window is scanned from the latest of ``states`` at
     or before t0 (from step 0 without them). For a StepBatch, ``t1``, ``t0``
     and ``states`` give each row's window and kept states (or None), and one
     AttributionMatrix per row is returned: the windows are scanned and swept
     as one right-padded batch, each from its own state at its t0, which
-    changes only the rounding.
+    changes only the rounding. One series runs as a batch of one.
     """
     from .attribution import _window_weights
 
     if not isinstance(steps, StepBatch):
-        _check_window(steps.T, t0, t1)
-        state = _state_at(params, steps, t0, states)
-        g = _risk_gradient_batch(params, steps.x[:0], steps.x[t0:t1, None], state)[:, 0]
-        return _window_weights(g, steps, t0, t1, "gradient")
+        return grad_wrt_inputs(params, StepBatch([steps]), [t1], [t0], [states])[0]
     B = len(steps.series)
     rows = list(zip(steps.series, np.broadcast_to(t0, B).tolist(), t1,
                     [None] * B if states is None else states))
@@ -569,7 +550,7 @@ def grad_wrt_inputs(params: ModelParams, steps: StepSeries | StepBatch, t1, t0=0
     for i, (series, a, b, kept) in enumerate(rows):
         xs[: b - a, i] = series.x[a:b]
         h0[i], c0[i] = _state_at(params, series, a, kept)
-    g = _risk_gradient_batch(params, xs[:0, 0], xs, (h0, c0), lengths)
+    g = _risk_gradient_batch(params, xs, (h0, c0), lengths)
     return [_window_weights(g[: b - a, i], series, a, b, "gradient")
             for i, (series, a, b, _) in enumerate(rows)]
 
@@ -773,10 +754,6 @@ def _fit(phase, trainable, train_eps, val_eps, batch_grad, batch_val,
     return best_epoch
 
 
-def catalog_fingerprint(catalog: FeatureCatalog) -> str:
-    return hashlib.sha256(json.dumps(list(catalog.ids)).encode()).hexdigest()
-
-
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
                     catalog: FeatureCatalog, stats: FeatureStats) -> None:
     """Single-file JSON checkpoint: weights, config, catalog, and stats."""
@@ -784,7 +761,6 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
         "format": "driftscope-checkpoint-v1",
         "config": asdict(config),
         "catalog": [list(entry) for entry in catalog.entries],
-        "catalog_fingerprint": catalog_fingerprint(catalog),
         "stats": stats.to_json(),
         "d": params.d,
         "params": {k: v.tolist() for k, v in params.arrays().items()},

@@ -10,7 +10,6 @@ scheduled through the deterioration so positive episodes always do.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -234,17 +233,36 @@ def aki_label(seq: EventSequence, t: float) -> bool:
 def first_positive_checkpoint(seq: EventSequence) -> float | None:
     """Earliest checkpoint (multiple of CHECKPOINT_INTERVAL_H) at which the
     label is positive, scanning to the last event; None when never positive.
+
     Checkpoints are labelled in chunks, so memory stays bounded however late
-    the last event."""
-    last = seq.events.time[-1] + CHECKPOINT_INTERVAL_H * HOUR
-    for k in itertools.count(1, _CHECKPOINT_CHUNK):
-        checkpoints = np.arange(k, k + _CHECKPOINT_CHUNK) * CHECKPOINT_INTERVAL_H * HOUR
+    the last event. The label can change only at a creatinine or urine-rate
+    event, when a creatinine event leaves the lookback and when a urine run
+    reaches the sustain time. After a chunk with no positive, labelling
+    resumes a checkpoint before the next such change, so the time taken
+    follows the number of events, not the time of the last one; the one-step
+    margins absorb float rounding.
+    """
+    events = seq.events
+    step = CHECKPOINT_INTERVAL_H * HOUR
+    last = events.time[-1] + step
+    t_cr = events.time[events.feature == CREATININE]
+    t_ur = events.time[events.feature == URINE_RATE]
+    changes = np.sort(np.concatenate((t_cr, t_cr + CREATININE_LOOKBACK_H * HOUR,
+                                      t_ur, t_ur + (URINE_SUSTAIN_H * HOUR - 1e-9))))
+    k = 1
+    while True:
+        # float(k): for a late enough last event, k passes the int64 range
+        checkpoints = (float(k) + np.arange(_CHECKPOINT_CHUNK)) * step
         checkpoints = checkpoints[checkpoints <= last]
         if not len(checkpoints):
             return None
-        positive = np.flatnonzero(_labels(seq.events, checkpoints))
+        positive = np.flatnonzero(_labels(events, checkpoints))
         if len(positive):
             return float(checkpoints[positive[0]])
+        i = int(np.searchsorted(changes, checkpoints[-1] - step, side="right"))
+        if i == len(changes):
+            return None
+        k = max(k + _CHECKPOINT_CHUNK, int(changes[i] // step) - 1)
 
 
 def ground_truth_set(seq: EventSequence, t0: int, t1: int) -> set[tuple[int, str]]:

@@ -3,10 +3,11 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import driftscope as ds
 from driftscope.attribution import (
+    RATIO_METHODS,
     AttributionMatrix,
     averaged_gradient_attribution,
     build_carry_forward_baseline,
@@ -17,7 +18,7 @@ from driftscope.attribution import (
     time_restrict,
     top_k_explanations,
 )
-from driftscope.events import EventSequence, FeatureCatalog, encode_steps
+from driftscope.events import EventSequence, FeatureCatalog, StepSeries, encode_steps
 from driftscope.linear_system import LDSystem, lds_integrated_gradient, lds_run
 from driftscope.model import RiskSeries
 from conftest import events_of, identity_stats, random_step_series, single_feature_steps
@@ -34,26 +35,111 @@ def steps_from_features(features, values=None, times=None, catalog=None):
     return encode_steps(seq, catalog, identity_stats(catalog.ids)), catalog
 
 
+def episode_weights(w, method="gradient") -> AttributionMatrix:
+    """Weights over a whole episode of len(w) steps."""
+    w = np.asarray(w, dtype=float)
+    return AttributionMatrix(w, method, (0, len(w)))
+
+
+def steps_of(feats, d_features, values=None):
+    """A valid step series whose step j carries feature ``feats[j]``."""
+    T = len(feats)
+    feats = np.asarray(feats, dtype=np.int64).reshape(T)
+    values = np.arange(1.0, T + 1) if values is None else np.asarray(values, dtype=float)
+    x = np.zeros((T, 2 * d_features + 1))
+    x[np.arange(T), feats] = values
+    x[np.arange(T), d_features + feats] = 1.0
+    x[:, -1] = 0.5
+    return StepSeries(x=x, step_feature=feats, step_time=3600.0 * np.arange(T),
+                      step_raw=values.copy(), d_features=d_features)
+
+
+# The loops the window-local functions replaced, kept as references. Each
+# takes and returns weights over the whole episode, zero outside the window.
+
+def reference_top_k(w, steps, k):
+    candidates = [(float(w[j]), j + 1, int(steps.step_feature[j]))
+                  for j in range(len(w)) if w[j] != 0.0]
+    candidates.sort(key=lambda c: (-c[0], -c[1], c[2]))
+    items, seen = [], set()
+    for weight, step, feature in candidates:
+        if feature in seen:
+            continue
+        seen.add(feature)
+        items.append((step, feature, weight))
+        if len(items) == k:
+            break
+    return items
+
+
+def reference_time_diff(w, method, steps, t0, t1):
+    neutral = 1.0 if method in RATIO_METHODS else 0.0
+    baseline = {}
+    for j in range(t0):
+        f = int(steps.step_feature[j])
+        baseline[f] = max(baseline[f], w[j]) if f in baseline else w[j]
+    out = np.zeros_like(w)
+    for j in range(t0, t1):
+        out[j] = w[j] - baseline.get(int(steps.step_feature[j]), neutral)
+    return out
+
+
+def reference_carry_forward_x(steps, t0):
+    x = steps.x.copy()
+    last = {}
+    for j in range(t0):
+        f = int(steps.step_feature[j])
+        last[f] = x[j, f]
+    for j in range(t0, steps.T):
+        f = int(steps.step_feature[j])
+        x[j, f] = last.get(f, 0.0)
+    return x
+
+
+# Weights with ties, both signed zeros and a few arbitrary values.
+tie_weights = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 2.0]) | st.floats(-5, 5)
+
+
+@st.composite
+def windowed_episodes(draw, max_T=14):
+    """(steps, weights over the episode, t0, t1) with repeated features."""
+    T = draw(st.integers(1, max_T))
+    d_f = draw(st.integers(1, 4))
+    feats = draw(st.lists(st.integers(0, d_f - 1), min_size=T, max_size=T))
+    w = np.array(draw(st.lists(tie_weights, min_size=T, max_size=T)))
+    t0 = draw(st.integers(0, T))
+    t1 = draw(st.integers(t0, T))
+    return steps_of(feats, d_f), w, t0, t1
+
+
 class TestTimeRestrict:
     def test_window_masks_steps(self):
-        a = AttributionMatrix(np.array([0.5, -0.2, 0.3, 0.1]), "gradient")
+        a = episode_weights([0.5, -0.2, 0.3, 0.1])
         out = time_restrict(a, 2, 4)
-        np.testing.assert_array_equal(out.a, [0.0, 0.0, 0.3, 0.1])
+        np.testing.assert_array_equal(out.a, [0.3, 0.1])
         assert out.window == (2, 4)
 
     def test_identity_window(self):
-        a = AttributionMatrix(np.array([1.0, 2.0, 3.0]), "gradient")
+        a = episode_weights([1.0, 2.0, 3.0])
         out = time_restrict(a, 0, 3)
         np.testing.assert_array_equal(out.a, a.a)
+        assert out.window == a.window
 
     def test_empty_window(self):
-        a = AttributionMatrix(np.array([1.0, 2.0, 3.0]), "gradient")
-        assert np.all(time_restrict(a, 2, 2).a == 0.0)
+        a = episode_weights([1.0, 2.0, 3.0])
+        out = time_restrict(a, 2, 2)
+        assert out.a.shape == (0,) and out.window == (2, 2)
 
     def test_inverted_window_rejected(self):
-        a = AttributionMatrix(np.zeros(3), "gradient")
+        a = episode_weights(np.zeros(3))
         with pytest.raises(ValueError):
             time_restrict(a, 3, 1)
+
+    @pytest.mark.parametrize("t0,t1", [(0, 3), (1, 5), (-1, 2), (0, 5)])
+    def test_window_outside_weights_rejected(self, t0, t1):
+        a = time_restrict(episode_weights(np.arange(1.0, 5.0)), 1, 4)
+        with pytest.raises(ValueError, match="not inside"):
+            time_restrict(a, t0, t1)
 
     @given(
         st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=12),
@@ -61,21 +147,28 @@ class TestTimeRestrict:
     )
     def test_idempotent_and_commutes_with_scaling(self, weights, data):
         T = len(weights)
-        a = AttributionMatrix(np.asarray(weights), "gradient")
+        a = episode_weights(weights)
         t0 = data.draw(st.integers(0, T))
         t1 = data.draw(st.integers(t0, T))
         once = time_restrict(a, t0, t1)
         twice = time_restrict(once, t0, t1)
         assert np.array_equal(once.a, twice.a)
-        scaled = time_restrict(
-            AttributionMatrix(a.a * 3.5, method="gradient"), t0, t1
-        )
+        assert np.array_equal(once.a, np.asarray(weights)[t0:t1])
+        s0 = data.draw(st.integers(t0, t1))
+        s1 = data.draw(st.integers(s0, t1))
+        assert np.array_equal(time_restrict(once, s0, s1).a, np.asarray(weights)[s0:s1])
+        scaled = time_restrict(episode_weights(a.a * 3.5), t0, t1)
         np.testing.assert_allclose(scaled.a, once.a * 3.5)
 
     @pytest.mark.parametrize("shape", [(), (2, 3)])
     def test_weights_must_be_one_per_step(self, shape):
         with pytest.raises(ValueError, match="1-D"):
-            AttributionMatrix(np.zeros(shape), "gradient")
+            AttributionMatrix(np.zeros(shape), "gradient", (0, 2))
+
+    @pytest.mark.parametrize("window", [(0, 2), (1, 5), (-1, 2), (3, 0)])
+    def test_weights_must_fill_the_window(self, window):
+        with pytest.raises(ValueError, match="3 attribution weights for window"):
+            AttributionMatrix(np.zeros(3), "gradient", window)
 
 
 class TestCarryForwardBaseline:
@@ -118,6 +211,16 @@ class TestCarryForwardBaseline:
             f = int(steps.step_feature[j])
             prior = [steps.x[i, f] for i in range(6) if steps.step_feature[i] == f]
             assert baseline.x[j, f] in prior + [0.0]
+
+
+    @given(windowed_episodes(), st.sampled_from(["start", "end", "any"]))
+    def test_matches_reference_loop(self, episode, where):
+        steps, _, t0, _ = episode
+        t0 = {"start": 0, "end": steps.T, "any": t0}[where]
+        baseline = build_carry_forward_baseline(steps, t0)
+        assert baseline.x.tobytes() == reference_carry_forward_x(steps, t0).tobytes()
+        for name in ("step_feature", "step_time", "step_raw"):
+            assert np.array_equal(getattr(baseline, name), getattr(steps, name))
 
 
 class TestIntegratedGradients:
@@ -171,7 +274,7 @@ class TestIntegratedGradients:
         gaps = []
         for m in (8, 32, 128, 512):
             a = integrated_gradients(params, steps, 0, t1, m=m)
-            assert a.window == (0, t1) and np.all(a.a[t1:] == 0.0)
+            assert a.window == (0, t1) and a.a.shape == (t1,)
             gaps.append(abs(float(a.a.sum()) - want))
         assert gaps[-1] < 1e-6
         assert all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
@@ -206,9 +309,7 @@ class TestIntegratedGradients:
         params = self._trained_tiny(steps)
         a = integrated_gradients(params, steps, 3, 8, m=4)
         assert a.window == (3, 8)
-        assert a.a.shape == (steps.T,)
-        assert np.all(a.a[:3] == 0.0)
-        assert np.all(a.a[8:] == 0.0)
+        assert a.a.shape == (5,)
 
 
 class TestDiscreteTimeDerivatives:
@@ -267,52 +368,69 @@ class TestTimeDiff:
         features = ["f", "g", "f", "g"]
         steps, _ = steps_from_features(features)
         weights = np.array([0.2, 0.7, 0.5, 0.7])
-        a = AttributionMatrix(weights, "odds_ratio")
+        a = episode_weights(weights, "odds_ratio")
         out = time_diff(a, steps, 2, 4)
-        assert out.a[2] == pytest.approx(0.3)
-        assert out.a[3] == pytest.approx(0.0)
+        assert out.window == (2, 4)
+        assert out.a[0] == pytest.approx(0.3)
+        assert out.a[1] == pytest.approx(0.0)
         assert out.method == "odds_ratio_diff"
 
     def test_constant_weights_vanish(self):
         steps, _ = steps_from_features(["f"] * 6)
-        a = AttributionMatrix(np.full(6, 2.4), "rothman")
+        a = episode_weights(np.full(6, 2.4), "rothman")
         out = time_diff(a, steps, 3, 6)
         assert np.all(out.a == 0.0)
 
     def test_neutral_weight_for_new_feature(self):
         features = ["old", "old", "new"]
         steps, _ = steps_from_features(features)
-        a = AttributionMatrix(np.array([1.0, 1.0, 4.0]), "odds_ratio")
+        a = episode_weights([1.0, 1.0, 4.0], "odds_ratio")
         out = time_diff(a, steps, 2, 3)
-        assert out.a[2] == pytest.approx(3.0)
+        assert out.a[0] == pytest.approx(3.0)
         # additive methods difference against 0 instead
-        a2 = AttributionMatrix(np.array([1.0, 1.0, 4.0]), "gradient")
+        a2 = episode_weights([1.0, 1.0, 4.0], "gradient")
         out2 = time_diff(a2, steps, 2, 3)
-        assert out2.a[2] == pytest.approx(4.0)
+        assert out2.a[0] == pytest.approx(4.0)
 
     def test_rejects_weights_of_another_length(self):
         steps, _ = steps_from_features(["f"] * 3)
-        with pytest.raises(ValueError, match="4 attribution weights for 3 steps"):
-            time_diff(AttributionMatrix(np.ones(4), "odds_ratio"), steps, 1, 3)
+        with pytest.raises(ValueError, match=r"weights over \(0, 4\] of 3 steps"):
+            time_diff(episode_weights(np.ones(4), "odds_ratio"), steps, 1, 3)
+
+    @pytest.mark.parametrize("window,t0,t1", [((1, 3), 1, 3), ((0, 2), 1, 3), ((0, 3), 2, 1)])
+    def test_rejects_window_outside_weights(self, window, t0, t1):
+        steps, _ = steps_from_features(["f"] * 3)
+        a = AttributionMatrix(np.ones(window[1] - window[0]), "odds_ratio", window)
+        with pytest.raises(ValueError, match="cannot difference"):
+            time_diff(a, steps, t0, t1)
 
     def test_latest_variant(self):
         features = ["f", "f", "f"]
         steps, _ = steps_from_features(features)
-        a = AttributionMatrix(np.array([5.0, 1.0, 4.0]), "odds_ratio")
+        a = episode_weights([5.0, 1.0, 4.0], "odds_ratio")
         by_max = time_diff(a, steps, 2, 3)
-        assert by_max.a[2] == pytest.approx(-1.0)
+        assert by_max.a[0] == pytest.approx(-1.0)
 
     @given(st.lists(st.floats(0.1, 10, allow_nan=False), min_size=2, max_size=10))
     def test_repeated_profile_is_zero_inside_window(self, profile):
         # Same per-feature weight before and after t0 diffs to zero.
         T = 2 * len(profile)
         steps, _ = steps_from_features(["f"] * T)
-        a = AttributionMatrix(np.array(profile + profile), "odds_ratio")
+        a = episode_weights(profile + profile, "odds_ratio")
         out = time_diff(a, steps, len(profile), T)
         maxes = np.maximum.accumulate(profile)
         for j, w in enumerate(profile):
             expected = w - maxes[len(profile) - 1]
-            assert out.a[len(profile) + j] == pytest.approx(min(expected, 0.0) if expected <= 0 else expected)
+            assert out.a[j] == pytest.approx(min(expected, 0.0) if expected <= 0 else expected)
+
+    @given(windowed_episodes(), st.sampled_from(["odds_ratio", "rothman", "gradient"]))
+    @example((steps_of([0, 1, 0], 2), np.array([1.0, 2.0, -0.0]), 0, 3), "odds_ratio")
+    @example((steps_of([0, 1, 0], 3), np.array([-0.0, 0.0, 2.0]), 2, 3), "gradient")
+    def test_matches_reference_loop(self, episode, method):
+        steps, w, t0, t1 = episode
+        out = time_diff(episode_weights(w, method), steps, t0, t1)
+        assert out.window == (t0, t1) and out.method == f"{method}_diff"
+        assert np.array_equal(out.a, reference_time_diff(w, method, steps, t0, t1)[t0:t1])
 
 
 class TestRandomGuess:
@@ -380,14 +498,14 @@ class TestTopK:
         features = ["x", "x", "A", "B", "A"]
         steps, catalog = steps_from_features(features)
         w = np.array([0.0, 0.0, 0.9, 0.7, 0.8])
-        a = time_restrict(AttributionMatrix(w, "gradient"), 0, 5)
+        a = time_restrict(episode_weights(w), 0, 5)
         expl = top_k_explanations(a, steps, 2)
         got = [(it.step, catalog.ids[it.feature], it.weight) for it in expl.items]
         assert got == [(3, "A", 0.9), (4, "B", 0.7)]
 
     def test_all_zero_weights_short(self):
         steps, _ = steps_from_features(["a", "b"])
-        a = time_restrict(AttributionMatrix(np.zeros(2), "gradient"), 0, 2)
+        a = time_restrict(episode_weights(np.zeros(2)), 0, 2)
         expl = top_k_explanations(a, steps, 2)
         assert expl.short and expl.items == ()
 
@@ -397,21 +515,15 @@ class TestTopK:
         w = np.zeros(6)
         w[1] = 0.5  # feature A at step 2
         w[5] = 0.5  # feature B at step 6
-        a = time_restrict(AttributionMatrix(w, "gradient"), 0, 6)
+        a = time_restrict(episode_weights(w), 0, 6)
         expl = top_k_explanations(a, steps, 1)
         assert expl.items[0].step == 6
         assert catalog.ids[expl.items[0].feature] == "B"
 
-    def test_requires_window(self):
-        steps, _ = steps_from_features(["a"])
-        a = AttributionMatrix(np.ones(1), "gradient")
-        with pytest.raises(ValueError, match="restricted"):
-            top_k_explanations(a, steps, 1)
-
     def test_rejects_weights_of_another_length(self):
         steps, _ = steps_from_features(["a", "b"])
-        a = time_restrict(AttributionMatrix(np.ones(3), "gradient"), 0, 2)
-        with pytest.raises(ValueError, match="3 attribution weights for 2 steps"):
+        a = time_restrict(episode_weights(np.ones(3)), 1, 3)
+        with pytest.raises(ValueError, match=r"window \(1, 3\] out of range for T=2"):
             top_k_explanations(a, steps, 1)
 
     @given(st.data())
@@ -425,10 +537,25 @@ class TestTopK:
         t0 = data.draw(st.integers(0, T))
         t1 = data.draw(st.integers(t0, T))
         k = data.draw(st.integers(1, 4))
-        a = time_restrict(AttributionMatrix(w, "gradient"), t0, t1)
+        a = time_restrict(episode_weights(w), t0, t1)
         expl = top_k_explanations(a, steps, k)
         weights = [it.weight for it in expl.items]
         assert all(b <= a_ for a_, b in zip(weights, weights[1:]))
         assert len({it.feature for it in expl.items}) == len(expl.items)
         assert all(t0 < it.step <= t1 for it in expl.items)
         assert len(expl.items) <= k
+
+    @given(windowed_episodes(), st.integers(1, 6))
+    @example((steps_of([1, 0, 1, 0], 2), np.array([0.5, 0.5, 0.5, 0.5]), 0, 4), 1)
+    @example((steps_of([0, 0, 1], 2), np.array([0.0, -0.0, 1.0]), 0, 3), 3)
+    @example((steps_of([0, 1], 2), np.array([1.0, 2.0]), 1, 1), 2)
+    def test_matches_reference_loop(self, episode, k):
+        steps, w, t0, t1 = episode
+        windowed = np.zeros_like(w)
+        windowed[t0:t1] = w[t0:t1]
+        expl = top_k_explanations(time_restrict(episode_weights(w), t0, t1), steps, k)
+        got = [(it.step, it.feature, it.weight) for it in expl.items]
+        assert got == reference_top_k(windowed, steps, k)
+        assert expl.short == (len(got) < k)
+        for it in expl.items:
+            assert (it.time, it.raw) == (steps.step_time[it.step - 1], steps.step_raw[it.step - 1])

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import os
+import pathlib
 import stat
+import subprocess
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -234,6 +237,27 @@ class TestExplain:
         _, erows = read_csv(out / "explanations.csv")
         ig_steps = [int(r[3]) for r in erows if r[1] == "integrated_gradients"]
         assert ig_steps and all(1 <= j <= 4 for j in ig_steps)
+
+    @pytest.mark.parametrize("windows", ["checkpoints", "alerts"])
+    def test_alerts_and_explain_do_not_load_numpy_ma(self, data_dir, trained_dir, tmp_path,
+                                                      windows):
+        # np.unique (say, for the first event per feature) imports numpy.ma,
+        # which costs 1.7 MB per run.
+        common = ["--events", str(data_dir / "events.jsonl"),
+                  "--checkpoint", str(trained_dir / "checkpoint.json"),
+                  "--min-new-events", "1", "--ratio-threshold", "1.001",
+                  "--out-dir", str(tmp_path)]
+        code = ("import sys; from driftscope.cli import main; "
+                f"assert main(['alerts', *{common!r}]) == 0; "
+                f"assert main(['explain', *{common!r}, '--methods', 'all', '--m', '4', "
+                f"'--bins', {str(trained_dir / 'bins.json')!r}, '--windows', {windows!r}]) == 0; "
+                "print('numpy.ma' in sys.modules)")
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "False"
+        for name in ("alerts.csv", "explanations.csv"):
+            assert read_csv(tmp_path / name)[1], name
 
 
 def _edit(change):

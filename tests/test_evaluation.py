@@ -262,7 +262,7 @@ class TestWindowGradients:
         for a, (ep, w) in zip(got, pairs):
             want = ds.grad_wrt_inputs(params, ep.steps, w.t1, w.t0, states=ep.states)
             assert a.method == "gradient" and a.window == (w.t0, w.t1)
-            assert np.all(a.a[: w.t0] == 0.0) and np.all(a.a[w.t1 :] == 0.0)
+            assert a.a.shape == (w.t1 - w.t0,)
             np.testing.assert_allclose(a.a, want.a, rtol=1e-12, atol=1e-18)
 
     @pytest.mark.parametrize("t0,t1", [(3, 3), (4, 3), (-1, 2)])

@@ -1,8 +1,10 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from driftscope.events import EventSequence
 from driftscope.synth import (
@@ -16,6 +18,7 @@ from driftscope.synth import (
     generate_corpus,
     generate_patient,
     ground_truth_set,
+    _labels,
 )
 from conftest import events_of
 
@@ -256,3 +259,56 @@ def test_late_last_event_labels_in_bounded_chunks():
     seq = seq_of([(1 * HOUR, URINE_RATE, 80.0), (200_000 * HOUR, URINE_RATE, 20.0),
                   (200_004 * HOUR, URINE_RATE, 20.0), (300_000 * HOUR, URINE_RATE, 80.0)])
     assert first_positive_checkpoint(seq) == 200_007 * HOUR
+
+
+def chunked_first_positive(seq):
+    """Every checkpoint up to the last event labelled 256 at a time, as
+    first_positive_checkpoint did before it skipped stretches where the label
+    cannot change."""
+    last = seq.events.time[-1] + 3.0 * HOUR
+    for k in itertools.count(1, 256):
+        checkpoints = np.arange(k, k + 256) * 3.0 * HOUR
+        checkpoints = checkpoints[checkpoints <= last]
+        if not len(checkpoints):
+            return None
+        positive = np.flatnonzero(_labels(seq.events, checkpoints))
+        if len(positive):
+            return float(checkpoints[positive[0]])
+
+
+# Offsets at which an event can change the label: the creatinine lookback, the
+# urine sustain time and its tolerance, and one checkpoint interval.
+LABEL_OFFSETS = [48.0 * HOUR, 6.0 * HOUR, 6.0 * HOUR - 1e-9, 3.0 * HOUR, 0.0]
+event_times = (st.integers(0, 9000).map(lambda h: h * HOUR)  # up to about 12 chunks
+               | st.floats(0.0, 3.3e7, allow_nan=False))
+signal_events = st.tuples(event_times, st.sampled_from([CREATININE, URINE_RATE]),
+                          st.sampled_from([0.9, 1.0, 1.3, 1.31, 20.0, 24.99, 25.0, 30.0]))
+
+
+@given(st.lists(signal_events, min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(0, 7), st.sampled_from(LABEL_OFFSETS),
+                          st.sampled_from([CREATININE, URINE_RATE]),
+                          st.sampled_from([1.0, 1.3, 1.31, 20.0, 25.0])), max_size=6))
+@example([(0.0, URINE_RATE, 20.0), (2000 * HOUR, URINE_RATE, 20.0),
+          (3000 * HOUR, CREATININE, 1.0)],
+         [(1, 0.0, URINE_RATE, 20.0), (2, 48.0 * HOUR, CREATININE, 1.31)])
+@example([(10.0, CREATININE, 1.0), (5000 * HOUR, URINE_RATE, 20.0)],
+         [(1, 6.0 * HOUR - 1e-9, URINE_RATE, 20.0), (0, 48.0 * HOUR, CREATININE, 1.3)])
+def test_first_positive_checkpoint_matches_the_chunked_scan(events, derived):
+    # Far-apart events, and events placed exactly where the label can change.
+    triples = list(events)
+    for i, offset, feature, value in derived:
+        triples.append((triples[i % len(events)][0] + offset, feature, value))
+    seq = seq_of(sorted(triples))
+    assert first_positive_checkpoint(seq) == chunked_first_positive(seq)
+
+
+def test_first_positive_checkpoint_time_follows_events_not_last_time():
+    # The chunked scan would label about 9e10 checkpoints here.
+    for late in (1e15, 1e300):  # at 1e300 s a checkpoint's index is far past int64
+        seq = seq_of([(0.0, CREATININE, 1.0), (late, CREATININE, 1.0)])
+        start = time.perf_counter()
+        assert first_positive_checkpoint(seq) is None
+        assert time.perf_counter() - start < 1.0
+    seq = seq_of([(0.0, CREATININE, 1.0), (1e15, CREATININE, 1.0), (1e15 + HOUR, CREATININE, 1.3)])
+    assert first_positive_checkpoint(seq) == math.ceil((1e15 + HOUR) / (3 * HOUR)) * 3 * HOUR
