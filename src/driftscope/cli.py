@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -50,8 +49,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-SEED_ENV = "DRIFTSCOPE_SEED"
-
 EXPLANATIONS_HEADER = ["episode", "method", "rank", "step", "time_s", "feature", "raw_value", "weight"]
 WINDOWS_HEADER = ["episode", "t0", "t1", "t0_time_s", "t1_time_s", "source"]
 
@@ -78,42 +75,35 @@ def _usage_scope():
         raise UsageError(str(exc)) from exc
 
 
-def _default_seed() -> int:
-    value = os.environ.get(SEED_ENV, "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError(f"${SEED_ENV} must be an integer, got {value!r}") from None
+def _config(cls, args, **explicit):
+    """``cls`` from the parsed flags whose dests are its field names, with
+    ``explicit`` for the fields no flag names; a rejected value is a usage error."""
+    with _usage_scope():
+        flags = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+        return cls(**{**flags, **explicit})
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"run seed (default: ${SEED_ENV} or 0)")
+    p.add_argument("--seed", type=int, default=0, help="run seed")
     p.add_argument("--out-dir", required=True, help="output directory")
 
 
 def _add_rule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ratio-threshold", type=float, default=1.5)
-    p.add_argument("--floor", type=float, default=0.2)
-    p.add_argument("--anchor-hours", type=float, default=12.0)
-    p.add_argument("--horizon-hours", type=float, default=24.0)
-    p.add_argument("--interval-hours", type=float, default=2.0)
-    p.add_argument("--min-new-events", type=int, default=40)
+    p.add_argument("--ratio-threshold", type=float, default=AlertRule.ratio_threshold)
+    p.add_argument("--floor", type=float, default=AlertRule.floor)
+    p.add_argument("--anchor-hours", type=float, default=AlertRule.anchor_time / 3600.0)
+    p.add_argument("--horizon-hours", type=float, default=AlertRule.horizon / 3600.0)
+    p.add_argument("--interval-hours", type=float, default=AlertRule.check_interval / 3600.0)
+    p.add_argument("--min-new-events", type=int, default=AlertRule.min_new_events)
     p.add_argument("--all-alerts", action="store_true",
                    help="keep every alert per episode, not only the first")
 
 
 def _rule_from_args(args) -> AlertRule:
-    with _usage_scope():
-        return AlertRule(
-            ratio_threshold=args.ratio_threshold,
-            floor=args.floor,
-            anchor_time=args.anchor_hours * 3600.0,
-            horizon=args.horizon_hours * 3600.0,
-            check_interval=args.interval_hours * 3600.0,
-            min_new_events=args.min_new_events,
-            first_alert_only=not args.all_alerts,
-        )
+    return _config(AlertRule, args, anchor_time=args.anchor_hours * 3600.0,
+                   horizon=args.horizon_hours * 3600.0,
+                   check_interval=args.interval_hours * 3600.0,
+                   first_alert_only=not args.all_alerts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,24 +112,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic event corpus")
     _add_common(p)
-    p.add_argument("--n-episodes", type=int, default=200)
-    p.add_argument("--deterioration-fraction", type=float, default=0.5)
-    p.add_argument("--duration-hours", type=float, default=36.0)
+    p.add_argument("--n-episodes", type=int, default=200)  # ScenarioConfig's default is 100
+    p.add_argument("--deterioration-fraction", type=float,
+                   default=synth.ScenarioConfig.deterioration_fraction)
+    p.add_argument("--duration-hours", type=float, default=synth.ScenarioConfig.duration_hours)
 
     p = sub.add_parser("train", help="train the risk model on an event log")
     _add_common(p)
     p.add_argument("--events", required=True)
     p.add_argument("--checkpoint", default=None, help="checkpoint path (default: OUT_DIR/checkpoint.json)")
-    p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--hidden-size", type=int, default=64)
-    p.add_argument("--learning-rate", type=float, default=0.002)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--max-epochs", type=int, default=20)
-    p.add_argument("--clip-norm", type=float, default=6.0)
-    p.add_argument("--input-dropout", type=float, default=0.03)
-    p.add_argument("--output-dropout", type=float, default=0.02)
-    p.add_argument("--recurrent-dropout", type=float, default=0.01)
-    p.add_argument("--patience", type=int, default=3)
+    for f in fields(ModelConfig):
+        if f.name not in ("seed", "attention"):
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.add_argument("--no-attention", action="store_true")
     p.add_argument("--bins-per-feature", type=int, default=10)
 
@@ -189,13 +173,7 @@ def _methods_from_arg(arg: str) -> list[str]:
 
 
 def cmd_gen_data(args) -> int:
-    with _usage_scope():
-        config = synth.ScenarioConfig(
-            seed=args.seed,
-            n_episodes=args.n_episodes,
-            deterioration_fraction=args.deterioration_fraction,
-            duration_hours=args.duration_hours,
-        )
+    config = _config(synth.ScenarioConfig, args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     corpus = synth.generate_corpus(config)
@@ -223,21 +201,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = _config(ModelConfig, args, attention=not args.no_attention)
     with _usage_scope():
-        config = ModelConfig(
-            hidden_size=args.hidden_size,
-            input_dropout=args.input_dropout,
-            output_dropout=args.output_dropout,
-            recurrent_dropout=args.recurrent_dropout,
-            learning_rate=args.learning_rate,
-            batch_size=args.batch_size,
-            clip_norm=args.clip_norm,
-            eta=args.eta,
-            max_epochs=args.max_epochs,
-            seed=args.seed,
-            patience=args.patience,
-            attention=not args.no_attention,
-        )
         if args.bins_per_feature < 2:
             raise ValueError("--bins-per-feature must be >= 2")
     out = Path(args.out_dir)
@@ -344,6 +309,8 @@ def cmd_evaluate(args) -> int:
     with _usage_scope():
         if args.k < 1:
             raise ValueError("--k must be >= 1")
+        if args.resamples < 1:
+            raise ValueError("--resamples must be >= 1")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     by_id = {seq.episode_id: seq for seq in _read_events(args.events)}
@@ -352,9 +319,11 @@ def cmd_evaluate(args) -> int:
     _, expl_rows = read_csv(args.explanations, EXPLANATIONS_HEADER)
     selected: dict[tuple[str, str], list[tuple[int, str]]] = {}
     for r in expl_rows:
-        if int(r[2]) > args.k:
+        rank = int(r[2])
+        if not 1 <= rank <= args.k:
+            bound = "is below 1" if rank < 1 else f"exceeds --k {args.k}"
             raise EventFormatError(f"{args.explanations}: rank {r[2]} of episode {r[0]!r}, "
-                                   f"method {r[1]!r} exceeds --k {args.k}")
+                                   f"method {r[1]!r} {bound}")
         selected.setdefault((r[0], r[1]), []).append((int(r[3]), r[5]))
     methods = list(dict.fromkeys(method for _, method in selected))
 
@@ -402,8 +371,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "seed", None) is None:
-            args.seed = _default_seed()
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"driftscope: usage error: {exc}", file=sys.stderr)

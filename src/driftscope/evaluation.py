@@ -284,19 +284,18 @@ def scorable(truths: Iterable[WindowTruth]) -> list[WindowTruth]:
 
 
 def bootstrap_ci(
-    per_window: Sequence[float],
-    resamples: int = 2000,
-    level: float = 0.95,
-    seed: int = 0,
+    per_window: Sequence[float], resamples: int = 2000, seed: int = 0
 ) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean over windows."""
+    """95% percentile bootstrap interval for the mean over windows."""
     v = np.asarray(per_window, dtype=float)
     if v.size == 0:
         raise ValueError("per-window list is empty")
+    if resamples < 1:
+        raise ValueError("resamples must be >= 1")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, v.size, size=(resamples, v.size))
     means = v[idx].mean(axis=1)
-    lo_q = (1.0 - level) / 2.0
+    lo_q = (1.0 - 0.95) / 2.0
     return float(np.quantile(means, lo_q)), float(np.quantile(means, 1.0 - lo_q))
 
 

@@ -96,26 +96,21 @@ class EventSequence:
 class FeatureCatalog:
     """Fixed, ordered feature whitelist; ordering defines channel layout."""
 
-    entries: tuple[tuple[str, str], ...]
+    ids: tuple[str, ...]
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [fid for fid, _ in self.entries]
-        if len(set(ids)) != len(ids):
+        if len(set(self.ids)) != len(self.ids):
             raise ValueError("duplicate feature identifiers in catalog")
-        object.__setattr__(self, "_index", {fid: i for i, fid in enumerate(ids)})
+        object.__setattr__(self, "_index", {fid: i for i, fid in enumerate(self.ids)})
 
     @classmethod
     def from_ids(cls, ids: Iterable[str]) -> "FeatureCatalog":
-        return cls(tuple((fid, fid) for fid in ids))
+        return cls(tuple(ids))
 
     @property
     def d_features(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(fid for fid, _ in self.entries)
+        return len(self.ids)
 
     def __contains__(self, feature: str) -> bool:
         return feature in self._index

@@ -206,7 +206,10 @@ class TrainReport:
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+    """1 / (1 + exp(-z)), with z clipped to [-60, 60], as a new float array."""
+    out = np.array(z, dtype=float)
+    _sigmoid_inplace(out)
+    return out
 
 
 def _sigmoid_inplace(z):
@@ -240,23 +243,16 @@ def model_init(config: ModelConfig, d: int) -> ModelParams:
 
 
 def _draw_masks(config: ModelConfig, T: int, d: int, rng: np.random.Generator):
+    """Inverted-dropout masks of the inputs (T, d), the outputs (T, H) and the
+    recurrent state (H,), drawn in that order; a zero rate draws nothing."""
     H = config.hidden_size
-    if config.input_dropout > 0:
-        keep = 1.0 - config.input_dropout
-        in_mask = (rng.random((T, d)) < keep).astype(float) / keep
-    else:
-        in_mask = np.ones((T, d))
-    if config.output_dropout > 0:
-        keep = 1.0 - config.output_dropout
-        out_mask = (rng.random((T, H)) < keep).astype(float) / keep
-    else:
-        out_mask = np.ones((T, H))
-    if config.recurrent_dropout > 0:
-        keep = 1.0 - config.recurrent_dropout
-        rec_mask = (rng.random(H) < keep).astype(float) / keep
-    else:
-        rec_mask = np.ones(H)
-    return in_mask, out_mask, rec_mask
+    masks = []
+    for rate, shape in ((config.input_dropout, (T, d)), (config.output_dropout, (T, H)),
+                        (config.recurrent_dropout, (H,))):
+        keep = 1.0 - rate
+        masks.append((rng.random(shape) < keep).astype(float) / keep if rate > 0
+                     else np.ones(shape))
+    return masks
 
 
 def _scan(params: ModelParams, x: np.ndarray, rec_mask: np.ndarray | None = None,
@@ -613,23 +609,24 @@ def auroc(labels: Sequence[int], scores: Sequence[float]) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class _Adam:
-    def __init__(self, arrays: dict[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, arrays: dict[str, np.ndarray], lr: float):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.t = 0
 
     def step(self, arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - _ADAM_BETA1 ** self.t
+        b2c = 1.0 - _ADAM_BETA2 ** self.t
         for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            arrays[k] -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
+            self.m[k] = _ADAM_BETA1 * self.m[k] + (1.0 - _ADAM_BETA1) * g
+            self.v[k] = _ADAM_BETA2 * self.v[k] + (1.0 - _ADAM_BETA2) * g * g
+            arrays[k] -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + _ADAM_EPS)
 
 
 def _clip_global_norm(grads: dict[str, np.ndarray], clip: float) -> None:
@@ -760,7 +757,7 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
     payload = {
         "format": "driftscope-checkpoint-v1",
         "config": asdict(config),
-        "catalog": [list(entry) for entry in catalog.entries],
+        "catalog": [[fid, fid] for fid in catalog.ids],  # [id, display name], kept for the format
         "stats": stats.to_json(),
         "d": params.d,
         "params": {k: v.tolist() for k, v in params.arrays().items()},
@@ -790,7 +787,7 @@ def load_checkpoint(path, expected_catalog: FeatureCatalog | None = None):
     if missing:
         raise ValueError(f"checkpoint has no {', '.join(missing)}")
     try:
-        catalog = FeatureCatalog(tuple((fid, name) for fid, name in payload["catalog"]))
+        catalog = FeatureCatalog(tuple(fid for fid, _ in payload["catalog"]))
         config = ModelConfig(**payload["config"])
         stats = FeatureStats.from_json(payload["stats"])
         arrs = {k: np.asarray(v, dtype=float) for k, v in payload["params"].items()}

@@ -88,6 +88,8 @@ class ScenarioConfig:
         for name in ("duration_hours", "onset_low_hours", "onset_high_hours"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.n_episodes < 0:
+            raise ValueError("n_episodes must be non-negative")
         if not 0.0 <= self.deterioration_fraction <= 1.0:
             raise ValueError("deterioration_fraction must be in [0, 1]")
         if self.onset_high_hours >= self.duration_hours:

@@ -32,12 +32,6 @@ def atomic_open(path):
         raise
 
 
-def format_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
-
-
 def _quoted(cell: str) -> str:
     if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
         return '"' + cell.replace('"', '""') + '"'
@@ -53,7 +47,7 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     a lone CR bare, and ``read_csv`` would then split the row)."""
     with atomic_open(path) as fh:
         for row in itertools.chain([header], rows):
-            cells = [f"{c:.10g}" if isinstance(c, float) else str(c) for c in row]  # format_cell
+            cells = [f"{c:.10g}" if isinstance(c, float) else str(c) for c in row]
             line = ",".join(cells)
             if (line and line.count(",") == len(cells) - 1
                     and '"' not in line and "\r" not in line and "\n" not in line):

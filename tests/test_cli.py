@@ -5,21 +5,28 @@ import pathlib
 import stat
 import subprocess
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, asdict
 
 import numpy as np
 import pytest
 
+from driftscope import cli, synth
+from driftscope.alerts import AlertRule
 from driftscope.bin_stats import BinTable
 from driftscope.cli import main
 from driftscope.evaluation import METHODS, MethodContext, prepare_episodes, run_benchmark
 from driftscope.events import parse_event_log
-from driftscope.model import load_checkpoint
-from driftscope.tables import format_cell, read_csv
+from driftscope.model import ModelConfig, load_checkpoint
+from driftscope.tables import read_csv
 
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def csv_cell(value) -> str:
+    """A cell as write_csv formats it: floats with %.10g, others with str."""
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +76,12 @@ class TestGenData:
     def test_bad_flag_value_is_usage_error(self, tmp_path):
         assert run("gen-data", "--out-dir", tmp_path, "--n-episodes", "10",
                    "--deterioration-fraction", "1.5") == 1
+
+    def test_negative_episode_count_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        assert run("gen-data", "--out-dir", out, "--n-episodes", "-3") == 1
+        assert "usage error: n_episodes must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, digests", [
         (["--n-episodes", "12", "--deterioration-fraction", "0.5", "--duration-hours", "36",
@@ -547,6 +560,31 @@ class TestEvaluate:
         assert run(*args, "--out-dir", tmp_path / "k3", "--k", "3") == 0
         assert (tmp_path / "k3" / "results.csv").exists()
 
+    def test_ranks_below_one_are_data_error(self, data_dir, explained, tmp_path, capsys):
+        lines = (explained / "explanations.csv").read_text().splitlines()
+        row = next(ln.split(",") for ln in lines[1:] if ln.split(",")[1] == "random")
+        expl = tmp_path / "expl.csv"
+        args = ["evaluate", "--events", data_dir / "events.jsonl",
+                "--explanations", expl, "--windows", explained / "windows.csv"]
+        for rank in ("0", "-1"):
+            expl.write_text("\n".join(lines + [",".join(row[:2] + [rank] + row[3:])]) + "\n")
+            out = tmp_path / f"rank{rank}"
+            assert run(*args, "--out-dir", out) == 2
+            err = capsys.readouterr().err
+            assert (f"data error: {expl}: rank {rank} of episode {row[0]!r}, "
+                    f"method 'random' is below 1") in err
+            assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("resamples", ["0", "-1"])
+    def test_resamples_below_one_is_usage_error(self, data_dir, explained, tmp_path, capsys,
+                                                resamples):
+        assert run("evaluate", "--events", data_dir / "events.jsonl",
+                   "--explanations", explained / "explanations.csv",
+                   "--windows", explained / "windows.csv", "--out-dir", tmp_path / "res",
+                   "--resamples", resamples) == 1
+        assert "usage error: --resamples must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
     def test_empty_windows_file_is_data_error(self, data_dir, explained, tmp_path):
         empty = tmp_path / "w.csv"
         empty.write_text("")
@@ -623,28 +661,32 @@ def test_evaluate_rows_equal_run_benchmark(tmp_path):
                             k=3, resamples=500, seed=5)
     _, got = read_csv(res / "results.csv")
     assert [r for r in got if r[0] != "random"] == [
-        [format_cell(c) for c in astuple(row)] for row in rows]
+        [csv_cell(c) for c in astuple(row)] for row in rows]
 
 
 class TestPipelineDeterminism:
-    def test_seed_env_var_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DRIFTSCOPE_SEED", "3")
-        a = tmp_path / "env"
-        assert run("gen-data", "--out-dir", a, "--n-episodes", "6",
-                   "--deterioration-fraction", "0.6") == 0
-        b = tmp_path / "flag"
-        assert run("gen-data", "--out-dir", b, "--n-episodes", "6",
-                   "--deterioration-fraction", "0.6", "--seed", "3") == 0
-        assert (a / "events.jsonl").read_text() == (b / "events.jsonl").read_text()
-
     def test_usage_error_on_missing_subcommand(self):
         assert run() == 1
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
-    def test_malformed_seed_env_var_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("DRIFTSCOPE_SEED", value)
-        out = tmp_path / "env"
-        assert run("gen-data", "--out-dir", out, "--n-episodes", "4") == 1
-        err = capsys.readouterr().err
-        assert "driftscope: usage error:" in err and "DRIFTSCOPE_SEED" in err
-        assert not out.exists()
+
+class _Built(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, owner, name, expected", [
+    (["gen-data"], synth, "ScenarioConfig", synth.ScenarioConfig(seed=0, n_episodes=200)),
+    (["train", "--events", "e.jsonl"], cli, "ModelConfig", ModelConfig(seed=0)),
+    (["alerts", "--events", "e.jsonl", "--checkpoint", "c.json"], cli, "AlertRule", AlertRule()),
+    (["explain", "--events", "e.jsonl", "--checkpoint", "c.json"], cli, "AlertRule", AlertRule()),
+], ids=["gen-data", "train", "alerts", "explain"])
+def test_flag_defaults_build_the_dataclass_defaults(monkeypatch, tmp_path, argv, owner, name,
+                                                    expected):
+    class Recorded(type(expected)):
+        def __post_init__(self):
+            super().__post_init__()
+            raise _Built(self)
+
+    monkeypatch.setattr(owner, name, Recorded)
+    with pytest.raises(_Built) as built:
+        run(*argv, "--out-dir", tmp_path / "out")
+    assert asdict(built.value.args[0]) == asdict(expected)

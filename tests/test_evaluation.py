@@ -109,6 +109,11 @@ class TestBootstrap:
     def test_single_window_degenerate(self):
         assert bootstrap_ci([0.25], seed=0) == (0.25, 0.25)
 
+    @pytest.mark.parametrize("resamples", [0, -1])
+    def test_fewer_than_one_resample_rejected(self, resamples):
+        with pytest.raises(ValueError, match="resamples must be >= 1"):
+            bootstrap_ci([0.25, 0.5], resamples=resamples)
+
     def test_contains_point_mean(self):
         rng = np.random.default_rng(3)
         for _ in range(25):

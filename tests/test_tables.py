@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from driftscope.events import EventFormatError
-from driftscope.tables import atomic_open, format_cell, read_csv, write_csv
+from driftscope.tables import atomic_open, read_csv, write_csv
 
 
 def csv_writer_bytes(header, rows):
@@ -18,7 +18,8 @@ def csv_writer_bytes(header, rows):
     lines = []
     for row in [header, *rows]:
         buf = io.StringIO(newline="")
-        csv.writer(buf, lineterminator="\r\n").writerow([format_cell(c) for c in row])
+        csv.writer(buf, lineterminator="\r\n").writerow(
+            [f"{c:.10g}" if isinstance(c, float) else str(c) for c in row])
         lines.append(buf.getvalue()[: -len("\r\n")] + "\n")
     return "".join(lines).encode("utf-8")
 
