@@ -15,6 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .events import SECONDS_PER_HOUR
 from .model import RiskSeries
 
 _TIME_EPS = 1e-9
@@ -28,9 +29,9 @@ class NoAnchorError(ValueError):
 class AlertRule:
     ratio_threshold: float = 1.5
     floor: float = 0.2
-    anchor_time: float = 12 * 3600.0
-    horizon: float = 24 * 3600.0
-    check_interval: float = 2 * 3600.0
+    anchor_time: float = 12 * SECONDS_PER_HOUR
+    horizon: float = 24 * SECONDS_PER_HOUR
+    check_interval: float = 2 * SECONDS_PER_HOUR
     min_new_events: int = 40
     first_alert_only: bool = True
 

@@ -134,7 +134,7 @@ def averaged_gradient_attribution(
 
 
 def integrated_gradients(
-    params: ModelParams, steps: StepSeries, t0: int, t1: int, m: int = 64,
+    params: ModelParams, steps: StepSeries, t0: int, t1: int, m: int,
     states: KeptStates | None = None,
 ) -> AttributionMatrix:
     """Path-integrated gradients of p_t1 from the carry-forward baseline.

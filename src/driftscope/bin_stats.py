@@ -21,6 +21,8 @@ from .events import EventSequence, FeatureCatalog, StepSeries, train_values
 
 # Pseudo-count added to every cell of a bin's outcome table.
 LAPLACE_ALPHA = 0.5
+# Quantile bins per feature when none are asked for.
+BINS_PER_FEATURE = 10
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,8 @@ def _feature_bins_from_json(fid: str, d) -> FeatureBins:
                        mean_bin=d["mean_bin"])
 
 
-def fit_bins(corpus: Sequence[EventSequence], bins_per_feature: int = 10) -> BinTable:
+def fit_bins(corpus: Sequence[EventSequence],
+             bins_per_feature: int = BINS_PER_FEATURE) -> BinTable:
     """Quantile-bin each feature's train-split values and tally by outcome.
 
     Duplicate quantiles collapse, so features with few distinct values get

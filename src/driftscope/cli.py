@@ -15,8 +15,9 @@ from pathlib import Path
 
 from . import evaluation, synth
 from .alerts import AlertRule, NoAnchorError, select_alert_cohort
-from .bin_stats import BinTable, fit_bins
+from .bin_stats import BINS_PER_FEATURE, BinTable, fit_bins
 from .events import (
+    SECONDS_PER_HOUR,
     EventFormatError,
     catalog_from_sequences,
     encode_steps,
@@ -38,7 +39,6 @@ from .evaluation import (
     BenchmarkRow,
     MethodContext,
     Window,
-    WindowTruth,
     explain_windows,
     prepare_episodes,
 )
@@ -83,27 +83,35 @@ def _config(cls, args, **explicit):
         return cls(**{**flags, **explicit})
 
 
+def _check_at_least(args, minimum: int, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) < minimum:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {minimum}")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="run seed")
     p.add_argument("--out-dir", required=True, help="output directory")
 
 
+# The AlertRule times in seconds that the CLI takes in hours, as (flag, field).
+_RULE_HOURS = (("anchor", "anchor_time"), ("horizon", "horizon"), ("interval", "check_interval"))
+
+
 def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ratio-threshold", type=float, default=AlertRule.ratio_threshold)
     p.add_argument("--floor", type=float, default=AlertRule.floor)
-    p.add_argument("--anchor-hours", type=float, default=AlertRule.anchor_time / 3600.0)
-    p.add_argument("--horizon-hours", type=float, default=AlertRule.horizon / 3600.0)
-    p.add_argument("--interval-hours", type=float, default=AlertRule.check_interval / 3600.0)
+    for flag, name in _RULE_HOURS:
+        p.add_argument(f"--{flag}-hours", type=float,
+                       default=getattr(AlertRule, name) / SECONDS_PER_HOUR)
     p.add_argument("--min-new-events", type=int, default=AlertRule.min_new_events)
     p.add_argument("--all-alerts", action="store_true",
                    help="keep every alert per episode, not only the first")
 
 
 def _rule_from_args(args) -> AlertRule:
-    return _config(AlertRule, args, anchor_time=args.anchor_hours * 3600.0,
-                   horizon=args.horizon_hours * 3600.0,
-                   check_interval=args.interval_hours * 3600.0,
-                   first_alert_only=not args.all_alerts)
+    times = {name: getattr(args, f"{flag}_hours") * SECONDS_PER_HOUR for flag, name in _RULE_HOURS}
+    return _config(AlertRule, args, **times, first_alert_only=not args.all_alerts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         if f.name not in ("seed", "attention"):
             p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.add_argument("--no-attention", action="store_true")
-    p.add_argument("--bins-per-feature", type=int, default=10)
+    p.add_argument("--bins-per-feature", type=int, default=BINS_PER_FEATURE)
 
     p = sub.add_parser("alerts", help="apply the alert rule to every episode")
     _add_common(p)
@@ -140,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", default=None, help="bin table JSON (default: fit from the train split)")
     p.add_argument("--methods", default="all",
                    help=f"comma-separated subset of: {','.join(METHODS)} (default: all)")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--m", type=int, default=64)
+    p.add_argument("--k", type=int, default=evaluation.TOP_K)
+    p.add_argument("--m", type=int, default=MethodContext.m)
     p.add_argument("--windows", choices=("checkpoints", "alerts"), default="checkpoints")
     _add_rule_flags(p)
 
@@ -150,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--explanations", required=True)
     p.add_argument("--windows", required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--resamples", type=int, default=2000)
+    p.add_argument("--k", type=int, default=evaluation.TOP_K)
+    p.add_argument("--resamples", type=int, default=evaluation.RESAMPLES)
     return parser
 
 
@@ -163,7 +171,7 @@ def _read_events(path, catalog=None):
 def _methods_from_arg(arg: str) -> list[str]:
     if arg == "all":
         return list(METHODS)
-    methods = [m.strip() for m in arg.split(",") if m.strip()]
+    methods = list(dict.fromkeys(m.strip() for m in arg.split(",") if m.strip()))
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; available: {', '.join(METHODS)}")
@@ -202,9 +210,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config(ModelConfig, args, attention=not args.no_attention)
-    with _usage_scope():
-        if args.bins_per_feature < 2:
-            raise ValueError("--bins-per-feature must be >= 2")
+    _check_at_least(args, 2, "bins_per_feature")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     raw = _read_events(args.events)
@@ -257,11 +263,7 @@ def cmd_alerts(args) -> int:
 
 def cmd_explain(args) -> int:
     methods = _methods_from_arg(args.methods)
-    with _usage_scope():
-        if args.k < 1:
-            raise ValueError("--k must be >= 1")
-        if args.m < 1:
-            raise ValueError("--m must be >= 1")
+    _check_at_least(args, 1, "k", "m")
     rule = _rule_from_args(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -293,11 +295,9 @@ def cmd_explain(args) -> int:
     write_csv(out / "explanations.csv", EXPLANATIONS_HEADER, expl_rows)
     write_csv(out / "windows.csv", WINDOWS_HEADER,
               [[w.episode_id, w.t0, w.t1, w.t0_time, w.t1_time, w.source] for w in windows])
-    risk_rows = []
-    for ep in episodes:
-        for j in range(ep.steps.T):
-            risk_rows.append([ep.episode_id, j + 1, float(ep.steps.step_time[j]),
-                              float(ep.steps.step_time[j]) / 3600.0, float(ep.risk.p[j])])
+    risk_rows = [[ep.episode_id, j + 1, t, t / SECONDS_PER_HOUR, p]
+                 for ep in episodes
+                 for j, (t, p) in enumerate(zip(ep.steps.step_time.tolist(), ep.risk.p.tolist()))]
     write_csv(out / "risk_series.csv",
               ["episode", "step", "time_s", "time_h", "p"], risk_rows)
     print(f"wrote {len(expl_rows)} explanation rows over {len(windows)} windows "
@@ -306,11 +306,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    with _usage_scope():
-        if args.k < 1:
-            raise ValueError("--k must be >= 1")
-        if args.resamples < 1:
-            raise ValueError("--resamples must be >= 1")
+    _check_at_least(args, 1, "k", "resamples")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     by_id = {seq.episode_id: seq for seq in _read_events(args.events)}
@@ -333,7 +329,7 @@ def cmd_evaluate(args) -> int:
         seq = by_id.get(w.episode_id)
         if seq is None:
             raise EventFormatError(f"window references unknown episode {w.episode_id!r}")
-        truths.append(WindowTruth(w, frozenset(synth.ground_truth_set(seq, w.t0, w.t1))))
+        truths.append(evaluation.window_truth(seq, w))
     with atomic_open(out / "truth_windows.jsonl") as fh:
         fh.write("\n".join(
             json.dumps({"episode": t.window.episode_id, "t0": t.window.t0, "t1": t.window.t1,

@@ -45,6 +45,11 @@ from .synth import first_positive_checkpoint, ground_truth_set
 # each batch's padded cache grows with B.
 EVAL_BATCH = 8
 
+# Events per explanation, and bootstrap resamples per precision interval,
+# when none are asked for.
+TOP_K = 3
+RESAMPLES = 2000
+
 METHODS = (
     "random",
     "gradient",
@@ -163,8 +168,12 @@ def checkpoint_windows(episodes: Sequence[PreparedEpisode]) -> list[Window]:
     return out
 
 
-def window_truth(ep: PreparedEpisode, window: Window) -> WindowTruth:
-    return WindowTruth(window, frozenset(ground_truth_set(ep.raw, window.t0, window.t1)))
+def window_truth(seq: EventSequence | PreparedEpisode, window: Window) -> WindowTruth:
+    """The window with the ground truth of its episode's raw events (a
+    prepared episode's ``raw``)."""
+    if isinstance(seq, PreparedEpisode):
+        seq = seq.raw
+    return WindowTruth(window, frozenset(ground_truth_set(seq, window.t0, window.t1)))
 
 
 def explain_windows(
@@ -284,7 +293,7 @@ def scorable(truths: Iterable[WindowTruth]) -> list[WindowTruth]:
 
 
 def bootstrap_ci(
-    per_window: Sequence[float], resamples: int = 2000, seed: int = 0
+    per_window: Sequence[float], resamples: int, seed: int = 0
 ) -> tuple[float, float]:
     """95% percentile bootstrap interval for the mean over windows."""
     v = np.asarray(per_window, dtype=float)
@@ -310,7 +319,7 @@ class BenchmarkRow:
 
 
 def benchmark_row(
-    method: str, k: int, per_window: Sequence[float], resamples: int = 2000, seed: int = 0
+    method: str, k: int, per_window: Sequence[float], resamples: int, seed: int = 0
 ) -> BenchmarkRow:
     """One method's mean precision over windows with its bootstrap interval."""
     lo, hi = bootstrap_ci(per_window, resamples=resamples, seed=seed)
@@ -322,10 +331,10 @@ def run_benchmark(
     episodes: Sequence[PreparedEpisode],
     ctx: MethodContext,
     methods: Sequence[str],
-    k: int = 3,
+    k: int,
+    resamples: int,
     mode: str = "checkpoint",
     random_repeats: int = 25,
-    resamples: int = 2000,
     seed: int = 0,
 ) -> tuple[list[BenchmarkRow], list[Window]]:
     """Mean precision@k with bootstrap CI per method over the evaluated windows.
@@ -343,7 +352,7 @@ def run_benchmark(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     by_id = {ep.episode_id: ep for ep in episodes}
-    kept = scorable(window_truth(by_id[w.episode_id], w) for w in windows)
+    kept = scorable(window_truth(by_id[w.episode_id].raw, w) for w in windows)
     windows = [t.window for t in kept]
     truth = {t.window: t.members for t in kept}
 

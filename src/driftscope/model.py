@@ -89,16 +89,17 @@ class ModelParams:
         return self.w_gates.shape[1]
 
     def arrays(self) -> dict[str, np.ndarray]:
-        out = {
-            "w_gates": self.w_gates,
-            "u_gates": self.u_gates,
-            "b_gates": self.b_gates,
-            "w_out": self.w_out,
-            "b_out": self.b_out,
-        }
-        if self.w_att is not None:
-            out["w_att"] = self.w_att
-        return out
+        """The weight arrays by name, in field order, without an absent head."""
+        return {name: a for name, a in vars(self).items() if a is not None}
+
+
+def _shapes(H: int, d: int, attention: bool) -> dict[str, tuple[int, ...]]:
+    """The shape of each weight array of ModelParams, in field order."""
+    shapes = {"w_gates": (4 * H, d), "u_gates": (4 * H, H), "b_gates": (4 * H,),
+              "w_out": (H,), "b_out": (1,), "w_att": (H, H)}
+    if not attention:
+        del shapes["w_att"]
+    return shapes
 
 
 @dataclass(frozen=True)
@@ -223,21 +224,18 @@ def _sigmoid_inplace(z):
 
 
 def model_init(config: ModelConfig, d: int) -> ModelParams:
-    """Initialize weights uniform(-s, s) with s = 1/sqrt(H); forget-gate bias 1;
-    output projection zero so the initial model predicts 0.5 everywhere."""
+    """Weight matrices uniform(-s, s) with s = 1/sqrt(H), drawn in field order;
+    vectors zero except the forget-gate bias 1. The output projection is zero,
+    so the initial model predicts 0.5 everywhere."""
     if d < 1:
         raise ValueError("input dimension must be >= 1")
     rng = np.random.default_rng(config.seed)
     H = config.hidden_size
     s = 1.0 / math.sqrt(H)
-    params = ModelParams(
-        w_gates=rng.uniform(-s, s, size=(4 * H, d)),
-        u_gates=rng.uniform(-s, s, size=(4 * H, H)),
-        b_gates=np.zeros(4 * H),
-        w_out=np.zeros(H),
-        b_out=np.zeros(1),
-        w_att=rng.uniform(-s, s, size=(H, H)) if config.attention else None,
-    )
+    params = ModelParams(**{
+        name: rng.uniform(-s, s, size=shape) if len(shape) == 2 else np.zeros(shape)
+        for name, shape in _shapes(H, d, config.attention).items()
+    })
     params.b_gates[H : 2 * H] = 1.0
     return params
 
@@ -801,10 +799,7 @@ def load_checkpoint(path, expected_catalog: FeatureCatalog | None = None):
     if payload.get("d") != d:
         raise ValueError(f"checkpoint d={payload.get('d')!r}, but its catalog of "
                          f"{catalog.d_features} features gives d={d}")
-    shapes = {"w_gates": (4 * H, d), "u_gates": (4 * H, H), "b_gates": (4 * H,),
-              "w_out": (H,), "b_out": (1,)}
-    if "w_att" in arrs:
-        shapes["w_att"] = (H, H)
+    shapes = _shapes(H, d, attention="w_att" in arrs)
     for name, shape in shapes.items():
         if name not in arrs:
             raise ValueError(f"checkpoint has no {name}")
@@ -813,12 +808,4 @@ def load_checkpoint(path, expected_catalog: FeatureCatalog | None = None):
                              f"for hidden size {H} and d={d}")
         if not np.all(np.isfinite(arrs[name])):
             raise ValueError(f"checkpoint {name} has non-finite weights")
-    params = ModelParams(
-        w_gates=arrs["w_gates"],
-        u_gates=arrs["u_gates"],
-        b_gates=arrs["b_gates"],
-        w_out=arrs["w_out"],
-        b_out=arrs["b_out"],
-        w_att=arrs.get("w_att"),
-    )
-    return params, config, catalog, stats
+    return ModelParams(**{name: arrs[name] for name in shapes}), config, catalog, stats

@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import Events, EventSequence, FeatureCatalog
+from .events import SECONDS_PER_HOUR as HOUR, Events, EventSequence, FeatureCatalog
 
 CREATININE = "creatinine"
 URINE_RATE = "urine_rate"
-
-HOUR = 3600.0
 
 # Injury criterion constants.
 CREATININE_RISE = 0.3        # mg/dl within the lookback
@@ -115,6 +113,16 @@ def _split_for_index(index: int) -> str:
     return "train"
 
 
+def _deterioration(config: ScenarioConfig, rng: np.random.Generator):
+    """The leading draws of an episode's stream: whether it deteriorates, then
+    for one that does its onset in hours and its mechanism; (None, None) for
+    one that does not."""
+    if not rng.random() < config.deterioration_fraction:
+        return None, None
+    onset_h = float(rng.uniform(config.onset_low_hours, config.onset_high_hours))
+    return onset_h, ("creatinine", "urine", "both")[int(rng.integers(3))]
+
+
 def generate_patient(config: ScenarioConfig, index: int) -> EventSequence:
     """Deterministic episode for (config.seed, index).
 
@@ -126,14 +134,10 @@ def generate_patient(config: ScenarioConfig, index: int) -> EventSequence:
     if not 0 <= index < config.n_episodes:
         raise ValueError(f"index must be in [0, {config.n_episodes})")
     rng = np.random.default_rng([config.seed, index])
-    deteriorated = bool(rng.random() < config.deterioration_fraction)
-    onset_h = None
-    cr_hit = urine_hit = False
-    if deteriorated:
-        onset_h = float(rng.uniform(config.onset_low_hours, config.onset_high_hours))
-        mech = int(rng.integers(3))  # 0 creatinine, 1 urine, 2 both
-        cr_hit = mech in (0, 2)
-        urine_hit = mech in (1, 2)
+    onset_h, mechanism = _deterioration(config, rng)
+    deteriorated = onset_h is not None
+    cr_hit = mechanism in ("creatinine", "both")
+    urine_hit = mechanism in ("urine", "both")
 
     times, values = [], []
     for spec in config.features:
@@ -183,17 +187,12 @@ def generate_corpus(config: ScenarioConfig) -> list[EventSequence]:
 def episode_metadata(config: ScenarioConfig, index: int) -> dict:
     """Deterioration flag, onset, and mechanism of one episode.
 
-    Replays the leading draws of generate_patient's stream, so it agrees with
+    Makes the leading draws of generate_patient's stream, so it agrees with
     the generated sequence without regenerating it.
     """
-    rng = np.random.default_rng([config.seed, index])
-    deteriorated = bool(rng.random() < config.deterioration_fraction)
-    onset_s = None
-    mechanism = None
-    if deteriorated:
-        onset_s = float(rng.uniform(config.onset_low_hours, config.onset_high_hours)) * HOUR
-        mechanism = ("creatinine", "urine", "both")[int(rng.integers(3))]
-    return {"deteriorated": deteriorated, "onset_s": onset_s, "mechanism": mechanism}
+    onset_h, mechanism = _deterioration(config, np.random.default_rng([config.seed, index]))
+    return {"deteriorated": onset_h is not None,
+            "onset_s": None if onset_h is None else onset_h * HOUR, "mechanism": mechanism}
 
 
 def _labels(events: Events, ts: np.ndarray) -> np.ndarray:

@@ -10,9 +10,9 @@ from dataclasses import astuple, asdict
 import numpy as np
 import pytest
 
-from driftscope import cli, synth
+from driftscope import cli, evaluation, synth
 from driftscope.alerts import AlertRule
-from driftscope.bin_stats import BinTable
+from driftscope.bin_stats import BINS_PER_FEATURE, BinTable
 from driftscope.cli import main
 from driftscope.evaluation import METHODS, MethodContext, prepare_episodes, run_benchmark
 from driftscope.events import parse_event_log
@@ -201,6 +201,21 @@ class TestExplain:
             assert feature not in seen.setdefault(key, set())
             seen[key].add(feature)
         assert (out / "risk_series.csv").exists()
+
+    def test_repeated_method_gives_one_row(self, data_dir, trained_dir, tmp_path):
+        outputs = []
+        for i, methods in enumerate(["discrete_derivative",
+                                     "discrete_derivative,discrete_derivative"]):
+            expl, res = tmp_path / f"expl{i}", tmp_path / f"res{i}"
+            assert run("explain", "--events", data_dir / "events.jsonl",
+                       "--checkpoint", trained_dir / "checkpoint.json",
+                       "--out-dir", expl, "--methods", methods, "--seed", "5") == 0
+            assert run("evaluate", "--events", data_dir / "events.jsonl",
+                       "--explanations", expl / "explanations.csv",
+                       "--windows", expl / "windows.csv", "--out-dir", res, "--seed", "5") == 0
+            outputs.append([(expl / "explanations.csv").read_bytes(),
+                            (res / "results.csv").read_bytes()])
+        assert outputs[1] == outputs[0]
 
     def test_unknown_method_is_usage_error(self, data_dir, trained_dir, tmp_path):
         assert run("explain", "--events", data_dir / "events.jsonl",
@@ -690,3 +705,17 @@ def test_flag_defaults_build_the_dataclass_defaults(monkeypatch, tmp_path, argv,
     with pytest.raises(_Built) as built:
         run(*argv, "--out-dir", tmp_path / "out")
     assert asdict(built.value.args[0]) == asdict(expected)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["train", "--events", "e.jsonl"], {"bins_per_feature": BINS_PER_FEATURE}),
+    (["explain", "--events", "e.jsonl", "--checkpoint", "c.json"],
+     {"k": evaluation.TOP_K, "m": MethodContext.m}),
+    (["evaluate", "--events", "e.jsonl", "--explanations", "x.csv", "--windows", "w.csv"],
+     {"k": evaluation.TOP_K, "resamples": evaluation.RESAMPLES}),
+], ids=["train", "explain", "evaluate"])
+def test_flag_defaults_are_the_library_defaults(argv, expected):
+    args = cli.build_parser().parse_args([*argv, "--out-dir", "out"])
+    assert {name: getattr(args, name) for name in expected} == expected
+    assert (BINS_PER_FEATURE, evaluation.TOP_K, MethodContext.m, evaluation.RESAMPLES) == (
+        10, 3, 64, 2000)

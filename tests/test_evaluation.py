@@ -100,14 +100,15 @@ class TestPrecision:
 
 class TestBootstrap:
     def test_zero_variance(self):
-        assert bootstrap_ci([0.5] * 20, seed=1) == (0.5, 0.5)
+        assert bootstrap_ci([0.5] * 20, resamples=2000, seed=1) == (0.5, 0.5)
 
     def test_deterministic(self):
         vals = list(np.random.default_rng(0).random(30))
-        assert bootstrap_ci(vals, seed=7) == bootstrap_ci(vals, seed=7)
+        first = bootstrap_ci(vals, resamples=2000, seed=7)
+        assert bootstrap_ci(vals, resamples=2000, seed=7) == first
 
     def test_single_window_degenerate(self):
-        assert bootstrap_ci([0.25], seed=0) == (0.25, 0.25)
+        assert bootstrap_ci([0.25], resamples=2000, seed=0) == (0.25, 0.25)
 
     @pytest.mark.parametrize("resamples", [0, -1])
     def test_fewer_than_one_resample_rejected(self, resamples):
@@ -310,7 +311,7 @@ class TestBenchmark:
     def test_unknown_method_lists_available(self, small_run):
         prepared, ctx = small_run
         with pytest.raises(ValueError, match="integrated_gradients"):
-            run_benchmark(prepared, ctx, ["nope"], k=3)
+            run_benchmark(prepared, ctx, ["nope"], k=3, resamples=100)
 
     def test_all_methods_produce_rows(self, small_run):
         prepared, ctx = small_run

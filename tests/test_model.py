@@ -775,19 +775,27 @@ class TestAttention:
 
 
 class TestCheckpoint:
-    def test_round_trip_bitwise(self, tmp_path):
+    @pytest.mark.parametrize("attention", [True, False], ids=["attention", "no-attention"])
+    def test_round_trip_bitwise(self, tmp_path, attention):
         corpus = separable_corpus(n=12)
-        cfg = tiny_config(max_epochs=1, attention=True)
+        cfg = tiny_config(max_epochs=1, attention=attention)
         params, _ = ds.train(corpus, cfg)
         catalog = FeatureCatalog.from_ids(["sig", "noise"])
         stats = ds.FeatureStats({})
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params, cfg, catalog, stats)
-        loaded, cfg2, cat2, _ = load_checkpoint(path, expected_catalog=catalog)
+        loaded, cfg2, cat2, stats2 = load_checkpoint(path, expected_catalog=catalog)
         assert cfg2 == cfg
         assert cat2.ids == catalog.ids
+        names = ["w_gates", "u_gates", "b_gates", "w_out", "b_out"] + ["w_att"] * attention
+        assert list(params.arrays()) == list(loaded.arrays()) == names
+        assert list(json.loads(path.read_text())["params"]) == names
+        assert (loaded.w_att is None) == (not attention)
         for k, arr in params.arrays().items():
             assert np.array_equal(arr, loaded.arrays()[k])
+        again = tmp_path / "again.json"
+        save_checkpoint(again, loaded, cfg2, cat2, stats2)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_refuses_mismatched_catalog(self, tmp_path):
         cfg = tiny_config()
