@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 from driftscope.cli import main as cli
+from driftscope.evaluation import TOP_K, MethodContext
 from driftscope.tables import read_csv
 
 
@@ -20,8 +21,8 @@ def main() -> int:
     ap.add_argument("--hidden-size", type=int, default=32)
     ap.add_argument("--max-epochs", type=int, default=15)
     ap.add_argument("--eta", type=float, default=0.005)
-    ap.add_argument("--k", type=int, default=3)
-    ap.add_argument("--m", type=int, default=64)
+    ap.add_argument("--k", type=int, default=TOP_K)
+    ap.add_argument("--m", type=int, default=MethodContext.m)
     args = ap.parse_args()
 
     out = Path(args.out_dir)

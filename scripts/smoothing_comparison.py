@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import driftscope as ds
+from driftscope.events import SECONDS_PER_HOUR
 from driftscope.model import EncodedEpisode
 from driftscope.tables import write_csv
 
@@ -61,7 +62,7 @@ def main() -> int:
             risk, _ = ds.forward(params, ep.steps)
             for j in range(ep.steps.T):
                 rows.append([ep.episode_id, j + 1, float(ep.steps.step_time[j]),
-                             float(ep.steps.step_time[j]) / 3600.0, float(risk.p[j])])
+                             float(ep.steps.step_time[j]) / SECONDS_PER_HOUR, float(risk.p[j])])
         write_csv(out / f"risk_series_{label}.csv",
                   ["episode", "step", "time_s", "time_h", "p"], rows)
         print(f"{label}: eta={eta} best_epoch={report.best_epoch} "

@@ -35,10 +35,6 @@ class FeatureBins:
     neg: np.ndarray
     mean_bin: int
 
-    @property
-    def n_bins(self) -> int:
-        return len(self.cuts) + 1
-
     def bin_of(self, value):
         """Bin of each value: one equal to a cut goes up; out-of-range ones clamp."""
         return np.searchsorted(self.cuts, value, side="right")
@@ -140,7 +136,9 @@ def _quantiles(ordered: np.ndarray, qs: np.ndarray) -> np.ndarray:
 
 def _distinct(ordered: np.ndarray) -> np.ndarray:
     """``np.unique`` of a sorted array."""
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
 
 
 def bin_statistic(fb: FeatureBins, statistic: str, alpha: float = LAPLACE_ALPHA) -> np.ndarray:

@@ -10,11 +10,12 @@ import argparse
 import contextlib
 import json
 import sys
+from collections import Counter
 from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import evaluation, synth
-from .alerts import AlertRule, NoAnchorError, select_alert_cohort
+from .alerts import AlertRule, select_alert_cohort
 from .bin_stats import BINS_PER_FEATURE, BinTable, fit_bins
 from .events import (
     SECONDS_PER_HOUR,
@@ -26,7 +27,6 @@ from .events import (
     write_event_log,
 )
 from .model import (
-    CatalogMismatchError,
     EncodedEpisode,
     ModelConfig,
     TrainingDivergedError,
@@ -313,6 +313,10 @@ def cmd_evaluate(args) -> int:
 
     _, window_rows = read_csv(args.windows, WINDOWS_HEADER)
     _, expl_rows = read_csv(args.explanations, EXPLANATIONS_HEADER)
+    # explain writes each rank at most once per window of an episode; more
+    # copies (say, a file concatenated with itself) would each be scored
+    n_windows = Counter(r[0] for r in window_rows)
+    copies = Counter()
     selected: dict[tuple[str, str], list[tuple[int, str]]] = {}
     for r in expl_rows:
         rank = int(r[2])
@@ -320,6 +324,11 @@ def cmd_evaluate(args) -> int:
             bound = "is below 1" if rank < 1 else f"exceeds --k {args.k}"
             raise EventFormatError(f"{args.explanations}: rank {r[2]} of episode {r[0]!r}, "
                                    f"method {r[1]!r} {bound}")
+        copies[r[0], r[1], rank] += 1
+        if copies[r[0], r[1], rank] > n_windows[r[0]] > 0:
+            raise EventFormatError(f"{args.explanations}: episode {r[0]!r}, method {r[1]!r} has "
+                                   f"more rows of rank {rank} than its {n_windows[r[0]]} "
+                                   f"window(s) in {args.windows}")
         selected.setdefault((r[0], r[1]), []).append((int(r[3]), r[5]))
     methods = list(dict.fromkeys(method for _, method in selected))
 
@@ -371,14 +380,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"driftscope: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EventFormatError, CatalogMismatchError, NoAnchorError,
-            OSError, json.JSONDecodeError) as exc:
-        print(f"driftscope: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (TrainingDivergedError, FloatingPointError) as exc:
         print(f"driftscope: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # input-format errors are ValueErrors
         print(f"driftscope: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,7 +15,7 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import synth
-from .alerts import AlertRule, select_alert_cohort
+from .alerts import AlertRule, _step_at_or_before, select_alert_cohort
 from .attribution import (
     AttributionMatrix,
     Explanation,
@@ -157,9 +157,8 @@ def checkpoint_windows(episodes: Sequence[PreparedEpisode]) -> list[Window]:
         if c is None:
             continue
         times = ep.steps.step_time
-        t1 = int(np.searchsorted(times, c + 1e-9, side="right"))
-        t0 = int(np.searchsorted(times, c - synth.CHECKPOINT_INTERVAL_H * synth.HOUR + 1e-9,
-                                 side="right"))
+        t1 = _step_at_or_before(times, c) + 1
+        t0 = _step_at_or_before(times, c - synth.CHECKPOINT_INTERVAL_H * synth.HOUR) + 1
         if t1 <= t0:
             continue
         t0_time = float(times[t0 - 1]) if t0 >= 1 else 0.0

@@ -54,9 +54,6 @@ class Events:
     def __len__(self) -> int:
         return len(self.time)
 
-    def __getitem__(self, index: slice) -> "Events":
-        return Events(self.time[index], self.feature[index], self.value[index])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Events):
             return NotImplemented
@@ -115,14 +112,8 @@ class FeatureCatalog:
     def __contains__(self, feature: str) -> bool:
         return feature in self._index
 
-    def index(self, feature: str) -> int:
-        try:
-            return self._index[feature]
-        except KeyError:
-            raise KeyError(f"unknown feature identifier {feature!r}") from None
-
     def indices(self, features: Sequence[str]) -> np.ndarray:
-        """``index`` of each identifier, as an int64 array."""
+        """The channel index of each identifier, as an int64 array."""
         try:
             return np.fromiter(map(self._index.__getitem__, features), np.int64, len(features))
         except KeyError as exc:

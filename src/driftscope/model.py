@@ -29,10 +29,6 @@ class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during optimization."""
 
 
-class CatalogMismatchError(ValueError):
-    """Checkpoint was trained against a different feature catalog."""
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     hidden_size: int = 64
@@ -593,16 +589,10 @@ def auroc(labels: Sequence[int], scores: Sequence[float]) -> float:
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s))
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # The tied scores of s fill sorted positions [left, right), so their
+    # average 1-based rank is (left + right + 1) / 2.
+    ordered = np.sort(s)
+    ranks = (np.searchsorted(ordered, s, "left") + np.searchsorted(ordered, s, "right") + 1) / 2
     rank_sum = ranks[y == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -764,8 +754,8 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
         json.dump(payload, fh)
 
 
-def load_checkpoint(path, expected_catalog: FeatureCatalog | None = None):
-    """Load a checkpoint; refuses to load against a mismatched catalog.
+def load_checkpoint(path):
+    """Load a checkpoint.
 
     A file that is not JSON (or nests past Python's recursion limit), a
     payload that is not an object, lacks a section, or has a section of the
@@ -791,10 +781,6 @@ def load_checkpoint(path, expected_catalog: FeatureCatalog | None = None):
         arrs = {k: np.asarray(v, dtype=float) for k, v in payload["params"].items()}
     except (TypeError, KeyError, AttributeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
-    if expected_catalog is not None and catalog.ids != expected_catalog.ids:
-        raise CatalogMismatchError(
-            "checkpoint catalog does not match the provided catalog"
-        )
     H, d = config.hidden_size, 2 * catalog.d_features + 1
     if payload.get("d") != d:
         raise ValueError(f"checkpoint d={payload.get('d')!r}, but its catalog of "

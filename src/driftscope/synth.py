@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bin_stats import _distinct
 from .events import SECONDS_PER_HOUR as HOUR, Events, EventSequence, FeatureCatalog
 
 CREATININE = "creatinine"
@@ -28,7 +29,6 @@ URINE_SUSTAIN_H = 6.0
 
 # Checkpoints fall at every multiple of this interval after episode start.
 CHECKPOINT_INTERVAL_H = 3.0
-_CHECKPOINT_CHUNK = 256  # checkpoints labelled at a time
 
 # Deterioration shape. The extra measurements at onset+1h and onset+7h make
 # the injury criterion provably reachable by onset+7h: the creatinine rise
@@ -235,35 +235,26 @@ def first_positive_checkpoint(seq: EventSequence) -> float | None:
     """Earliest checkpoint (multiple of CHECKPOINT_INTERVAL_H) at which the
     label is positive, scanning to the last event; None when never positive.
 
-    Checkpoints are labelled in chunks, so memory stays bounded however late
-    the last event. The label can change only at a creatinine or urine-rate
-    event, when a creatinine event leaves the lookback and when a urine run
-    reaches the sustain time. After a chunk with no positive, labelling
-    resumes a checkpoint before the next such change, so the time taken
-    follows the number of events, not the time of the last one; the one-step
-    margins absorb float rounding.
+    The label is negative before the first creatinine or urine-rate event and
+    can change only at such an event, when a creatinine event leaves the
+    lookback and when a urine run reaches the sustain time. So the first
+    positive checkpoint is the first one at or after one of these changes;
+    only those are labelled, with a checkpoint of margin on either side for
+    float rounding. The time taken follows the number of events, not the
+    time of the last one.
     """
     events = seq.events
     step = CHECKPOINT_INTERVAL_H * HOUR
-    last = events.time[-1] + step
     t_cr = events.time[events.feature == CREATININE]
     t_ur = events.time[events.feature == URINE_RATE]
-    changes = np.sort(np.concatenate((t_cr, t_cr + CREATININE_LOOKBACK_H * HOUR,
-                                      t_ur, t_ur + (URINE_SUSTAIN_H * HOUR - 1e-9))))
-    k = 1
-    while True:
-        # float(k): for a late enough last event, k passes the int64 range
-        checkpoints = (float(k) + np.arange(_CHECKPOINT_CHUNK)) * step
-        checkpoints = checkpoints[checkpoints <= last]
-        if not len(checkpoints):
-            return None
-        positive = np.flatnonzero(_labels(events, checkpoints))
-        if len(positive):
-            return float(checkpoints[positive[0]])
-        i = int(np.searchsorted(changes, checkpoints[-1] - step, side="right"))
-        if i == len(changes):
-            return None
-        k = max(k + _CHECKPOINT_CHUNK, int(changes[i] // step) - 1)
+    changes = np.concatenate((t_cr, t_cr + CREATININE_LOOKBACK_H * HOUR,
+                              t_ur, t_ur + (URINE_SUSTAIN_H * HOUR - 1e-9)))
+    # Float indices: for a late enough event, they pass the int64 range.
+    k = np.ceil(changes / step)[:, None] + (-1.0, 0.0, 1.0)
+    checkpoints = _distinct(np.sort(np.maximum(k, 1.0), axis=None)) * step
+    checkpoints = checkpoints[checkpoints <= events.time[-1] + step]
+    positive = np.flatnonzero(_labels(events, checkpoints))
+    return float(checkpoints[positive[0]]) if len(positive) else None
 
 
 def ground_truth_set(seq: EventSequence, t0: int, t1: int) -> set[tuple[int, str]]:

@@ -184,8 +184,8 @@ class TestCarryForwardBaseline:
         features = ["temp", "other", "other", "temp", "other", "temp", "temp"]
         values = [99.0, 7.0, 8.0, 100.1, 9.0, 100.2, 100.9]
         steps, catalog = steps_from_features(features, values)
-        ti = catalog.index("temp")
-        oi = catalog.index("other")
+        ti = catalog.ids.index("temp")
+        oi = catalog.ids.index("other")
         baseline = build_carry_forward_baseline(steps, 4)
         temp_steps = [j for j, f in enumerate(features) if f == "temp"]
         np.testing.assert_allclose(baseline.x[temp_steps, ti], [99.0, 100.1, 100.1, 100.1])
@@ -197,7 +197,7 @@ class TestCarryForwardBaseline:
         values = [1.0, 2.0, 3.0, 4.0]
         steps, catalog = steps_from_features(features, values)
         baseline = build_carry_forward_baseline(steps, 2)
-        bi = catalog.index("b")
+        bi = catalog.ids.index("b")
         np.testing.assert_array_equal(baseline.x[2:, bi], [0.0, 0.0])
 
     def test_pattern_channels_bitwise_equal(self):

@@ -59,7 +59,7 @@ class TestFitBins:
         corpus = corpus_from_values([3.0] * 8, [1, 0] * 4)
         bt = fit_bins(corpus, bins_per_feature=10)
         fb = bt.by_feature["f"]
-        assert fb.n_bins == 1
+        assert len(fb.pos) == 1
         assert fb.pos[0] == 4 and fb.neg[0] == 4
 
     def test_counts_match_recount_oracle(self):
@@ -70,8 +70,8 @@ class TestFitBins:
         corpus = corpus_from_values(values, outcomes)
         bt = fit_bins(corpus, bins_per_feature=5)
         fb = bt.by_feature["f"]
-        pos = np.zeros(fb.n_bins, dtype=int)
-        neg = np.zeros(fb.n_bins, dtype=int)
+        pos = np.zeros(len(fb.pos), dtype=int)
+        neg = np.zeros(len(fb.pos), dtype=int)
         for v, o in zip(values, outcomes):
             b = fb.bin_of(v)
             if o:
@@ -245,7 +245,7 @@ class TestStatWeights:
         catalog, _, bt = self._fixture()
         fb = bt.by_feature["f"]
         assert fb.bin_of(-1e9) == 0
-        assert fb.bin_of(1e9) == fb.n_bins - 1
+        assert fb.bin_of(1e9) == len(fb.pos) - 1
 
     def test_matches_spreadsheet_recount_oracle(self):
         # Oracle: recompute one weight from nothing but raw counts.
@@ -284,7 +284,7 @@ class TestStatWeights:
         ]
         bt1 = fit_bins(corpus, bins_per_feature=5)
         bt2 = fit_bins(doubled, bins_per_feature=5)
-        for b in range(bt1.by_feature["f"].n_bins):
+        for b in range(len(bt1.by_feature["f"].pos)):
             v1 = odds_ratio(bt1, b)
             v2 = odds_ratio(bt2, b)
             exact = odds_ratio(bt1, b, alpha=1e-12)

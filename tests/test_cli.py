@@ -414,6 +414,22 @@ def test_non_finite_event_is_data_error(data_dir, trained_dir, tmp_path, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["alerts", "explain"])
+def test_feature_outside_the_catalog_is_data_error(data_dir, trained_dir, tmp_path, capsys,
+                                                   command):
+    lines = (data_dir / "events.jsonl").read_text().splitlines()
+    rec = json.loads(lines[10])
+    rec["feature"] = "pulse"
+    lines[10] = json.dumps(rec)
+    events = tmp_path / "events.jsonl"
+    events.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run(command, "--events", events, "--checkpoint", trained_dir / "checkpoint.json",
+               "--out-dir", out) == 2
+    assert "data error: line 11: unknown feature identifier 'pulse'" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 # Flag values that are not finite. The alert ones would leave the rule's check
 # schedule without an end; `explain` reads the same rule flags.
 @pytest.mark.parametrize("command, flag, value", [
@@ -589,6 +605,40 @@ class TestEvaluate:
             assert (f"data error: {expl}: rank {rank} of episode {row[0]!r}, "
                     f"method 'random' is below 1") in err
             assert not (out / "results.csv").exists()
+
+    def test_duplicated_rows_are_data_error(self, data_dir, explained, tmp_path, capsys):
+        # A file concatenated with itself would score every explanation twice.
+        lines = (explained / "explanations.csv").read_text().splitlines()
+        expl = tmp_path / "expl.csv"
+        expl.write_text("\n".join(lines + lines[1:]) + "\n")
+        windows = explained / "windows.csv"
+        args = ["evaluate", "--events", data_dir / "events.jsonl", "--explanations", expl]
+        out = tmp_path / "res"
+        assert run(*args, "--windows", windows, "--out-dir", out) == 2
+        episode, method, rank = lines[1].split(",")[:3]
+        assert (f"data error: {expl}: episode {episode!r}, method {method!r} has more rows "
+                f"of rank {rank} than its 1 window(s) in {windows}") in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+        # Rows of an episode with no window are not scored, copied or not.
+        expl.write_text("\n".join(lines + [ln for ln in lines if ln.startswith(episode + ",")])
+                        + "\n")
+        others = tmp_path / "windows.csv"
+        others.write_text("\n".join(ln for ln in windows.read_text().splitlines()
+                                    if not ln.startswith(episode + ",")) + "\n")
+        assert run(*args, "--windows", others, "--out-dir", tmp_path / "others") == 0
+
+    def test_all_alerts_output_is_scored(self, data_dir, trained_dir, tmp_path):
+        expl = tmp_path / "expl"
+        assert run("explain", "--events", data_dir / "events.jsonl",
+                   "--checkpoint", trained_dir / "checkpoint.json", "--out-dir", expl,
+                   "--windows", "alerts", "--all-alerts", "--min-new-events", "1",
+                   "--ratio-threshold", "1.001", "--floor", "0.01",
+                   "--methods", "random,discrete_derivative", "--seed", "5") == 0
+        episodes = [r[0] for r in read_csv(expl / "windows.csv")[1]]
+        assert len(set(episodes)) < len(episodes)  # some episode has several windows
+        assert run("evaluate", "--events", data_dir / "events.jsonl",
+                   "--explanations", expl / "explanations.csv",
+                   "--windows", expl / "windows.csv", "--out-dir", tmp_path / "res") == 0
 
     @pytest.mark.parametrize("resamples", ["0", "-1"])
     def test_resamples_below_one_is_usage_error(self, data_dir, explained, tmp_path, capsys,

@@ -188,8 +188,10 @@ class TestPrepare:
         a one-step episode among them, in an order that is not by length."""
         params, stats, catalog, corpus = self._inputs(attention=True, n_episodes=11)
         keep = [1, 150, 7, 2, 90, 33, 150, 5, 64, 3, 120]
-        return params, stats, catalog, [dataclasses.replace(seq, events=seq.events[:n])
-                                        for seq, n in zip(corpus, keep)]
+        return params, stats, catalog, [
+            dataclasses.replace(seq, events=ds.Events(seq.events.time[:n], seq.events.feature[:n],
+                                                      seq.events.value[:n]))
+            for seq, n in zip(corpus, keep)]
 
     def test_batched_scans_match_single_series_scans(self):
         params, stats, catalog, corpus = self._mixed_corpus()

@@ -212,7 +212,7 @@ class TestEncode:
         )
         seq = EventSequence("e", events_of(events), 1, "train")
         steps = encode_steps(seq, catalog, identity_stats(catalog.ids))
-        feats = [catalog.index(f) for _, f, _ in events]
+        feats = [catalog.ids.index(f) for _, f, _ in events]
         values = np.zeros((40, 3))
         values[np.arange(40), feats] = [v for _, _, v in events]
         np.testing.assert_array_equal(steps.x[:, :3], values)
@@ -321,7 +321,7 @@ def reference_parse(stream, catalog=None):
         raw[episode].append((time_s, feature, value))
     if catalog is None:
         catalog = FeatureCatalog.from_ids(sorted(seen_features))
-    return [(episode, sorted(recs, key=lambda r: (r[0], catalog.index(r[1]))), *meta[episode])
+    return [(episode, sorted(recs, key=lambda r: (r[0], catalog.ids.index(r[1]))), *meta[episode])
             for episode, recs in raw.items()]
 
 
@@ -453,7 +453,7 @@ def reference_encode(seq, catalog, stats):
     prev = 0.0
     for j, (t, f, v) in enumerate(zip(seq.events.time.tolist(), seq.events.feature,
                                       seq.events.value.tolist())):
-        i = catalog.index(f)
+        i = catalog.ids.index(f)
         x[j, i] = stats.normalize_value(f, v)
         x[j, d_f + i] = 1.0
         x[j, 2 * d_f] = math.log1p((t - prev) / 3600.0)
@@ -472,7 +472,7 @@ def test_encode_steps_matches_the_per_event_loop(seed, hours):
     for seq in corpus:
         steps = encode_steps(seq, catalog, stats)
         assert steps.x.tobytes() == reference_encode(seq, catalog, stats).tobytes()
-        assert steps.step_feature.tolist() == [catalog.index(f) for f in seq.events.feature]
+        assert steps.step_feature.tolist() == [catalog.ids.index(f) for f in seq.events.feature]
         assert np.array_equal(steps.step_time, seq.events.time)
         assert np.array_equal(steps.step_raw, seq.events.value)
 
@@ -513,8 +513,9 @@ class TestEvents:
         ev = events_of([(0.0, "f", 1.0), (1.0, "g", 2.0), (1.0, "f", 3.0)])
         assert ev == events_of([(0.0, "f", 1.0), (1.0, "g", 2.0), (1.0, "f", 3.0)])
         assert ev != events_of([(0.0, "f", 1.0), (1.0, "f", 2.0), (1.0, "f", 3.0)])
-        assert ev[1:] == events_of([(1.0, "g", 2.0), (1.0, "f", 3.0)])
-        assert len(ev[:1]) == 1
+        assert Events(ev.time[1:], ev.feature[1:], ev.value[1:]) == events_of(
+            [(1.0, "g", 2.0), (1.0, "f", 3.0)])
+        assert len(Events(ev.time[:1], ev.feature[:1], ev.value[:1])) == 1
 
     def test_unsorted_sequence_rejected(self):
         with pytest.raises(EventFormatError, match="not time-sorted"):

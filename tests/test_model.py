@@ -8,7 +8,6 @@ from hypothesis import example, given, strategies as st
 import driftscope as ds
 from driftscope.events import FeatureCatalog, FeatureStat
 from driftscope.model import (
-    CatalogMismatchError,
     EncodedEpisode,
     EpochStats,
     RiskSeries,
@@ -784,7 +783,7 @@ class TestCheckpoint:
         stats = ds.FeatureStats({})
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params, cfg, catalog, stats)
-        loaded, cfg2, cat2, stats2 = load_checkpoint(path, expected_catalog=catalog)
+        loaded, cfg2, cat2, stats2 = load_checkpoint(path)
         assert cfg2 == cfg
         assert cat2.ids == catalog.ids
         names = ["w_gates", "u_gates", "b_gates", "w_out", "b_out"] + ["w_att"] * attention
@@ -796,16 +795,6 @@ class TestCheckpoint:
         again = tmp_path / "again.json"
         save_checkpoint(again, loaded, cfg2, cat2, stats2)
         assert again.read_bytes() == path.read_bytes()
-
-    def test_refuses_mismatched_catalog(self, tmp_path):
-        cfg = tiny_config()
-        params = ds.model_init(cfg, 5)
-        catalog = FeatureCatalog.from_ids(["sig", "noise"])
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params, cfg, catalog, ds.FeatureStats({}))
-        other = FeatureCatalog.from_ids(["sig", "other"])
-        with pytest.raises(CatalogMismatchError):
-            load_checkpoint(path, expected_catalog=other)
 
     @given(path=st.lists(st.integers(0, 20), max_size=4), value=json_values,
            delete=st.booleans())
@@ -837,7 +826,7 @@ class TestCheckpoint:
         assert "catalog_fingerprint" not in payload
         payload["catalog_fingerprint"] = "0" * 64
         path.write_text(json.dumps(payload))
-        loaded, _, cat2, _ = load_checkpoint(path, expected_catalog=catalog)
+        loaded, _, cat2, _ = load_checkpoint(path)
         assert cat2.ids == catalog.ids
         for k, arr in params.arrays().items():
             assert np.array_equal(arr, loaded.arrays()[k])
@@ -852,3 +841,37 @@ class TestAuroc:
 
     def test_single_class_nan(self):
         assert math.isnan(auroc([1, 1], [0.2, 0.4]))
+
+    @given(st.lists(st.tuples(st.integers(0, 1),
+                              st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
+                              | st.floats(-1e3, 1e3, allow_nan=False)),
+                    min_size=1, max_size=60))
+    @example([(0, 0.0), (1, -0.0), (1, 0.0), (0, -0.0)])
+    @example([(1, 0.5), (1, 0.25)])  # a single class gives nan
+    def test_matches_tie_walking_ranks(self, pairs):
+        labels, scores = zip(*pairs)
+        assert (np.float64(auroc(labels, scores)).tobytes()
+                == np.float64(tie_walking_auroc(labels, scores)).tobytes())
+
+
+def tie_walking_auroc(labels, scores):
+    """``auroc`` as it was written before its ranks had a closed form: each
+    group of tied scores, walked in sorted order, gets its average rank."""
+    y = np.asarray(labels, dtype=float)
+    s = np.asarray(scores, dtype=float)
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return float("nan")
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(len(s))
+    sorted_s = s[order]
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = ranks[y == 1].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))

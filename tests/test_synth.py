@@ -294,6 +294,7 @@ signal_events = st.tuples(event_times, st.sampled_from([CREATININE, URINE_RATE])
          [(1, 0.0, URINE_RATE, 20.0), (2, 48.0 * HOUR, CREATININE, 1.31)])
 @example([(10.0, CREATININE, 1.0), (5000 * HOUR, URINE_RATE, 20.0)],
          [(1, 6.0 * HOUR - 1e-9, URINE_RATE, 20.0), (0, 48.0 * HOUR, CREATININE, 1.3)])
+@example([(5.0, "heart_rate", 80.0)], [])  # no event at which the label can change
 def test_first_positive_checkpoint_matches_the_chunked_scan(events, derived):
     # Far-apart events, and events placed exactly where the label can change.
     triples = list(events)
