@@ -8,8 +8,9 @@ Weights that do not depend on the window cover the whole episode: (0, T].
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,10 +22,19 @@ from .model import (
     _check_window,
     _risk_gradient_batch,
     _state_at,
+    _window_rows_gradient,
 )
 
 # Methods whose weights are ratios; their neutral (no-evidence) weight is 1.
 RATIO_METHODS = frozenset({"odds_ratio", "rothman"})
+
+# Path points per call of the batched risk gradient in integrated gradients:
+# as many as one call held at the default m, which bounds peak memory at any m.
+IG_ROWS = 64
+# The adaptive ladder's first rung, in midpoints, and the completeness
+# residual in probability units below which a window stops refining.
+IG_FIRST_RUNG = 8
+IG_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -112,6 +122,12 @@ def build_carry_forward_baseline(steps: StepSeries, t0: int) -> StepSeries:
     return replace(steps, x=x)
 
 
+def _midpoints(x_target: np.ndarray, x_baseline: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """The points (n, L, d) at the fractions ``alphas`` of the way from the
+    target toward the baseline."""
+    return x_target[None] + alphas[:, None, None] * (x_baseline - x_target)[None]
+
+
 def averaged_gradient_attribution(
     grad_fn: Callable[[np.ndarray], np.ndarray],
     x_target: np.ndarray,
@@ -122,20 +138,34 @@ def averaged_gradient_attribution(
     multiplied elementwise by (target - baseline).
 
     ``grad_fn`` maps a stacked batch (B, T, d) of input sequences to gradients
-    of the explained quantity, shape (B, T, d). Exact at any m >= 1 when the
-    explained quantity is quadratic in the inputs.
+    of the explained quantity, shape (B, T, d); it gets the m points in
+    batches of at most ``IG_ROWS``, which bounds memory at any m. Exact at
+    any m >= 1 when the explained quantity is quadratic in the inputs.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    alphas = (np.arange(m) + 0.5) / m  # fraction of the way toward the baseline
-    xs = x_target[None] + alphas[:, None, None] * (x_baseline - x_target)[None]
-    grads = grad_fn(xs)
-    return (x_target - x_baseline) * grads.mean(axis=0)
+    total = None
+    for start in range(0, m, IG_ROWS):
+        alphas = (np.arange(start, min(start + IG_ROWS, m)) + 0.5) / m
+        g = grad_fn(_midpoints(x_target, x_baseline, alphas)).sum(axis=0)
+        total = g if total is None else total + g
+    return (x_target - x_baseline) * (total / m)
+
+
+def _fixed_m_path(params: ModelParams, x: np.ndarray, b: np.ndarray, state, m: int) -> np.ndarray:
+    """Integrated gradients (L, d) of the window inputs ``x`` from the
+    baseline inputs ``b`` at m midpoints, every point scanned from ``state``."""
+
+    def grad_fn(xs: np.ndarray) -> np.ndarray:  # (n, L, d) path points of the window
+        return _risk_gradient_batch(params, xs.transpose(1, 0, 2), state,
+                                    [len(x)] * len(xs))[0].transpose(1, 0, 2)
+
+    return averaged_gradient_attribution(grad_fn, x, b, m)
 
 
 def integrated_gradients(
     params: ModelParams, steps: StepSeries, t0: int, t1: int, m: int,
-    states: KeptStates | None = None,
+    states: KeptStates | None = None, weights: np.ndarray | None = None,
 ) -> AttributionMatrix:
     """Path-integrated gradients of p_t1 from the carry-forward baseline.
 
@@ -144,18 +174,141 @@ def integrated_gradients(
     factor vanishes on every other channel. Every path point equals the input
     up to step t0, so the m path points are scanned over (t0, t1] only, from
     the state at t0, which is scanned from the latest of ``states`` at or
-    before t0 (from step 0 without them).
+    before t0 (from step 0 without them). ``weights`` are the window's
+    weights when already computed (``IGPath.weights``).
     """
     _check_window(steps.T, t0, t1)
-    baseline = build_carry_forward_baseline(steps, t0)
-    state = _state_at(params, steps, t0, states)
+    if weights is not None:
+        return AttributionMatrix(weights, "integrated_gradients", (t0, t1))
+    x, b = steps.x[t0:t1], build_carry_forward_baseline(steps, t0).x[t0:t1]
+    path = _fixed_m_path(params, x, b, _state_at(params, steps, t0, states), m)
+    return _window_weights(path, steps, t0, t1, "integrated_gradients")
 
-    def grad_fn(xs: np.ndarray) -> np.ndarray:  # (m, L, d) path points of the window
-        return _risk_gradient_batch(params, xs.transpose(1, 0, 2), state,
-                                    [t1 - t0] * m).transpose(1, 0, 2)
 
-    g = averaged_gradient_attribution(grad_fn, steps.x[t0:t1], baseline.x[t0:t1], m)
-    return _window_weights(g, steps, t0, t1, "integrated_gradients")
+@dataclass(frozen=True)
+class IGPath:
+    """A window's integrated-gradient weights (t1 - t0,) at the rung of
+    ``points`` midpoints it stopped at, after ``used`` path points in all,
+    and their completeness residual |sum - (p_t1(x) - p_t1(baseline))|."""
+
+    weights: np.ndarray
+    points: int
+    used: int
+    residual: float
+
+
+def _rung_alphas(rung: int, nested: bool) -> np.ndarray:
+    """The path fractions of the midpoints that a rung computes: all of them,
+    or, after the rung of rung / 3 points, the two in three that rung lacks
+    ((i + 1/2) / r = (3i + 3/2) / (3r))."""
+    j = np.arange(rung)
+    return ((j[j % 3 != 1] if nested else j) + 0.5) / rung
+
+
+def adaptive_integrated_gradients(
+    params: ModelParams,
+    windows: Sequence[tuple[StepSeries, int, int, KeptStates | None]],
+    m: int,
+) -> list[IGPath]:
+    """The integrated gradients of each window (steps, t0, t1, states), with
+    as many midpoints as completeness asks for and at most m.
+
+    Each window starts at ``IG_FIRST_RUNG`` midpoints and triples them while
+    the tripled count stays below m; each rung reuses every point of the one
+    before. A window stops at the first rung whose completeness residual is
+    below ``IG_TOLERANCE``. One that never does ends with a fresh m-point
+    rung computed as ``integrated_gradients`` computes it, so its weights are
+    the fixed-m weights bit for bit. The rows of a rung, over all windows
+    still refining in order of length, run as calls of ``IG_ROWS`` rows of
+    the model's window-row core; the first rung adds each window's two
+    endpoints, its input and its baseline, whose risks give the residual.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    xs, bs, starts = [], [], []
+    for steps, t0, t1, states in windows:
+        _check_window(steps.T, t0, t1)
+        xs.append(steps.x[t0:t1])
+        bs.append(build_carry_forward_baseline(steps, t0).x[t0:t1].copy())  # frees the rest
+        starts.append(_state_at(params, steps, t0, states))
+    rungs = []  # the nested rungs, all below m
+    while (rung := IG_FIRST_RUNG * 3 ** len(rungs)) < m:
+        rungs.append(rung)
+    active = sorted(range(len(windows)), key=lambda i: len(xs[i]))
+    change = [0.0] * len(windows)  # p_t1(x) - p_t1(baseline)
+    sums: list = [None] * len(windows)  # gradient sums over the points so far
+    out: list[IGPath | None] = [None] * len(windows)
+
+    def finish(i: int, path: np.ndarray, points: int, used: int) -> None:
+        steps, t0, t1, _ = windows[i]
+        a = _window_weights(path, steps, t0, t1, "integrated_gradients").a
+        out[i] = IGPath(a, points, used, abs(float(a.sum()) - change[i]))
+
+    for depth, rung in enumerate(rungs or [0]):  # with no nested rung, the endpoints alone
+        alphas = _rung_alphas(rung, nested=depth > 0)
+        blocks = []  # (window, path fractions of its rows; None for its endpoints)
+        for i in active:
+            if depth == 0:
+                blocks.append((i, None))
+            if rung:
+                blocks.append((i, alphas))
+        grads, risks = _block_gradients(params, blocks, xs, bs, starts)
+        for (i, alphas), g, p in zip(blocks, grads, risks):
+            if alphas is None:
+                change[i] = p[0] - p[1]
+            else:
+                sums[i] = g if sums[i] is None else sums[i] + g
+        if rung:
+            refining = []
+            for i in active:
+                finish(i, (xs[i] - bs[i]) * (sums[i] / rung), rung, rung)
+                if not out[i].residual < IG_TOLERANCE:
+                    refining.append(i)
+            active = refining
+    for i in active:
+        finish(i, _fixed_m_path(params, xs[i], bs[i], starts[i], m), m,
+               (rungs[-1] if rungs else 0) + m)
+    return out
+
+
+def _block_gradients(params: ModelParams, blocks, xs, bs, starts):
+    """For each block (window i, alphas), the sum over its rows of the risk
+    gradients (L, d), and for each block of endpoints the rows' risks. The
+    rows are the points of window i at the fractions ``alphas`` of the way
+    from its inputs ``xs[i]`` toward its baseline ``bs[i]``, or, for alphas
+    None, those two endpoints. The rows of all blocks run in order as calls
+    of at most ``IG_ROWS`` rows of ``_window_rows_gradient``, each from its
+    window's state ``starts[i]``, and are built one call at a time, which
+    bounds memory at any number of rows."""
+    grads: list = [None] * len(blocks)
+    risks: list[list[float]] = [[] for _ in blocks]
+    rows = ((k, j) for k, (_, alphas) in enumerate(blocks)
+            for j in range(2 if alphas is None else len(alphas)))
+    for call in iter(lambda: list(itertools.islice(rows, IG_ROWS)), []):
+        runs = []  # (block k, first row, end row)
+        for k, run in itertools.groupby(call, key=lambda row: row[0]):
+            js = [j for _, j in run]
+            runs.append((k, js[0], js[-1] + 1))
+        inputs, states = [], []
+        for k, j0, j1 in runs:
+            i, alphas = blocks[k]
+            part = (np.stack([xs[i], bs[i]])[j0:j1] if alphas is None
+                    else _midpoints(xs[i], bs[i], alphas[j0:j1]))
+            inputs.extend(part)
+            states.extend([starts[i]] * (j1 - j0))
+        g, p = _window_rows_gradient(params, inputs, states)
+        lo = 0
+        for k, j0, j1 in runs:
+            i, alphas = blocks[k]
+            hi = lo + j1 - j0
+            if alphas is None:
+                risks[k].extend(p[lo:hi].tolist())
+            else:
+                part = g[: len(xs[i]), lo:hi].sum(axis=1)
+                grads[k] = part if grads[k] is None else grads[k] + part
+            lo = hi
+        del g, p  # freed before the next call, which keeps peak memory down
+    return grads, risks
 
 
 def discrete_time_derivatives(risk: RiskSeries, steps: StepSeries) -> AttributionMatrix:

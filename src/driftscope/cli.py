@@ -15,6 +15,7 @@ from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import evaluation, synth
+from .attribution import IG_FIRST_RUNG, IG_TOLERANCE
 from .alerts import AlertRule, select_alert_cohort
 from .bin_stats import BINS_PER_FEATURE, BinTable, fit_bins
 from .events import (
@@ -149,7 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="all",
                    help=f"comma-separated subset of: {','.join(METHODS)} (default: all)")
     p.add_argument("--k", type=int, default=evaluation.TOP_K)
-    p.add_argument("--m", type=int, default=MethodContext.m)
+    p.add_argument("--m", type=int, default=MethodContext.m,
+                   help="most integrated-gradient midpoints per window: a window refines "
+                        f"{IG_FIRST_RUNG} -> {3 * IG_FIRST_RUNG} -> ... midpoints below M until "
+                        f"its weights sum to its risk change within {IG_TOLERANCE:g}, and ends "
+                        "with M midpoints if they never do (default: %(default)s)")
     p.add_argument("--windows", choices=("checkpoints", "alerts"), default="checkpoints")
     _add_rule_flags(p)
 
@@ -284,8 +289,9 @@ def cmd_explain(args) -> int:
     else:
         windows = evaluation.checkpoint_windows(episodes)
 
-    expl_rows = []
-    for w, method, (expl,) in explain_windows(ctx, episodes, windows, methods, args.k):
+    expl_rows, ig_paths = [], []
+    for w, method, (expl,) in explain_windows(ctx, episodes, windows, methods, args.k,
+                                              ig_paths=ig_paths):
         expl_rows.extend(
             [w.episode_id, method, rank, it.step, it.time,
              catalog.ids[it.feature], it.raw, it.weight]
@@ -302,6 +308,12 @@ def cmd_explain(args) -> int:
               ["episode", "step", "time_s", "time_h", "p"], risk_rows)
     print(f"wrote {len(expl_rows)} explanation rows over {len(windows)} windows "
           f"and {len(methods)} methods")
+    if ig_paths:
+        print(f"integrated_gradients: {len(ig_paths)} windows, "
+              f"{sum(p.used for p in ig_paths)} path points of m x windows = "
+              f"{args.m * len(ig_paths)}, {sum(p.points == args.m for p in ig_paths)} at the cap "
+              f"m = {args.m}, largest completeness residual "
+              f"{max(p.residual for p in ig_paths):.3g}", file=sys.stderr)
     return EXIT_OK
 
 

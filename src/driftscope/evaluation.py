@@ -19,6 +19,8 @@ from .alerts import AlertRule, _step_at_or_before, select_alert_cohort
 from .attribution import (
     AttributionMatrix,
     Explanation,
+    IGPath,
+    adaptive_integrated_gradients,
     discrete_time_derivatives,
     integrated_gradients,
     random_guess,
@@ -26,7 +28,7 @@ from .attribution import (
     time_restrict,
     top_k_explanations,
 )
-from .bin_stats import BinTable, stat_weights
+from .bin_stats import BinTable, _quantiles, stat_weights
 from .events import EventSequence, FeatureCatalog, FeatureStats, StepSeries, encode_steps
 from .model import (
     KeptStates,
@@ -182,21 +184,31 @@ def explain_windows(
     methods: Sequence[str],
     k: int,
     random_repeats: int = 1,
+    ig_paths: list[IGPath] | None = None,
 ) -> Iterator[tuple[Window, str, list[Explanation]]]:
     """Explain each window with each method, in order, episode by episode:
     weights that are the same in every window of an episode are computed once
-    for its run of windows, and the ``gradient`` weights of all windows first,
-    in batches (``window_gradients``). ``random`` gives ``random_repeats``
-    draws, others one."""
+    for its run of windows, and the ``gradient`` and ``integrated_gradients``
+    weights of all windows first, in batches (``window_gradients``,
+    ``adaptive_integrated_gradients`` with ``ctx.m`` as the cap). ``random``
+    gives ``random_repeats`` draws, others one. ``ig_paths``, when given,
+    receives each window's IGPath."""
     by_id = {ep.episode_id: ep for ep in episodes}
-    gradients = iter(window_gradients(ctx.params, [(by_id[w.episode_id], w) for w in windows])
+    pairs = [(by_id[w.episode_id], w) for w in windows]
+    gradients = iter(window_gradients(ctx.params, pairs)
                      if "gradient" in methods else [None] * len(windows))
+    paths = (adaptive_integrated_gradients(
+        ctx.params, [(ep.steps, w.t0, w.t1, ep.states) for ep, w in pairs], ctx.m)
+        if "integrated_gradients" in methods else [None] * len(windows))
+    if ig_paths is not None:
+        ig_paths.extend(p for p in paths if p is not None)
+    paths = iter(paths)
     for episode_id, run in itertools.groupby(windows, key=lambda w: w.episode_id):
         ep, shared = by_id[episode_id], {}
-        for w, gradient in zip(run, gradients):
+        for w, gradient, path in zip(run, gradients, paths):
             for method in methods:
                 reps = random_repeats if method == "random" else 1
-                yield w, method, [explain_window(method, ctx, ep, w, k, rep, shared, gradient)
+                yield w, method, [explain_window(method, ctx, ep, w, k, rep, shared, gradient, path)
                                   for rep in range(reps)]
 
 
@@ -227,10 +239,12 @@ def explain_window(
     rep: int = 0,
     shared: dict[str, AttributionMatrix] | None = None,
     gradient: AttributionMatrix | None = None,
+    ig_path: IGPath | None = None,
 ) -> Explanation:
     """Run one attribution method on one window and select its top-k events.
     ``shared`` keeps the episode's window-independent weights between calls;
-    ``gradient`` is the window's ``gradient`` weights when already computed."""
+    ``gradient`` is the window's ``gradient`` weights and ``ig_path`` its
+    integrated-gradient path when already computed."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; available: {', '.join(METHODS)}")
     t0, t1 = window.t0, window.t1
@@ -241,7 +255,8 @@ def explain_window(
             gradient = grad_wrt_inputs(ctx.params, ep.steps, t1, t0, states=ep.states)
         return top_k_explanations(gradient, ep.steps, k)
     if method == "integrated_gradients":
-        a = integrated_gradients(ctx.params, ep.steps, t0, t1, m=ctx.m, states=ep.states)
+        a = integrated_gradients(ctx.params, ep.steps, t0, t1, m=ctx.m, states=ep.states,
+                                 weights=None if ig_path is None else ig_path.weights)
         return top_k_explanations(a, ep.steps, k)
     shared = {} if shared is None else shared
     key = method.removesuffix("_diff")  # a statistic's two methods share its weights
@@ -304,7 +319,8 @@ def bootstrap_ci(
     idx = rng.integers(0, v.size, size=(resamples, v.size))
     means = v[idx].mean(axis=1)
     lo_q = (1.0 - 0.95) / 2.0
-    return float(np.quantile(means, lo_q)), float(np.quantile(means, 1.0 - lo_q))
+    lo, hi = _quantiles(np.sort(means), np.array([lo_q, 1.0 - lo_q]))
+    return float(lo), float(hi)
 
 
 @dataclass(frozen=True)

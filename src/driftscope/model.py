@@ -487,11 +487,11 @@ def _state_at(params: ModelParams, steps: StepSeries, t0: int,
     s, state = (0, (0.0, 0.0)) if states is None else states.start(t0)
     if s < t0:
         _, c, h = _scan(params, steps.x[s:t0, None], state=state)
-        state = (h[-1, 0], c[-1, 0])
+        state = (h[-1, 0].copy(), c[-1, 0].copy())  # copies, so the scan is freed
     return state
 
 
-def _risk_gradient_batch(params: ModelParams, xs: np.ndarray, state, lengths) -> np.ndarray:
+def _risk_gradient_batch(params: ModelParams, xs: np.ndarray, state, lengths):
     """Eval-mode gradient of the risk at each row's last window step with
     respect to the window's inputs.
 
@@ -499,7 +499,8 @@ def _risk_gradient_batch(params: ModelParams, xs: np.ndarray, state, lengths) ->
     window is its first ``lengths[b]`` steps, scanned and swept from
     ``state`` (h, c), which the rows share or which holds (B, H) arrays, one
     state per row. Each row is seeded at its own last step, so its pad steps
-    carry zero dZ and zero gradient. Returns d p_last / d xs, (L, B, d).
+    carry zero dZ and zero gradient. Returns d p_last / d xs, (L, B, d), and
+    p_last, (B,).
     """
     L, B, d = xs.shape
     H = params.hidden_size
@@ -510,7 +511,20 @@ def _risk_gradient_batch(params: ModelParams, xs: np.ndarray, state, lengths) ->
     dlogit[last, rows] = p * (1.0 - p)
     dz = _sweep(params, gates, c, dlogit, c0=state[1])
     del c, h  # freed before the product below, which keeps peak memory down
-    return (dz.reshape(L * B, 4 * H) @ params.w_gates).reshape(L, B, d)
+    return (dz.reshape(L * B, 4 * H) @ params.w_gates).reshape(L, B, d), p
+
+
+def _window_rows_gradient(params: ModelParams, inputs: Sequence[np.ndarray], states):
+    """``_risk_gradient_batch`` over rows of window inputs: row b holds the
+    inputs ``inputs[b]`` (L_b, d) of one window, right-padded to the longest
+    row, and starts from ``states[b]`` = (h, c), the state before its window."""
+    lengths = [len(x) for x in inputs]
+    xs = np.zeros((max(lengths), len(inputs), params.d))
+    h0, c0 = np.zeros((2, len(inputs), params.hidden_size))
+    for b, (x, (h, c)) in enumerate(zip(inputs, states)):
+        xs[: len(x), b] = x
+        h0[b], c0[b] = h, c
+    return _risk_gradient_batch(params, xs, (h0, c0), lengths)
 
 
 def grad_wrt_inputs(params: ModelParams, steps: StepSeries | StepBatch, t1, t0=0,
@@ -534,13 +548,8 @@ def grad_wrt_inputs(params: ModelParams, steps: StepSeries | StepBatch, t1, t0=0
                     [None] * B if states is None else states))
     for series, a, b, _ in rows:
         _check_window(series.T, a, b)
-    lengths = [b - a for _, a, b, _ in rows]
-    xs = np.zeros((max(lengths), B, params.d))
-    h0, c0 = np.zeros((2, B, params.hidden_size))
-    for i, (series, a, b, kept) in enumerate(rows):
-        xs[: b - a, i] = series.x[a:b]
-        h0[i], c0[i] = _state_at(params, series, a, kept)
-    g = _risk_gradient_batch(params, xs, (h0, c0), lengths)
+    g, _ = _window_rows_gradient(params, [series.x[a:b] for series, a, b, _ in rows],
+                                 [_state_at(params, series, a, kept) for series, a, _, kept in rows])
     return [_window_weights(g[: b - a, i], series, a, b, "gradient")
             for i, (series, a, b, _) in enumerate(rows)]
 

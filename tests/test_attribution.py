@@ -6,9 +6,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import driftscope as ds
+import driftscope.attribution as attribution
+import driftscope.model as model
 from driftscope.attribution import (
+    IG_ROWS,
+    IG_TOLERANCE,
     RATIO_METHODS,
     AttributionMatrix,
+    adaptive_integrated_gradients,
     averaged_gradient_attribution,
     build_carry_forward_baseline,
     discrete_time_derivatives,
@@ -310,6 +315,109 @@ class TestIntegratedGradients:
         a = integrated_gradients(params, steps, 3, 8, m=4)
         assert a.window == (3, 8)
         assert a.a.shape == (5,)
+
+
+def nonlinear_windows(seed=7):
+    """A model whose completeness residuals at 8 midpoints straddle
+    IG_TOLERANCE, and windows of 4 to 20 steps on four series, each given
+    with and without its kept states."""
+    rng = np.random.default_rng(seed)
+    series = [random_step_series(rng, T=T, d_features=3) for T in (6, 12, 20, 30)]
+    params = ds.model_init(ds.ModelConfig(hidden_size=6, seed=31, attention=False), series[0].d)
+    params.w_gates *= 4.0
+    params.w_out[:] = np.random.default_rng(31).normal(size=6) * 2.0
+    windows = []
+    for steps in series:
+        _, cache = ds.forward(params, steps)
+        kept = ds.KeptStates.of_scan(cache.h, cache.c)
+        T = steps.T
+        for t0, t1 in ((T // 3, T), (0, T // 2 + 1)):
+            windows += [(steps, t0, t1, None), (steps, t0, t1, kept)]
+    return params, windows
+
+
+def completeness_gap(params, steps, t0, t1, a):
+    baseline = build_carry_forward_baseline(steps, t0)
+    want = ds.forward(params, steps)[0].p[t1 - 1] - ds.forward(params, baseline)[0].p[t1 - 1]
+    return abs(float(a.sum()) - want)
+
+
+class TestAdaptiveIntegratedGradients:
+    def test_nested_rungs_equal_fresh_midpoint_sums(self):
+        # A window that stops at 24 midpoints summed 8 of them at the first
+        # rung and 16 new ones at the second: the fresh 24-point sum, to rounding.
+        params, windows = nonlinear_windows()
+        paths = adaptive_integrated_gradients(params, windows, 64)
+        assert {p.points for p in paths} == {8, 24}
+        for (steps, t0, t1, kept), p in zip(windows, paths):
+            assert p.used == p.points
+            want = integrated_gradients(params, steps, t0, t1, m=p.points, states=kept)
+            got = integrated_gradients(params, steps, t0, t1, m=64, states=kept, weights=p.weights)
+            np.testing.assert_allclose(got.a, want.a, rtol=1e-12, atol=1e-17)
+        nested = np.sort(np.concatenate([attribution._rung_alphas(8, nested=False),
+                                         attribution._rung_alphas(24, nested=True)]))
+        np.testing.assert_allclose(nested, attribution._rung_alphas(24, nested=False), rtol=1e-15)
+
+    def test_early_stop_is_complete_to_the_tolerance(self):
+        params, windows = nonlinear_windows()
+        for (steps, t0, t1, kept), p in zip(windows, adaptive_integrated_gradients(params, windows, 64)):
+            assert p.points < 64 and p.residual < IG_TOLERANCE
+            gap = completeness_gap(params, steps, t0, t1, p.weights)
+            assert gap == pytest.approx(p.residual, rel=1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [9, 24, 64, 100])
+    def test_capped_window_is_the_fixed_m_result_bitwise(self, monkeypatch, m):
+        # No residual is below a tolerance of 0, so every window climbs the
+        # nested rungs below m and ends with the fresh m-point rung.
+        monkeypatch.setattr(attribution, "IG_TOLERANCE", 0.0)
+        params, windows = nonlinear_windows()
+        last_nested = {9: 8, 24: 8, 64: 24, 100: 72}[m]
+        for (steps, t0, t1, kept), p in zip(windows, adaptive_integrated_gradients(params, windows, m)):
+            assert (p.points, p.used) == (m, last_nested + m)
+            want = integrated_gradients(params, steps, t0, t1, m=m, states=kept)
+            got = integrated_gradients(params, steps, t0, t1, m=m, states=kept, weights=p.weights)
+            assert got.a.tobytes() == want.a.tobytes()
+            assert p.residual == pytest.approx(completeness_gap(params, steps, t0, t1, p.weights),
+                                               rel=1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 4, 7, 8])
+    def test_m_up_to_the_first_rung_is_one_fixed_rung(self, m):
+        params, windows = nonlinear_windows()
+        for (steps, t0, t1, kept), p in zip(windows, adaptive_integrated_gradients(params, windows, m)):
+            assert (p.points, p.used) == (m, m)
+            want = integrated_gradients(params, steps, t0, t1, m=m, states=kept)
+            got = integrated_gradients(params, steps, t0, t1, m=m, states=kept, weights=p.weights)
+            assert got.a.tobytes() == want.a.tobytes()
+
+    def test_no_risk_gradient_call_exceeds_ig_rows(self, monkeypatch):
+        rows = []
+        core = model._risk_gradient_batch
+
+        def counted(params, xs, state, lengths):
+            rows.append(xs.shape[1])
+            return core(params, xs, state, lengths)
+
+        monkeypatch.setattr(model, "_risk_gradient_batch", counted)
+        monkeypatch.setattr(attribution, "_risk_gradient_batch", counted)
+        monkeypatch.setattr(attribution, "IG_TOLERANCE", 0.0)
+        params, windows = nonlinear_windows()
+        adaptive_integrated_gradients(params, windows, 200)
+        steps, t0, t1, kept = windows[0]
+        integrated_gradients(params, steps, t0, t1, m=200, states=kept)
+        # 16 windows: 2 endpoints and 8 points each at the first rung, 16 at
+        # the second, 48 at the third, then 200 fresh points each
+        assert sum(rows) == 16 * (10 + 16 + 48 + 200) + 200
+        assert max(rows) == IG_ROWS
+        assert len(rows) < 16 * (3 + 4) + 4  # rungs batch rows across windows
+
+    def test_rejects_bad_input(self):
+        params, windows = nonlinear_windows()
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            adaptive_integrated_gradients(params, windows, 0)
+        steps = windows[0][0]
+        with pytest.raises(ValueError, match="t0"):
+            adaptive_integrated_gradients(params, [(steps, 3, 3, None)], 64)
+        assert adaptive_integrated_gradients(params, [], 64) == []
 
 
 class TestDiscreteTimeDerivatives:

@@ -2,15 +2,17 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple, asdict
 
 import numpy as np
 import pytest
 
-from driftscope import cli, evaluation, synth
+from driftscope import attribution, cli, evaluation, synth
 from driftscope.alerts import AlertRule
 from driftscope.bin_stats import BINS_PER_FEATURE, BinTable
 from driftscope.cli import main
@@ -269,23 +271,68 @@ class TestExplain:
     @pytest.mark.parametrize("windows", ["checkpoints", "alerts"])
     def test_alerts_and_explain_do_not_load_numpy_ma(self, data_dir, trained_dir, tmp_path,
                                                       windows):
-        # np.unique (say, for the first event per feature) imports numpy.ma,
-        # which costs 1.7 MB per run.
-        common = ["--events", str(data_dir / "events.jsonl"),
-                  "--checkpoint", str(trained_dir / "checkpoint.json"),
-                  "--min-new-events", "1", "--ratio-threshold", "1.001",
-                  "--out-dir", str(tmp_path)]
+        # np.unique (say, for the first event per feature) and np.quantile
+        # (say, for the bootstrap interval) import numpy.ma, which costs 1.7 MB
+        # per run.
+        events = ["--events", str(data_dir / "events.jsonl"), "--out-dir", str(tmp_path)]
+        common = [*events, "--checkpoint", str(trained_dir / "checkpoint.json"),
+                  "--min-new-events", "1", "--ratio-threshold", "1.001"]
+        scored = [*events, "--explanations", str(tmp_path / "explanations.csv"),
+                  "--windows", str(tmp_path / "windows.csv"), "--resamples", "50"]
         code = ("import sys; from driftscope.cli import main; "
                 f"assert main(['alerts', *{common!r}]) == 0; "
                 f"assert main(['explain', *{common!r}, '--methods', 'all', '--m', '4', "
                 f"'--bins', {str(trained_dir / 'bins.json')!r}, '--windows', {windows!r}]) == 0; "
+                f"assert main(['evaluate', *{scored!r}]) == 0; "
                 "print('numpy.ma' in sys.modules)")
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
         assert out.stdout.strip().splitlines()[-1] == "False"
-        for name in ("alerts.csv", "explanations.csv"):
+        for name in ("alerts.csv", "explanations.csv", "results.csv"):
             assert read_csv(tmp_path / name)[1], name
+
+    def test_integrated_gradients_summary_and_bounded_memory_at_large_m(
+            self, data_dir, trained_dir, tmp_path, capsys, monkeypatch):
+        # Path points run in calls of at most IG_ROWS rows, so the peak of
+        # traced allocations does not grow with --m; stderr sums up the ladder.
+        # No window is complete to a tolerance of 0, so every one ends at m.
+        monkeypatch.setattr(attribution, "IG_TOLERANCE", 0.0)
+        episodes = [json.loads(ln) for ln in (data_dir / "episodes.jsonl").read_text().splitlines()]
+        windowed = [e["episode"] for e in episodes if e["first_positive_checkpoint_s"]][:2]
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            ln for ln in (data_dir / "events.jsonl").read_text().splitlines(keepends=True)
+            if json.loads(ln)["episode"] in windowed))
+        peaks, lines = {}, {}
+        for m in (64, 4096):
+            tracemalloc.start()
+            try:
+                assert run("explain", "--events", events,
+                           "--checkpoint", trained_dir / "checkpoint.json",
+                           "--bins", trained_dir / "bins.json", "--out-dir", tmp_path / str(m),
+                           "--methods", "integrated_gradients", "--m", m) == 0
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            lines[m] = capsys.readouterr().err.strip()
+        assert peaks[4096] < 1.5 * peaks[64], peaks
+        n = len(read_csv(tmp_path / "64" / "windows.csv")[1])
+        assert n == 2
+        for m, line in lines.items():
+            found = re.fullmatch(r"integrated_gradients: (\d+) windows, (\d+) path points of "
+                                 r"m x windows = (\d+), (\d+) at the cap m = (\d+), largest "
+                                 r"completeness residual (\S+)", line)
+            assert found, line
+            assert int(found[1]) == int(found[4]) == n and int(found[5]) == m
+            assert int(found[3]) == m * n and float(found[6]) >= 0.0
+        assert [int(re.search(r"(\d+) path points", lines[m])[1]) for m in lines] == [
+            (24 + 64) * n, (1944 + 4096) * n]  # the nested rungs below m, then m
+        assert run("explain", "--events", events,
+                   "--checkpoint", trained_dir / "checkpoint.json",
+                   "--bins", trained_dir / "bins.json", "--out-dir", tmp_path / "no-ig",
+                   "--methods", "gradient") == 0
+        assert capsys.readouterr().err == ""
 
 
 def _edit(change):

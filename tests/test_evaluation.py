@@ -110,6 +110,19 @@ class TestBootstrap:
     def test_single_window_degenerate(self):
         assert bootstrap_ci([0.25], resamples=2000, seed=0) == (0.25, 0.25)
 
+    def test_matches_numpy_quantile(self):
+        # The interval ends are np.quantile's (method "linear") of the
+        # resampled means, bit for bit, without its import of numpy.ma.
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            vals = rng.random(int(rng.integers(1, 50))) * (rng.random() < 0.8)
+            resamples, seed = int(rng.integers(1, 300)), int(rng.integers(1000))
+            idx = np.random.default_rng(seed).integers(0, len(vals), size=(resamples, len(vals)))
+            means = vals[idx].mean(axis=1)
+            lo_q = (1.0 - 0.95) / 2.0
+            want = (float(np.quantile(means, lo_q)), float(np.quantile(means, 1.0 - lo_q)))
+            assert bootstrap_ci(vals, resamples=resamples, seed=seed) == want
+
     @pytest.mark.parametrize("resamples", [0, -1])
     def test_fewer_than_one_resample_rejected(self, resamples):
         with pytest.raises(ValueError, match="resamples must be >= 1"):

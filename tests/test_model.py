@@ -459,7 +459,7 @@ class TestGradWrtInputs:
         steps = random_step_series(rng, T=6, d_features=2)
         params = nonzero_params(tiny_config(), steps.d)
         t1 = 5
-        g = _risk_gradient_batch(params, steps.x[:t1, None], (0.0, 0.0), [t1])[:, 0]
+        g = _risk_gradient_batch(params, steps.x[:t1, None], (0.0, 0.0), [t1])[0][:, 0]
         a = ds.grad_wrt_inputs(params, steps, t1)
         assert a.window == (0, t1)
         assert np.array_equal(a.a, g[np.arange(t1), steps.step_feature[:t1]])
@@ -498,10 +498,10 @@ class TestGradWrtInputs:
         window = steps.x[2:5]
         xs = np.stack([window, window * 0.5, window + 0.1], axis=1)
         state = _state_at(params, steps, 2)
-        g = _risk_gradient_batch(params, xs, state, [3] * 3)
+        g, _ = _risk_gradient_batch(params, xs, state, [3] * 3)
         assert g.shape == (3, 3, steps.d)
         for i in range(3):
-            gi = _risk_gradient_batch(params, xs[:, i : i + 1], state, [3])
+            gi, _ = _risk_gradient_batch(params, xs[:, i : i + 1], state, [3])
             np.testing.assert_allclose(g[:, i], gi[:, 0], rtol=1e-12, atol=1e-15)
 
     def test_padded_rows_from_own_states_match_singles(self):
@@ -517,11 +517,11 @@ class TestGradWrtInputs:
         for b, (s, n) in enumerate(zip(starts, lengths)):
             xs[:n, b] = steps.x[s : s + n]
         state = tuple(np.stack([np.broadcast_to(hc[i], 5) for hc in states]) for i in (0, 1))
-        g = _risk_gradient_batch(params, xs, state, lengths)
+        g, _ = _risk_gradient_batch(params, xs, state, lengths)
         assert g.shape == (6, 5, steps.d)
         for b, (s, n) in enumerate(zip(starts, lengths)):
             one = _risk_gradient_batch(params, steps.x[s : s + n, None],
-                                       _state_at(params, steps, s), [n])[:, 0]
+                                       _state_at(params, steps, s), [n])[0][:, 0]
             np.testing.assert_allclose(g[:n, b], one, rtol=1e-12, atol=1e-18)
             assert np.all(g[n:, b] == 0.0)
 
