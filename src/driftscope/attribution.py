@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .model import (
     ModelParams,
     RiskSeries,
     _check_window,
-    _risk_gradient_batch,
     _state_at,
     _window_rows_gradient,
 )
@@ -122,47 +121,6 @@ def build_carry_forward_baseline(steps: StepSeries, t0: int) -> StepSeries:
     return replace(steps, x=x)
 
 
-def _midpoints(x_target: np.ndarray, x_baseline: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """The points (n, L, d) at the fractions ``alphas`` of the way from the
-    target toward the baseline."""
-    return x_target[None] + alphas[:, None, None] * (x_baseline - x_target)[None]
-
-
-def averaged_gradient_attribution(
-    grad_fn: Callable[[np.ndarray], np.ndarray],
-    x_target: np.ndarray,
-    x_baseline: np.ndarray,
-    m: int,
-) -> np.ndarray:
-    """Midpoint-rule average of gradients along the segment baseline->target,
-    multiplied elementwise by (target - baseline).
-
-    ``grad_fn`` maps a stacked batch (B, T, d) of input sequences to gradients
-    of the explained quantity, shape (B, T, d); it gets the m points in
-    batches of at most ``IG_ROWS``, which bounds memory at any m. Exact at
-    any m >= 1 when the explained quantity is quadratic in the inputs.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    total = None
-    for start in range(0, m, IG_ROWS):
-        alphas = (np.arange(start, min(start + IG_ROWS, m)) + 0.5) / m
-        g = grad_fn(_midpoints(x_target, x_baseline, alphas)).sum(axis=0)
-        total = g if total is None else total + g
-    return (x_target - x_baseline) * (total / m)
-
-
-def _fixed_m_path(params: ModelParams, x: np.ndarray, b: np.ndarray, state, m: int) -> np.ndarray:
-    """Integrated gradients (L, d) of the window inputs ``x`` from the
-    baseline inputs ``b`` at m midpoints, every point scanned from ``state``."""
-
-    def grad_fn(xs: np.ndarray) -> np.ndarray:  # (n, L, d) path points of the window
-        return _risk_gradient_batch(params, xs.transpose(1, 0, 2), state,
-                                    [len(x)] * len(xs))[0].transpose(1, 0, 2)
-
-    return averaged_gradient_attribution(grad_fn, x, b, m)
-
-
 def integrated_gradients(
     params: ModelParams, steps: StepSeries, t0: int, t1: int, m: int,
     states: KeptStates | None = None, weights: np.ndarray | None = None,
@@ -180,6 +138,8 @@ def integrated_gradients(
     _check_window(steps.T, t0, t1)
     if weights is not None:
         return AttributionMatrix(weights, "integrated_gradients", (t0, t1))
+    if m < 1:
+        raise ValueError("m must be >= 1")
     x, b = steps.x[t0:t1], build_carry_forward_baseline(steps, t0).x[t0:t1]
     path = _fixed_m_path(params, x, b, _state_at(params, steps, t0, states), m)
     return _window_weights(path, steps, t0, t1, "integrated_gradients")
@@ -271,6 +231,21 @@ def adaptive_integrated_gradients(
     return out
 
 
+def _fixed_m_path(params: ModelParams, x: np.ndarray, b: np.ndarray, state, m: int) -> np.ndarray:
+    """Integrated gradients (L, d) of the window inputs ``x`` from the
+    baseline inputs ``b`` at m fresh midpoints, every point scanned from
+    ``state``: one block of ``_block_gradients``, alone in its calls."""
+    (g,), _ = _block_gradients(params, [(0, _rung_alphas(m, nested=False))], [x], [b], [state])
+    return (x - b) * (g / m)
+
+
+def _path_rows(x: np.ndarray, b: np.ndarray, alphas: np.ndarray):
+    """The points (L, d) at the fractions ``alphas`` of the way from the
+    window inputs ``x`` toward the baseline ``b``, one at a time."""
+    for a in alphas:
+        yield x + a * (b - x)
+
+
 def _block_gradients(params: ModelParams, blocks, xs, bs, starts):
     """For each block (window i, alphas), the sum over its rows of the risk
     gradients (L, d), and for each block of endpoints the rows' risks. The
@@ -278,8 +253,8 @@ def _block_gradients(params: ModelParams, blocks, xs, bs, starts):
     from its inputs ``xs[i]`` toward its baseline ``bs[i]``, or, for alphas
     None, those two endpoints. The rows of all blocks run in order as calls
     of at most ``IG_ROWS`` rows of ``_window_rows_gradient``, each from its
-    window's state ``starts[i]``, and are built one call at a time, which
-    bounds memory at any number of rows."""
+    window's state ``starts[i]``; each row is built as the call copies it in,
+    which bounds memory at any number of rows."""
     grads: list = [None] * len(blocks)
     risks: list[list[float]] = [[] for _ in blocks]
     rows = ((k, j) for k, (_, alphas) in enumerate(blocks)
@@ -289,14 +264,14 @@ def _block_gradients(params: ModelParams, blocks, xs, bs, starts):
         for k, run in itertools.groupby(call, key=lambda row: row[0]):
             js = [j for _, j in run]
             runs.append((k, js[0], js[-1] + 1))
-        inputs, states = [], []
+        lengths, parts, states = [], [], []
         for k, j0, j1 in runs:
             i, alphas = blocks[k]
-            part = (np.stack([xs[i], bs[i]])[j0:j1] if alphas is None
-                    else _midpoints(xs[i], bs[i], alphas[j0:j1]))
-            inputs.extend(part)
-            states.extend([starts[i]] * (j1 - j0))
-        g, p = _window_rows_gradient(params, inputs, states)
+            lengths += [len(xs[i])] * (j1 - j0)
+            parts.append([xs[i], bs[i]][j0:j1] if alphas is None
+                         else _path_rows(xs[i], bs[i], alphas[j0:j1]))
+            states += [starts[i]] * (j1 - j0)
+        g, p = _window_rows_gradient(params, lengths, itertools.chain.from_iterable(parts), states)
         lo = 0
         for k, j0, j1 in runs:
             i, alphas = blocks[k]

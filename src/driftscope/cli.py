@@ -336,17 +336,24 @@ def cmd_evaluate(args) -> int:
             bound = "is below 1" if rank < 1 else f"exceeds --k {args.k}"
             raise EventFormatError(f"{args.explanations}: rank {r[2]} of episode {r[0]!r}, "
                                    f"method {r[1]!r} {bound}")
+        if not n_windows[r[0]]:
+            raise EventFormatError(f"{args.explanations}: episode {r[0]!r} has no window in "
+                                   f"{args.windows}")
         copies[r[0], r[1], rank] += 1
-        if copies[r[0], r[1], rank] > n_windows[r[0]] > 0:
+        if copies[r[0], r[1], rank] > n_windows[r[0]]:
             raise EventFormatError(f"{args.explanations}: episode {r[0]!r}, method {r[1]!r} has "
                                    f"more rows of rank {rank} than its {n_windows[r[0]]} "
                                    f"window(s) in {args.windows}")
         selected.setdefault((r[0], r[1]), []).append((int(r[3]), r[5]))
     methods = list(dict.fromkeys(method for _, method in selected))
 
-    truths = []
+    truths, listed = [], set()
     for r in window_rows:
         w = Window(r[0], int(r[1]), int(r[2]), float(r[3]), float(r[4]), r[5])
+        if (w.episode_id, w.t0, w.t1) in listed:  # it would be scored twice
+            raise EventFormatError(f"{args.windows}: window ({w.t0}, {w.t1}] of episode "
+                                   f"{w.episode_id!r} is listed more than once")
+        listed.add((w.episode_id, w.t0, w.t1))
         seq = by_id.get(w.episode_id)
         if seq is None:
             raise EventFormatError(f"window references unknown episode {w.episode_id!r}")

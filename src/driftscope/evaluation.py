@@ -244,7 +244,8 @@ def explain_window(
     """Run one attribution method on one window and select its top-k events.
     ``shared`` keeps the episode's window-independent weights between calls;
     ``gradient`` is the window's ``gradient`` weights and ``ig_path`` its
-    integrated-gradient path when already computed."""
+    integrated-gradient path when already computed; without it the ladder
+    (``adaptive_integrated_gradients``) runs on this window alone."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; available: {', '.join(METHODS)}")
     t0, t1 = window.t0, window.t1
@@ -255,8 +256,11 @@ def explain_window(
             gradient = grad_wrt_inputs(ctx.params, ep.steps, t1, t0, states=ep.states)
         return top_k_explanations(gradient, ep.steps, k)
     if method == "integrated_gradients":
+        if ig_path is None:
+            (ig_path,) = adaptive_integrated_gradients(ctx.params, [(ep.steps, t0, t1, ep.states)],
+                                                       ctx.m)
         a = integrated_gradients(ctx.params, ep.steps, t0, t1, m=ctx.m, states=ep.states,
-                                 weights=None if ig_path is None else ig_path.weights)
+                                 weights=ig_path.weights)
         return top_k_explanations(a, ep.steps, k)
     shared = {} if shared is None else shared
     key = method.removesuffix("_diff")  # a statistic's two methods share its weights

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -514,16 +514,19 @@ def _risk_gradient_batch(params: ModelParams, xs: np.ndarray, state, lengths):
     return (dz.reshape(L * B, 4 * H) @ params.w_gates).reshape(L, B, d), p
 
 
-def _window_rows_gradient(params: ModelParams, inputs: Sequence[np.ndarray], states):
+def _window_rows_gradient(params: ModelParams, lengths: Sequence[int],
+                          rows: Iterable[np.ndarray], states):
     """``_risk_gradient_batch`` over rows of window inputs: row b holds the
-    inputs ``inputs[b]`` (L_b, d) of one window, right-padded to the longest
-    row, and starts from ``states[b]`` = (h, c), the state before its window."""
-    lengths = [len(x) for x in inputs]
-    xs = np.zeros((max(lengths), len(inputs), params.d))
-    h0, c0 = np.zeros((2, len(inputs), params.hidden_size))
-    for b, (x, (h, c)) in enumerate(zip(inputs, states)):
-        xs[: len(x), b] = x
+    ``lengths[b]`` inputs (L_b, d) of one window, right-padded to the longest
+    row, and starts from ``states[b]`` = (h, c), the state before its window.
+    Each row of ``rows`` is copied into the padded batch as it arrives, so
+    the caller need not hold them all at once."""
+    xs = np.zeros((max(lengths), len(lengths), params.d))
+    h0, c0 = np.zeros((2, len(lengths), params.hidden_size))
+    for b, (x, (h, c)) in enumerate(zip(rows, states)):
+        xs[: lengths[b], b] = x
         h0[b], c0[b] = h, c
+    del x  # the last row: freed before the call, which keeps peak memory down
     return _risk_gradient_batch(params, xs, (h0, c0), lengths)
 
 
@@ -548,7 +551,8 @@ def grad_wrt_inputs(params: ModelParams, steps: StepSeries | StepBatch, t1, t0=0
                     [None] * B if states is None else states))
     for series, a, b, _ in rows:
         _check_window(series.T, a, b)
-    g, _ = _window_rows_gradient(params, [series.x[a:b] for series, a, b, _ in rows],
+    g, _ = _window_rows_gradient(params, [b - a for _, a, b, _ in rows],
+                                 (series.x[a:b] for series, a, b, _ in rows),
                                  [_state_at(params, series, a, kept) for series, a, _, kept in rows])
     return [_window_weights(g[: b - a, i], series, a, b, "gradient")
             for i, (series, a, b, _) in enumerate(rows)]

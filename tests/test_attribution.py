@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from driftscope.attribution import (
     RATIO_METHODS,
     AttributionMatrix,
     adaptive_integrated_gradients,
-    averaged_gradient_attribution,
     build_carry_forward_baseline,
     discrete_time_derivatives,
     integrated_gradients,
@@ -294,19 +294,35 @@ class TestIntegratedGradients:
         x = rng.normal(size=(T, d))
         b = rng.normal(size=(T, d))
         t1 = 6
-
-        def grad_fn(xs):
-            out = np.zeros_like(xs)
-            for i in range(xs.shape[0]):
-                trace = lds_run(sys, xs[i])
-                for t in range(1, t1 + 1):
-                    out[i, t - 1] = ds.lds_input_gradient(sys, trace, t, t1)
-            return out
-
         closed = lds_integrated_gradient(sys, b, x, t1)
         for m in (1, 3, 8):
-            got = averaged_gradient_attribution(grad_fn, x[:t1], b[:t1], m=m).T
+            alphas = attribution._rung_alphas(m, nested=False)
+            total = np.zeros((t1, d))
+            for row in attribution._path_rows(x[:t1], b[:t1], alphas):
+                trace = lds_run(sys, row)
+                total += [ds.lds_input_gradient(sys, trace, t, t1) for t in range(1, t1 + 1)]
+            got = ((x[:t1] - b[:t1]) * (total / m)).T
             np.testing.assert_allclose(got, closed, rtol=1e-9, atol=1e-9)
+
+    def test_peak_memory_is_the_row_cores(self):
+        # The 64 path points are built one at a time as the window-row core
+        # copies them into its padded batch: the call holds its rows once.
+        rng = np.random.default_rng(8)
+        steps = random_step_series(rng, T=60, d_features=8)
+        params = self._trained_tiny(steps)
+        x, b = steps.x, build_carry_forward_baseline(steps, 0).x
+        rows = list(attribution._path_rows(x, b, attribution._rung_alphas(64, nested=False)))
+        peaks = []
+        for call in (lambda: model._window_rows_gradient(params, [60] * 64, rows,
+                                                         [(0.0, 0.0)] * 64),
+                     lambda: integrated_gradients(params, steps, 0, 60, m=64)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.03 * peaks[0]
 
     def test_window_applied(self):
         rng = np.random.default_rng(2)
@@ -398,7 +414,6 @@ class TestAdaptiveIntegratedGradients:
             return core(params, xs, state, lengths)
 
         monkeypatch.setattr(model, "_risk_gradient_batch", counted)
-        monkeypatch.setattr(attribution, "_risk_gradient_batch", counted)
         monkeypatch.setattr(attribution, "IG_TOLERANCE", 0.0)
         params, windows = nonlinear_windows()
         adaptive_integrated_gradients(params, windows, 200)

@@ -666,13 +666,36 @@ class TestEvaluate:
         assert (f"data error: {expl}: episode {episode!r}, method {method!r} has more rows "
                 f"of rank {rank} than its 1 window(s) in {windows}") in capsys.readouterr().err
         assert not (out / "results.csv").exists()
-        # Rows of an episode with no window are not scored, copied or not.
-        expl.write_text("\n".join(lines + [ln for ln in lines if ln.startswith(episode + ",")])
-                        + "\n")
+
+    def test_explanations_of_an_episode_without_window_are_data_error(
+            self, data_dir, explained, tmp_path, capsys):
+        # Such rows could never be scored; they point at the wrong windows file.
+        windows = (explained / "windows.csv").read_text().splitlines()
+        episode = windows[1].split(",")[0]
         others = tmp_path / "windows.csv"
-        others.write_text("\n".join(ln for ln in windows.read_text().splitlines()
-                                    if not ln.startswith(episode + ",")) + "\n")
-        assert run(*args, "--windows", others, "--out-dir", tmp_path / "others") == 0
+        others.write_text("\n".join(ln for ln in windows if not ln.startswith(episode + ","))
+                          + "\n")
+        expl = explained / "explanations.csv"
+        out = tmp_path / "res"
+        assert run("evaluate", "--events", data_dir / "events.jsonl", "--explanations", expl,
+                   "--windows", others, "--out-dir", out) == 2
+        assert (f"data error: {expl}: episode {episode!r} has no window in {others}"
+                in capsys.readouterr().err)
+        assert not (out / "results.csv").exists()
+
+    def test_window_listed_twice_is_data_error(self, data_dir, explained, tmp_path, capsys):
+        # A repeated window would be scored twice, which shifts every mean.
+        windows = (explained / "windows.csv").read_text().splitlines()
+        twice = tmp_path / "windows.csv"
+        twice.write_text("\n".join(windows + windows[-1:]) + "\n")
+        episode, t0, t1 = windows[-1].split(",")[:3]
+        out = tmp_path / "res"
+        assert run("evaluate", "--events", data_dir / "events.jsonl",
+                   "--explanations", explained / "explanations.csv",
+                   "--windows", twice, "--out-dir", out) == 2
+        assert (f"data error: {twice}: window ({t0}, {t1}] of episode {episode!r} is listed "
+                f"more than once" in capsys.readouterr().err)
+        assert not (out / "results.csv").exists()
 
     def test_all_alerts_output_is_scored(self, data_dir, trained_dir, tmp_path):
         expl = tmp_path / "expl"

@@ -372,3 +372,24 @@ def test_explain_windows_keeps_window_then_method_order(small_run):
                                                              for it in want.items]
         np.testing.assert_allclose([it.weight for it in e.items],
                                    [it.weight for it in want.items], rtol=1e-12)
+
+
+def test_explain_window_without_a_path_runs_the_ladder(small_run):
+    # Without a precomputed path, explain_window's integrated gradients come
+    # from the ladder on that window alone, so a window that stops before the
+    # cap gets explain_windows' rung, not the fixed-m weights.
+    prepared, ctx = small_run
+    ctx = dataclasses.replace(ctx, m=64)
+    windows = checkpoint_windows(prepared)
+    paths = []
+    got = list(evaluation.explain_windows(ctx, prepared, windows, ["integrated_gradients"], k=3,
+                                          ig_paths=paths))
+    early = [(w, e) for (w, _, (e,)), p in zip(got, paths) if p.points < ctx.m]
+    assert early
+    by_id = {ep.episode_id: ep for ep in prepared}
+    for w, e in early:
+        want = explain_window("integrated_gradients", ctx, by_id[w.episode_id], w, 3)
+        assert [(it.step, it.feature) for it in e.items] == [(it.step, it.feature)
+                                                             for it in want.items]
+        np.testing.assert_allclose([it.weight for it in e.items],
+                                   [it.weight for it in want.items], rtol=1e-12)
