@@ -20,8 +20,8 @@ from .model import (
     ModelParams,
     RiskSeries,
     _check_window,
+    _risk_gradient_batch,
     _state_at,
-    _window_rows_gradient,
 )
 
 # Methods whose weights are ratios; their neutral (no-evidence) weight is 1.
@@ -252,7 +252,7 @@ def _block_gradients(params: ModelParams, blocks, xs, bs, starts):
     rows are the points of window i at the fractions ``alphas`` of the way
     from its inputs ``xs[i]`` toward its baseline ``bs[i]``, or, for alphas
     None, those two endpoints. The rows of all blocks run in order as calls
-    of at most ``IG_ROWS`` rows of ``_window_rows_gradient``, each from its
+    of at most ``IG_ROWS`` rows of ``_risk_gradient_batch``, each from its
     window's state ``starts[i]``; each row is built as the call copies it in,
     which bounds memory at any number of rows."""
     grads: list = [None] * len(blocks)
@@ -271,7 +271,7 @@ def _block_gradients(params: ModelParams, blocks, xs, bs, starts):
             parts.append([xs[i], bs[i]][j0:j1] if alphas is None
                          else _path_rows(xs[i], bs[i], alphas[j0:j1]))
             states += [starts[i]] * (j1 - j0)
-        g, p = _window_rows_gradient(params, lengths, itertools.chain.from_iterable(parts), states)
+        g, p = _risk_gradient_batch(params, lengths, itertools.chain.from_iterable(parts), states)
         lo = 0
         for k, j0, j1 in runs:
             i, alphas = blocks[k]

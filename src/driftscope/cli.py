@@ -324,40 +324,45 @@ def cmd_evaluate(args) -> int:
     by_id = {seq.episode_id: seq for seq in _read_events(args.events)}
 
     _, window_rows = read_csv(args.windows, WINDOWS_HEADER)
-    _, expl_rows = read_csv(args.explanations, EXPLANATIONS_HEADER)
-    # explain writes each rank at most once per window of an episode; more
-    # copies (say, a file concatenated with itself) would each be scored
-    n_windows = Counter(r[0] for r in window_rows)
-    copies = Counter()
-    selected: dict[tuple[str, str], list[tuple[int, str]]] = {}
-    for r in expl_rows:
-        rank = int(r[2])
-        if not 1 <= rank <= args.k:
-            bound = "is below 1" if rank < 1 else f"exceeds --k {args.k}"
-            raise EventFormatError(f"{args.explanations}: rank {r[2]} of episode {r[0]!r}, "
-                                   f"method {r[1]!r} {bound}")
-        if not n_windows[r[0]]:
-            raise EventFormatError(f"{args.explanations}: episode {r[0]!r} has no window in "
-                                   f"{args.windows}")
-        copies[r[0], r[1], rank] += 1
-        if copies[r[0], r[1], rank] > n_windows[r[0]]:
-            raise EventFormatError(f"{args.explanations}: episode {r[0]!r}, method {r[1]!r} has "
-                                   f"more rows of rank {rank} than its {n_windows[r[0]]} "
-                                   f"window(s) in {args.windows}")
-        selected.setdefault((r[0], r[1]), []).append((int(r[3]), r[5]))
-    methods = list(dict.fromkeys(method for _, method in selected))
-
-    truths, listed = [], set()
+    truths, spans = [], {}  # spans: episode -> the (t0, t1) of its windows
     for r in window_rows:
         w = Window(r[0], int(r[1]), int(r[2]), float(r[3]), float(r[4]), r[5])
-        if (w.episode_id, w.t0, w.t1) in listed:  # it would be scored twice
+        listed = spans.setdefault(w.episode_id, [])
+        if (w.t0, w.t1) in listed:  # it would be scored twice
             raise EventFormatError(f"{args.windows}: window ({w.t0}, {w.t1}] of episode "
                                    f"{w.episode_id!r} is listed more than once")
-        listed.add((w.episode_id, w.t0, w.t1))
+        listed.append((w.t0, w.t1))
         seq = by_id.get(w.episode_id)
         if seq is None:
             raise EventFormatError(f"window references unknown episode {w.episode_id!r}")
         truths.append(evaluation.window_truth(seq, w))
+
+    _, expl_rows = read_csv(args.explanations, EXPLANATIONS_HEADER)
+    # explain writes each rank at most once per window of an episode; more
+    # copies (say, a file concatenated with itself) would each be scored
+    copies = Counter()
+    selected: dict[tuple[str, str], list[tuple[int, str]]] = {}
+    for r in expl_rows:
+        rank, step = int(r[2]), int(r[3])
+        if not 1 <= rank <= args.k:
+            bound = "is below 1" if rank < 1 else f"exceeds --k {args.k}"
+            raise EventFormatError(f"{args.explanations}: rank {r[2]} of episode {r[0]!r}, "
+                                   f"method {r[1]!r} {bound}")
+        if (listed := spans.get(r[0])) is None:
+            raise EventFormatError(f"{args.explanations}: episode {r[0]!r} has no window in "
+                                   f"{args.windows}")
+        feature = by_id[r[0]].events.feature
+        if not (any(t0 < step <= t1 for t0, t1 in listed) and feature[step - 1] == r[5]):
+            raise EventFormatError(f"{args.explanations}: step {step} of episode {r[0]!r} is no "
+                                   f"{r[5]!r} event inside its windows in {args.windows}")
+        copies[r[0], r[1], rank] += 1
+        if copies[r[0], r[1], rank] > len(listed):
+            raise EventFormatError(f"{args.explanations}: episode {r[0]!r}, method {r[1]!r} has "
+                                   f"more rows of rank {rank} than its {len(listed)} "
+                                   f"window(s) in {args.windows}")
+        selected.setdefault((r[0], r[1]), []).append((step, r[5]))
+    methods = list(dict.fromkeys(method for _, method in selected))
+
     with atomic_open(out / "truth_windows.jsonl") as fh:
         fh.write("\n".join(
             json.dumps({"episode": t.window.episode_id, "t0": t.window.t0, "t1": t.window.t1,

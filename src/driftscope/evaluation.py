@@ -195,20 +195,22 @@ def explain_windows(
     receives each window's IGPath."""
     by_id = {ep.episode_id: ep for ep in episodes}
     pairs = [(by_id[w.episode_id], w) for w in windows]
-    gradients = iter(window_gradients(ctx.params, pairs)
-                     if "gradient" in methods else [None] * len(windows))
-    paths = (adaptive_integrated_gradients(
-        ctx.params, [(ep.steps, w.t0, w.t1, ep.states) for ep, w in pairs], ctx.m)
-        if "integrated_gradients" in methods else [None] * len(windows))
-    if ig_paths is not None:
-        ig_paths.extend(p for p in paths if p is not None)
-    paths = iter(paths)
-    for episode_id, run in itertools.groupby(windows, key=lambda w: w.episode_id):
+    batched = {}  # method -> each window's weights
+    if "gradient" in methods:
+        batched["gradient"] = [a.a for a in window_gradients(ctx.params, pairs)]
+    if "integrated_gradients" in methods:
+        paths = adaptive_integrated_gradients(
+            ctx.params, [(ep.steps, w.t0, w.t1, ep.states) for ep, w in pairs], ctx.m)
+        if ig_paths is not None:
+            ig_paths.extend(paths)
+        batched["integrated_gradients"] = [p.weights for p in paths]
+    for episode_id, run in itertools.groupby(enumerate(windows), key=lambda iw: iw[1].episode_id):
         ep, shared = by_id[episode_id], {}
-        for w, gradient, path in zip(run, gradients, paths):
+        for i, w in run:
             for method in methods:
+                weights = batched[method][i] if method in batched else None
                 reps = random_repeats if method == "random" else 1
-                yield w, method, [explain_window(method, ctx, ep, w, k, rep, shared, gradient, path)
+                yield w, method, [explain_window(method, ctx, ep, w, k, rep, shared, weights)
                                   for rep in range(reps)]
 
 
@@ -238,29 +240,24 @@ def explain_window(
     k: int,
     rep: int = 0,
     shared: dict[str, AttributionMatrix] | None = None,
-    gradient: AttributionMatrix | None = None,
-    ig_path: IGPath | None = None,
+    weights: np.ndarray | None = None,
 ) -> Explanation:
     """Run one attribution method on one window and select its top-k events.
-    ``shared`` keeps the episode's window-independent weights between calls;
-    ``gradient`` is the window's ``gradient`` weights and ``ig_path`` its
-    integrated-gradient path when already computed; without it the ladder
-    (``adaptive_integrated_gradients``) runs on this window alone."""
+    ``shared`` keeps the episode's window-independent weights between calls.
+    ``weights`` (t1 - t0,) are the window's ``gradient`` or
+    ``integrated_gradients`` weights, which those two methods require:
+    ``explain_windows`` computes them for all windows in batches."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; available: {', '.join(METHODS)}")
     t0, t1 = window.t0, window.t1
     if method == "random":
         return random_guess(ep.steps, t0, t1, k, seed=[ctx.seed, _seed_tag(window), rep])
-    if method == "gradient":
-        if gradient is None:
-            gradient = grad_wrt_inputs(ctx.params, ep.steps, t1, t0, states=ep.states)
-        return top_k_explanations(gradient, ep.steps, k)
-    if method == "integrated_gradients":
-        if ig_path is None:
-            (ig_path,) = adaptive_integrated_gradients(ctx.params, [(ep.steps, t0, t1, ep.states)],
-                                                       ctx.m)
-        a = integrated_gradients(ctx.params, ep.steps, t0, t1, m=ctx.m, states=ep.states,
-                                 weights=ig_path.weights)
+    if method in ("gradient", "integrated_gradients"):
+        if weights is None:
+            raise ValueError(f"method {method!r} requires the window's precomputed weights")
+        a = (AttributionMatrix(weights, method, (t0, t1)) if method == "gradient" else
+             integrated_gradients(ctx.params, ep.steps, t0, t1, m=ctx.m, states=ep.states,
+                                  weights=weights))
         return top_k_explanations(a, ep.steps, k)
     shared = {} if shared is None else shared
     key = method.removesuffix("_diff")  # a statistic's two methods share its weights

@@ -491,43 +491,35 @@ def _state_at(params: ModelParams, steps: StepSeries, t0: int,
     return state
 
 
-def _risk_gradient_batch(params: ModelParams, xs: np.ndarray, state, lengths):
+def _risk_gradient_batch(params: ModelParams, lengths: Sequence[int],
+                         rows: Iterable[np.ndarray], states):
     """Eval-mode gradient of the risk at each row's last window step with
     respect to the window's inputs.
 
-    ``xs`` (L, B, d) holds B rows of window inputs, right-padded: row b's
-    window is its first ``lengths[b]`` steps, scanned and swept from
-    ``state`` (h, c), which the rows share or which holds (B, H) arrays, one
-    state per row. Each row is seeded at its own last step, so its pad steps
-    carry zero dZ and zero gradient. Returns d p_last / d xs, (L, B, d), and
-    p_last, (B,).
+    Row b holds the ``lengths[b]`` inputs (L_b, d) of one window and starts
+    from ``states[b]`` = (h, c), the state before its window. The rows are
+    right-padded to the longest, L, and scanned and swept as one batch; each
+    row of ``rows`` is copied into the padded batch as it arrives, so the
+    caller need not hold them all at once. Each row is seeded at its own last
+    step, so its pad steps carry zero dZ and zero gradient. Returns
+    d p_last / d inputs, (L, B, d), and p_last, (B,).
     """
-    L, B, d = xs.shape
-    H = params.hidden_size
-    gates, c, h = _scan(params, xs, state=state)
-    last, rows = np.asarray(lengths) - 1, np.arange(B)
-    p = _sigmoid(h[last, rows] @ params.w_out + params.b_out[0])
-    dlogit = np.zeros((L, B))
-    dlogit[last, rows] = p * (1.0 - p)
-    dz = _sweep(params, gates, c, dlogit, c0=state[1])
-    del c, h  # freed before the product below, which keeps peak memory down
-    return (dz.reshape(L * B, 4 * H) @ params.w_gates).reshape(L, B, d), p
-
-
-def _window_rows_gradient(params: ModelParams, lengths: Sequence[int],
-                          rows: Iterable[np.ndarray], states):
-    """``_risk_gradient_batch`` over rows of window inputs: row b holds the
-    ``lengths[b]`` inputs (L_b, d) of one window, right-padded to the longest
-    row, and starts from ``states[b]`` = (h, c), the state before its window.
-    Each row of ``rows`` is copied into the padded batch as it arrives, so
-    the caller need not hold them all at once."""
-    xs = np.zeros((max(lengths), len(lengths), params.d))
-    h0, c0 = np.zeros((2, len(lengths), params.hidden_size))
+    L, B, H, d = max(lengths), len(lengths), params.hidden_size, params.d
+    xs = np.zeros((L, B, d))
+    h0, c0 = np.zeros((2, B, H))
     for b, (x, (h, c)) in enumerate(zip(rows, states)):
         xs[: lengths[b], b] = x
         h0[b], c0[b] = h, c
-    del x  # the last row: freed before the call, which keeps peak memory down
-    return _risk_gradient_batch(params, xs, (h0, c0), lengths)
+    del x  # the last row: freed before the scan, which keeps peak memory down
+    gates, c, h = _scan(params, xs, state=(h0, c0))
+    del xs  # only the scan's input projection reads the inputs
+    last, batch = np.asarray(lengths) - 1, np.arange(B)
+    p = _sigmoid(h[last, batch] @ params.w_out + params.b_out[0])
+    dlogit = np.zeros((L, B))
+    dlogit[last, batch] = p * (1.0 - p)
+    dz = _sweep(params, gates, c, dlogit, c0=c0)
+    del c, h  # freed before the product below, which keeps peak memory down
+    return (dz.reshape(L * B, 4 * H) @ params.w_gates).reshape(L, B, d), p
 
 
 def grad_wrt_inputs(params: ModelParams, steps: StepSeries | StepBatch, t1, t0=0,
@@ -551,9 +543,9 @@ def grad_wrt_inputs(params: ModelParams, steps: StepSeries | StepBatch, t1, t0=0
                     [None] * B if states is None else states))
     for series, a, b, _ in rows:
         _check_window(series.T, a, b)
-    g, _ = _window_rows_gradient(params, [b - a for _, a, b, _ in rows],
-                                 (series.x[a:b] for series, a, b, _ in rows),
-                                 [_state_at(params, series, a, kept) for series, a, _, kept in rows])
+    g, _ = _risk_gradient_batch(params, [b - a for _, a, b, _ in rows],
+                                (series.x[a:b] for series, a, b, _ in rows),
+                                [_state_at(params, series, a, kept) for series, a, _, kept in rows])
     return [_window_weights(g[: b - a, i], series, a, b, "gradient")
             for i, (series, a, b, _) in enumerate(rows)]
 

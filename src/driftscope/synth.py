@@ -11,7 +11,7 @@ scheduled through the deterioration so positive episodes always do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +30,12 @@ URINE_SUSTAIN_H = 6.0
 # Checkpoints fall at every multiple of this interval after episode start.
 CHECKPOINT_INTERVAL_H = 3.0
 
-# Deterioration shape. The extra measurements at onset+1h and onset+7h make
-# the injury criterion provably reachable by onset+7h: the creatinine rise
-# between them is at least ramp*6 - 2*clip >= 0.3, and the urine run spans 6 h.
+# Deterioration shape. Onsets are uniform in [ONSET_LOW_H, ONSET_HIGH_H). The
+# extra measurements at onset+1h and onset+7h make the injury criterion
+# provably reachable by onset+7h: the creatinine rise between them is at least
+# ramp*6 - 2*clip >= 0.3, and the urine run spans 6 h.
+ONSET_LOW_H = 12.0
+ONSET_HIGH_H = 22.0
 _CR_RAMP_PER_HOUR = 0.15     # mg/dl per hour after onset
 _CR_RAMP_CAP = 1.8
 _CR_EXTRA_OFFSETS_H = (1.0, 7.0)
@@ -52,24 +55,19 @@ class FeatureSpec:
     noise_clip: float  # hard bound on |noise|, keeps clean episodes clean
     mean_gap_hours: float
 
-    def __post_init__(self):
-        if self.mean_gap_hours <= 0:
-            raise ValueError("mean_gap_hours must be positive")
 
-
-def default_features() -> tuple[FeatureSpec, ...]:
-    return (
-        FeatureSpec(CREATININE, baseline=1.0, noise_sd=0.04, noise_clip=0.1, mean_gap_hours=5.0),
-        FeatureSpec(URINE_RATE, baseline=60.0, noise_sd=8.0, noise_clip=20.0, mean_gap_hours=3.0),
-        FeatureSpec("heart_rate", 80.0, 8.0, 24.0, 1.5),
-        FeatureSpec("resp_rate", 16.0, 2.0, 6.0, 2.0),
-        FeatureSpec("temperature", 37.0, 0.3, 0.9, 2.5),
-        FeatureSpec("sodium", 140.0, 2.0, 6.0, 3.0),
-        FeatureSpec("potassium", 4.1, 0.25, 0.7, 3.0),
-        FeatureSpec("glucose", 110.0, 15.0, 40.0, 2.0),
-        FeatureSpec("hemoglobin", 11.0, 0.7, 2.0, 3.5),
-        FeatureSpec("platelets", 220.0, 25.0, 70.0, 3.5),
-    )
+FEATURES = (
+    FeatureSpec(CREATININE, baseline=1.0, noise_sd=0.04, noise_clip=0.1, mean_gap_hours=5.0),
+    FeatureSpec(URINE_RATE, baseline=60.0, noise_sd=8.0, noise_clip=20.0, mean_gap_hours=3.0),
+    FeatureSpec("heart_rate", 80.0, 8.0, 24.0, 1.5),
+    FeatureSpec("resp_rate", 16.0, 2.0, 6.0, 2.0),
+    FeatureSpec("temperature", 37.0, 0.3, 0.9, 2.5),
+    FeatureSpec("sodium", 140.0, 2.0, 6.0, 3.0),
+    FeatureSpec("potassium", 4.1, 0.25, 0.7, 3.0),
+    FeatureSpec("glucose", 110.0, 15.0, 40.0, 2.0),
+    FeatureSpec("hemoglobin", 11.0, 0.7, 2.0, 3.5),
+    FeatureSpec("platelets", 220.0, 25.0, 70.0, 3.5),
+)
 
 
 @dataclass(frozen=True)
@@ -78,26 +76,19 @@ class ScenarioConfig:
     n_episodes: int = 100
     deterioration_fraction: float = 0.5
     duration_hours: float = 36.0
-    onset_low_hours: float = 12.0
-    onset_high_hours: float = 22.0
-    features: tuple[FeatureSpec, ...] = field(default_factory=default_features)
 
     def __post_init__(self):
-        for name in ("duration_hours", "onset_low_hours", "onset_high_hours"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.duration_hours):
+            raise ValueError("duration_hours must be finite")
         if self.n_episodes < 0:
             raise ValueError("n_episodes must be non-negative")
         if not 0.0 <= self.deterioration_fraction <= 1.0:
             raise ValueError("deterioration_fraction must be in [0, 1]")
-        if self.onset_high_hours >= self.duration_hours:
+        if ONSET_HIGH_H >= self.duration_hours:
             raise ValueError("onset must fall inside the episode duration")
-        names = [f.name for f in self.features]
-        if CREATININE not in names or URINE_RATE not in names:
-            raise ValueError(f"features must include {CREATININE} and {URINE_RATE}")
 
     def catalog(self) -> FeatureCatalog:
-        return FeatureCatalog.from_ids([f.name for f in self.features])
+        return FeatureCatalog.from_ids([f.name for f in FEATURES])
 
 
 def _clipped_noise(rng: np.random.Generator, sd: float, clip: float, size: int) -> np.ndarray:
@@ -119,17 +110,17 @@ def _deterioration(config: ScenarioConfig, rng: np.random.Generator):
     one that does not."""
     if not rng.random() < config.deterioration_fraction:
         return None, None
-    onset_h = float(rng.uniform(config.onset_low_hours, config.onset_high_hours))
+    onset_h = float(rng.uniform(ONSET_LOW_H, ONSET_HIGH_H))
     return onset_h, ("creatinine", "urine", "both")[int(rng.integers(3))]
 
 
 def generate_patient(config: ScenarioConfig, index: int) -> EventSequence:
     """Deterministic episode for (config.seed, index).
 
-    Deteriorating episodes draw an onset uniform in the configured range and a
-    mechanism among creatinine-only, urine-only, or both; the affected features
-    get extra measurements through the deterioration so the injury criterion is
-    guaranteed to fire. The episode outcome is the deterioration flag.
+    Deteriorating episodes draw an onset uniform in [ONSET_LOW_H, ONSET_HIGH_H)
+    and a mechanism among creatinine-only, urine-only, or both; the affected
+    features get extra measurements through the deterioration so the injury
+    criterion is guaranteed to fire. The episode outcome is the deterioration flag.
     """
     if not 0 <= index < config.n_episodes:
         raise ValueError(f"index must be in [0, {config.n_episodes})")
@@ -140,7 +131,7 @@ def generate_patient(config: ScenarioConfig, index: int) -> EventSequence:
     urine_hit = mechanism in ("urine", "both")
 
     times, values = [], []
-    for spec in config.features:
+    for spec in FEATURES:
         t_h = []
         t = float(rng.exponential(spec.mean_gap_hours))
         while t <= config.duration_hours:
@@ -168,10 +159,10 @@ def generate_patient(config: ScenarioConfig, index: int) -> EventSequence:
         times.append(th * HOUR)
         values.append(v)
 
-    spec_index = np.repeat(np.arange(len(config.features)), [len(t) for t in times])
+    spec_index = np.repeat(np.arange(len(FEATURES)), [len(t) for t in times])
     time = np.concatenate(times)
     order = np.lexsort((spec_index, time))  # stable: a feature's own times stay in order
-    names = np.array([spec.name for spec in config.features], dtype=object)
+    names = np.array([spec.name for spec in FEATURES], dtype=object)
     return EventSequence(
         episode_id=f"ep{index:05d}",
         events=Events(time[order], names[spec_index[order]], np.concatenate(values)[order]),

@@ -313,8 +313,8 @@ class TestIntegratedGradients:
         x, b = steps.x, build_carry_forward_baseline(steps, 0).x
         rows = list(attribution._path_rows(x, b, attribution._rung_alphas(64, nested=False)))
         peaks = []
-        for call in (lambda: model._window_rows_gradient(params, [60] * 64, rows,
-                                                         [(0.0, 0.0)] * 64),
+        for call in (lambda: model._risk_gradient_batch(params, [60] * 64, rows,
+                                                        [(0.0, 0.0)] * 64),
                      lambda: integrated_gradients(params, steps, 0, 60, m=64)):
             tracemalloc.start()
             try:
@@ -409,11 +409,12 @@ class TestAdaptiveIntegratedGradients:
         rows = []
         core = model._risk_gradient_batch
 
-        def counted(params, xs, state, lengths):
-            rows.append(xs.shape[1])
-            return core(params, xs, state, lengths)
+        def counted(params, lengths, rows_in, states):
+            rows.append(len(lengths))
+            return core(params, lengths, rows_in, states)
 
         monkeypatch.setattr(model, "_risk_gradient_batch", counted)
+        monkeypatch.setattr(attribution, "_risk_gradient_batch", counted)
         monkeypatch.setattr(attribution, "IG_TOLERANCE", 0.0)
         params, windows = nonlinear_windows()
         adaptive_integrated_gradients(params, windows, 200)

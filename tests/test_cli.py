@@ -683,6 +683,28 @@ class TestEvaluate:
                 in capsys.readouterr().err)
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("edit", ["step_before_window", "other_feature"])
+    def test_row_that_is_no_window_event_is_data_error(self, data_dir, explained, tmp_path,
+                                                       capsys, edit):
+        # A row naming a step outside its episode's windows, or a feature its
+        # step does not carry, would be scored as if explain had chosen it.
+        lines = (explained / "explanations.csv").read_text().splitlines()
+        row = lines[1].split(",")
+        windows = explained / "windows.csv"
+        t0 = next(int(w[1]) for w in read_csv(windows)[1] if w[0] == row[0])
+        if edit == "step_before_window":
+            row[3] = str(t0)
+        else:
+            row[5] = "urine_rate" if row[5] == "creatinine" else "creatinine"
+        expl = tmp_path / "expl.csv"
+        expl.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+        out = tmp_path / "res"
+        assert run("evaluate", "--events", data_dir / "events.jsonl", "--explanations", expl,
+                   "--windows", windows, "--out-dir", out) == 2
+        assert (f"data error: {expl}: step {row[3]} of episode {row[0]!r} is no {row[5]!r} "
+                f"event inside its windows in {windows}" in capsys.readouterr().err)
+        assert not (out / "results.csv").exists()
+
     def test_window_listed_twice_is_data_error(self, data_dir, explained, tmp_path, capsys):
         # A repeated window would be scored twice, which shifts every mean.
         windows = (explained / "windows.csv").read_text().splitlines()

@@ -233,7 +233,8 @@ class TestPrepare:
         ep = next(e for e in prepared if e.episode_id == w.episode_id)
         with pytest.raises(ValueError, match="attention"):
             explain_window("attention", ctx, ep, w, 3)
-        assert explain_window("gradient", ctx, ep, w, 3).items
+        a = ds.grad_wrt_inputs(params, ep.steps, w.t1, w.t0, states=ep.states)
+        assert explain_window("gradient", ctx, ep, w, 3, weights=a.a).items
 
     def test_kept_arrays_do_not_hold_the_scan_cache(self, monkeypatch):
         params, stats, catalog, corpus = self._inputs(attention=True)
@@ -367,29 +368,22 @@ def test_explain_windows_keeps_window_then_method_order(small_run):
     assert [(w, m) for w, m, _ in got] == [(w, m) for w in windows for m in methods]
     by_id = {ep.episode_id: ep for ep in prepared}
     for w, m, (e,) in got:
-        want = explain_window(m, ctx, by_id[w.episode_id], w, 3)
+        ep = by_id[w.episode_id]
+        weights = (ds.grad_wrt_inputs(ctx.params, ep.steps, w.t1, w.t0, states=ep.states).a
+                   if m == "gradient" else None)
+        want = explain_window(m, ctx, ep, w, 3, weights=weights)
         assert [(it.step, it.feature) for it in e.items] == [(it.step, it.feature)
                                                              for it in want.items]
         np.testing.assert_allclose([it.weight for it in e.items],
                                    [it.weight for it in want.items], rtol=1e-12)
 
 
-def test_explain_window_without_a_path_runs_the_ladder(small_run):
-    # Without a precomputed path, explain_window's integrated gradients come
-    # from the ladder on that window alone, so a window that stops before the
-    # cap gets explain_windows' rung, not the fixed-m weights.
+@pytest.mark.parametrize("method", ["gradient", "integrated_gradients"])
+def test_explain_window_without_weights_is_rejected(small_run, method):
+    # explain_windows computes both methods' weights in batches;
+    # explain_window recomputes neither.
     prepared, ctx = small_run
-    ctx = dataclasses.replace(ctx, m=64)
-    windows = checkpoint_windows(prepared)
-    paths = []
-    got = list(evaluation.explain_windows(ctx, prepared, windows, ["integrated_gradients"], k=3,
-                                          ig_paths=paths))
-    early = [(w, e) for (w, _, (e,)), p in zip(got, paths) if p.points < ctx.m]
-    assert early
-    by_id = {ep.episode_id: ep for ep in prepared}
-    for w, e in early:
-        want = explain_window("integrated_gradients", ctx, by_id[w.episode_id], w, 3)
-        assert [(it.step, it.feature) for it in e.items] == [(it.step, it.feature)
-                                                             for it in want.items]
-        np.testing.assert_allclose([it.weight for it in e.items],
-                                   [it.weight for it in want.items], rtol=1e-12)
+    w = checkpoint_windows(prepared)[0]
+    ep = next(e for e in prepared if e.episode_id == w.episode_id)
+    with pytest.raises(ValueError, match="precomputed weights"):
+        explain_window(method, ctx, ep, w, 3)

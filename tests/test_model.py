@@ -1,11 +1,13 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import driftscope as ds
+from driftscope import model
 from driftscope.events import FeatureCatalog, FeatureStat
 from driftscope.model import (
     EncodedEpisode,
@@ -459,7 +461,7 @@ class TestGradWrtInputs:
         steps = random_step_series(rng, T=6, d_features=2)
         params = nonzero_params(tiny_config(), steps.d)
         t1 = 5
-        g = _risk_gradient_batch(params, steps.x[:t1, None], (0.0, 0.0), [t1])[0][:, 0]
+        g = _risk_gradient_batch(params, [t1], [steps.x[:t1]], [(0.0, 0.0)])[0][:, 0]
         a = ds.grad_wrt_inputs(params, steps, t1)
         assert a.window == (0, t1)
         assert np.array_equal(a.a, g[np.arange(t1), steps.step_feature[:t1]])
@@ -496,12 +498,12 @@ class TestGradWrtInputs:
         steps = random_step_series(rng, T=6, d_features=2)
         params = nonzero_params(tiny_config(), steps.d)
         window = steps.x[2:5]
-        xs = np.stack([window, window * 0.5, window + 0.1], axis=1)
+        rows = [window, window * 0.5, window + 0.1]
         state = _state_at(params, steps, 2)
-        g, _ = _risk_gradient_batch(params, xs, state, [3] * 3)
+        g, _ = _risk_gradient_batch(params, [3] * 3, rows, [state] * 3)
         assert g.shape == (3, 3, steps.d)
         for i in range(3):
-            gi, _ = _risk_gradient_batch(params, xs[:, i : i + 1], state, [3])
+            gi, _ = _risk_gradient_batch(params, [3], [rows[i]], [state])
             np.testing.assert_allclose(g[:, i], gi[:, 0], rtol=1e-12, atol=1e-15)
 
     def test_padded_rows_from_own_states_match_singles(self):
@@ -513,17 +515,36 @@ class TestGradWrtInputs:
         _, c, h = _scan(params, steps.x[:, None])
         starts, lengths = [0, 3, 6, 2, 5], [6, 1, 4, 3, 2]
         states = [(0.0, 0.0) if s == 0 else (h[s - 1, 0], c[s - 1, 0]) for s in starts]
-        xs = np.zeros((max(lengths), len(starts), steps.d))
-        for b, (s, n) in enumerate(zip(starts, lengths)):
-            xs[:n, b] = steps.x[s : s + n]
-        state = tuple(np.stack([np.broadcast_to(hc[i], 5) for hc in states]) for i in (0, 1))
-        g, _ = _risk_gradient_batch(params, xs, state, lengths)
+        rows = [steps.x[s : s + n] for s, n in zip(starts, lengths)]
+        g, _ = _risk_gradient_batch(params, lengths, rows, states)
         assert g.shape == (6, 5, steps.d)
         for b, (s, n) in enumerate(zip(starts, lengths)):
-            one = _risk_gradient_batch(params, steps.x[s : s + n, None],
-                                       _state_at(params, steps, s), [n])[0][:, 0]
+            one = _risk_gradient_batch(params, [n], [steps.x[s : s + n]],
+                                       [_state_at(params, steps, s)])[0][:, 0]
             np.testing.assert_allclose(g[:n, b], one, rtol=1e-12, atol=1e-18)
             assert np.all(g[n:, b] == 0.0)
+
+    def test_padded_inputs_are_freed_before_the_sweep(self, monkeypatch):
+        # Only the scan's input projection reads the padded inputs, so the
+        # sweep runs without them, which keeps peak memory down.
+        rng = np.random.default_rng(15)
+        steps = random_step_series(rng, T=8, d_features=2)
+        params = nonzero_params(tiny_config(), steps.d)
+        scanned, alive = [], []
+        scan, sweep = model._scan, model._sweep
+
+        def scan_spy(params, x, *args, **kwargs):
+            scanned.append(weakref.ref(x))
+            return scan(params, x, *args, **kwargs)
+
+        def sweep_spy(*args, **kwargs):
+            alive.extend(ref() is not None for ref in scanned)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_scan", scan_spy)
+        monkeypatch.setattr(model, "_sweep", sweep_spy)
+        _risk_gradient_batch(params, [8, 5], [steps.x, steps.x[:5]], [(0.0, 0.0)] * 2)
+        assert alive == [False]
 
     def test_batch_of_windows_matches_one_window_each(self):
         rng = np.random.default_rng(14)
