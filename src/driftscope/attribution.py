@@ -104,21 +104,20 @@ def _window_weights(g: np.ndarray, steps: StepSeries, t0: int, t1: int,
 def build_carry_forward_baseline(steps: StepSeries, t0: int) -> StepSeries:
     """Counterfactual input that pretends no value changed after step t0.
 
-    Steps up to t0 are copied verbatim. Afterwards each step keeps its
-    measurement pattern (indicator and delta-time channels untouched) but its
-    value channel is replaced by the most recent value of the same feature at
-    or before t0; features never observed by t0 get 0 (the population mean
-    under z-scoring), so at t0 = 0 every value channel is 0.
+    Steps up to t0 are kept verbatim. Afterwards each step keeps its
+    measurement pattern (feature and delta-time untouched) but its value is
+    replaced by the most recent value of the same feature at or before t0;
+    features never observed by t0 get 0 (the population mean under
+    z-scoring), so at t0 = 0 every value is 0. Only ``step_value`` is new.
     """
     if not 0 <= t0 <= steps.T:
         raise ValueError(f"t0 must be in [0, {steps.T}], got {t0}")
-    x = steps.x.copy()
+    value = steps.step_value.copy()
     last = np.full(steps.d_features, -1)  # each feature's last index among steps 1..t0
     np.maximum.at(last, steps.step_feature[:t0], np.arange(t0))
-    carried = np.where(last >= 0, x[last, np.arange(steps.d_features)], 0.0)
-    after = steps.step_feature[t0:]
-    x[np.arange(t0, steps.T), after] = carried[after]
-    return replace(steps, x=x)
+    carried = np.where(last >= 0, value[last], 0.0)
+    value[t0:] = carried[steps.step_feature[t0:]]
+    return replace(steps, step_value=value)
 
 
 def integrated_gradients(
@@ -140,7 +139,7 @@ def integrated_gradients(
         return AttributionMatrix(weights, "integrated_gradients", (t0, t1))
     if m < 1:
         raise ValueError("m must be >= 1")
-    x, b = steps.x[t0:t1], build_carry_forward_baseline(steps, t0).x[t0:t1]
+    x, b = steps.rows(t0, t1), build_carry_forward_baseline(steps, t0).rows(t0, t1)
     path = _fixed_m_path(params, x, b, _state_at(params, steps, t0, states), m)
     return _window_weights(path, steps, t0, t1, "integrated_gradients")
 
@@ -188,8 +187,8 @@ def adaptive_integrated_gradients(
     xs, bs, starts = [], [], []
     for steps, t0, t1, states in windows:
         _check_window(steps.T, t0, t1)
-        xs.append(steps.x[t0:t1])
-        bs.append(build_carry_forward_baseline(steps, t0).x[t0:t1].copy())  # frees the rest
+        xs.append(steps.rows(t0, t1))
+        bs.append(build_carry_forward_baseline(steps, t0).rows(t0, t1))
         starts.append(_state_at(params, steps, t0, states))
     rungs = []  # the nested rungs, all below m
     while (rung := IG_FIRST_RUNG * 3 ** len(rungs)) < m:

@@ -232,7 +232,7 @@ def cmd_train(args) -> int:
     ckpt_path = Path(args.checkpoint) if args.checkpoint else out / "checkpoint.json"
     save_checkpoint(ckpt_path, params, config, catalog, stats)
     with atomic_open(out / "bins.json") as fh:
-        json.dump(bins.to_json(), fh)
+        fh.write(json.dumps(bins.to_json()))  # the C encoder; json.dump runs the Python one
     write_csv(
         out / "train_report.csv",
         ["phase", "epoch", "train_loss", "val_loss", "val_auroc"],

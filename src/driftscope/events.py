@@ -8,6 +8,7 @@ throughout the public API; array index ``j`` holds step ``j + 1``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -182,36 +183,62 @@ class FeatureStats:
 
 @dataclass(frozen=True)
 class StepSeries:
-    """Model-facing encoding: one event per step.
+    """Model-facing encoding: one event per step, stored as columns.
 
-    ``x`` has shape (T, d) with d = 2 * d_features + 1: value channels first,
-    then presence indicators, then the delta-time channel log(1 + dt_hours).
+    The model reads each step as a row of d = 2 * d_features + 1 inputs:
+    value channels first, then presence indicators, then the delta-time
+    channel log(1 + dt_hours). Only three entries of a row are not zero, so
+    a series keeps per step its feature's catalog index ``step_feature``, the
+    normalized value ``step_value`` (that feature's value channel) and
+    ``step_log_dt`` (the delta-time channel); ``rows`` writes the dense rows.
     ``step_raw`` carries the pre-normalization value for display.
     """
 
-    x: np.ndarray
     step_feature: np.ndarray
+    step_value: np.ndarray
+    step_log_dt: np.ndarray
     step_time: np.ndarray
     step_raw: np.ndarray
     d_features: int
 
     def __post_init__(self):
-        T, d = self.x.shape
-        if d != 2 * self.d_features + 1:
-            raise ValueError(f"input dim {d} inconsistent with {self.d_features} features")
-        ind = self.x[:, self.d_features : 2 * self.d_features]
-        if not np.all(np.abs(ind.sum(axis=1) - 1.0) <= 1e-8 + 1e-5):  # np.allclose, faster
-            raise ValueError("each step must have exactly one active indicator")
+        columns = (self.step_feature, self.step_value, self.step_log_dt, self.step_time,
+                   self.step_raw)
+        if not all(c.ndim == 1 and len(c) == len(self.step_feature) for c in columns):
+            raise ValueError("step columns must be 1-D arrays of one length")
+        if len(self.step_feature) and not (0 <= self.step_feature.min()
+                                           and self.step_feature.max() < self.d_features):
+            raise ValueError(f"step features must be in [0, {self.d_features})")
         if np.any(self.step_time[1:] < self.step_time[:-1]):
             raise ValueError("step_time must be non-decreasing")
 
     @property
     def T(self) -> int:
-        return self.x.shape[0]
+        return len(self.step_feature)
 
     @property
     def d(self) -> int:
-        return self.x.shape[1]
+        return 2 * self.d_features + 1
+
+    def rows(self, t0: int, t1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The dense inputs (t1 - t0, d) of the steps (t0, t1], written into
+        ``out`` when given (any array of that shape, views included) and
+        into a new array otherwise; returns the array written."""
+        if out is None:
+            out = np.zeros((t1 - t0, self.d))
+        else:
+            out[...] = 0.0
+        at, feature = np.arange(t1 - t0), self.step_feature[t0:t1]
+        out[at, feature] = self.step_value[t0:t1]
+        out[at, self.d_features + feature] = 1.0
+        out[:, -1] = self.step_log_dt[t0:t1]
+        return out
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        """All T dense rows, built on first use and kept; the package itself
+        reads only ``rows``."""
+        return self.rows(0, self.T)
 
 
 _REQUIRED_KEYS = ("episode", "time_s", "feature", "value", "outcome", "split")
@@ -442,21 +469,18 @@ def fit_feature_stats(corpus: Sequence[EventSequence]) -> FeatureStats:
 def encode_steps(seq: EventSequence, catalog: FeatureCatalog, stats: FeatureStats) -> StepSeries:
     """Encode a sequence as one step per event.
 
-    Value channels hold ``stats.normalize_value`` of each value; ``step_raw``
-    keeps the value itself for display. The delta-time channel is
-    log(1 + dt / 3600) with dt the seconds since the previous step (since
-    episode start for step 1).
+    ``step_value`` holds ``stats.normalize_value`` of each value; ``step_raw``
+    keeps the value itself for display. ``step_log_dt`` is log(1 + dt / 3600)
+    with dt the seconds since the previous step (since episode start for
+    step 1).
     """
     ev = seq.events
-    T, d_f = len(ev), catalog.d_features
     feature = catalog.indices(ev.feature)
-    steps = np.arange(T)
-    x = np.zeros((T, 2 * d_f + 1), dtype=float)
-    x[steps, feature] = stats.normalize_values(catalog.ids, feature, ev.value)
-    x[steps, d_f + feature] = 1.0
     dt = ev.time.copy()
     dt[1:] -= ev.time[:-1]
     # math.log1p, not np.log1p: the two differ in the last bit for some inputs
-    x[:, 2 * d_f] = list(map(math.log1p, (dt / SECONDS_PER_HOUR).tolist()))
-    return StepSeries(x=x, step_feature=feature, step_time=ev.time.copy(),
-                      step_raw=ev.value.copy(), d_features=d_f)
+    log_dt = np.fromiter(map(math.log1p, (dt / SECONDS_PER_HOUR).tolist()), float, len(ev))
+    return StepSeries(step_feature=feature,
+                      step_value=stats.normalize_values(catalog.ids, feature, ev.value),
+                      step_log_dt=log_dt, step_time=ev.time.copy(), step_raw=ev.value.copy(),
+                      d_features=catalog.d_features)

@@ -134,10 +134,11 @@ class StepBatch:
         return int(self.lengths.sum())
 
     def padded(self) -> np.ndarray:
-        """The inputs as one (T_max, B, d) array, built on each call."""
+        """The inputs as one (T_max, B, d) array, built on each call: each
+        series writes its rows straight into its slot."""
         x = np.zeros((int(self.lengths.max()), len(self.series), self.series[0].d))
         for b, s in enumerate(self.series):
-            x[: s.T, b] = s.x
+            s.rows(0, s.T, out=x[: s.T, b])
         return x
 
 
@@ -486,7 +487,7 @@ def _state_at(params: ModelParams, steps: StepSeries, t0: int,
     ``states`` at or before t0 (from step 0 and the zero state without them)."""
     s, state = (0, (0.0, 0.0)) if states is None else states.start(t0)
     if s < t0:
-        _, c, h = _scan(params, steps.x[s:t0, None], state=state)
+        _, c, h = _scan(params, steps.rows(s, t0)[:, None], state=state)
         state = (h[-1, 0].copy(), c[-1, 0].copy())  # copies, so the scan is freed
     return state
 
@@ -544,7 +545,7 @@ def grad_wrt_inputs(params: ModelParams, steps: StepSeries | StepBatch, t1, t0=0
     for series, a, b, _ in rows:
         _check_window(series.T, a, b)
     g, _ = _risk_gradient_batch(params, [b - a for _, a, b, _ in rows],
-                                (series.x[a:b] for series, a, b, _ in rows),
+                                (series.rows(a, b) for series, a, b, _ in rows),
                                 [_state_at(params, series, a, kept) for series, a, _, kept in rows])
     return [_window_weights(g[: b - a, i], series, a, b, "gradient")
             for i, (series, a, b, _) in enumerate(rows)]
@@ -648,7 +649,7 @@ def train(corpus: Sequence[EncodedEpisode], config: ModelConfig) -> tuple[ModelP
     val_eps = [e for e in corpus if e.split == "validation"]
     if not train_eps or not val_eps:
         raise ValueError("training requires non-empty train and validation splits")
-    dims = {e.steps.x.shape[1] for e in corpus}
+    dims = {e.steps.d for e in corpus}
     if len(dims) != 1:
         raise ValueError(f"inconsistent input dimensions: {sorted(dims)}")
     d = dims.pop()
@@ -756,7 +757,7 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
         "params": {k: v.tolist() for k, v in params.arrays().items()},
     }
     with atomic_open(path) as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))  # the C encoder; json.dump runs the Python one
 
 
 def load_checkpoint(path):

@@ -38,15 +38,18 @@ BENCH_MODEL = dict(hidden_size=32, seed=11, max_epochs=15, learning_rate=0.002, 
 
 def random_step_series(rng: np.random.Generator, T: int, d_features: int) -> StepSeries:
     """Random but valid step series for model-level tests."""
-    d = 2 * d_features + 1
-    x = np.zeros((T, d))
     feats = rng.integers(0, d_features, size=T)
-    x[np.arange(T), feats] = rng.normal(size=T)
-    x[np.arange(T), d_features + feats] = 1.0
-    x[:, -1] = rng.random(T)
+    values = rng.normal(size=T)
+    log_dt = rng.random(T)
     times = np.sort(rng.random(T)) * 48 * 3600.0
-    return StepSeries(x=x, step_feature=feats, step_time=times,
-                      step_raw=x[np.arange(T), feats].copy(), d_features=d_features)
+    return StepSeries(step_feature=feats, step_value=values, step_log_dt=log_dt,
+                      step_time=times, step_raw=values.copy(), d_features=d_features)
+
+
+def step_prefix(steps: StepSeries, n: int) -> StepSeries:
+    """The series of the first n steps of ``steps``."""
+    return StepSeries(steps.step_feature[:n], steps.step_value[:n], steps.step_log_dt[:n],
+                      steps.step_time[:n], steps.step_raw[:n], steps.d_features)
 
 
 def identity_stats(features) -> FeatureStats:

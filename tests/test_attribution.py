@@ -26,7 +26,8 @@ from driftscope.attribution import (
 from driftscope.events import EventSequence, FeatureCatalog, StepSeries, encode_steps
 from driftscope.linear_system import LDSystem, lds_integrated_gradient, lds_run
 from driftscope.model import RiskSeries
-from conftest import events_of, identity_stats, random_step_series, single_feature_steps
+from conftest import (events_of, identity_stats, random_step_series, single_feature_steps,
+                      step_prefix)
 
 
 def steps_from_features(features, values=None, times=None, catalog=None):
@@ -51,12 +52,9 @@ def steps_of(feats, d_features, values=None):
     T = len(feats)
     feats = np.asarray(feats, dtype=np.int64).reshape(T)
     values = np.arange(1.0, T + 1) if values is None else np.asarray(values, dtype=float)
-    x = np.zeros((T, 2 * d_features + 1))
-    x[np.arange(T), feats] = values
-    x[np.arange(T), d_features + feats] = 1.0
-    x[:, -1] = 0.5
-    return StepSeries(x=x, step_feature=feats, step_time=3600.0 * np.arange(T),
-                      step_raw=values.copy(), d_features=d_features)
+    return StepSeries(step_feature=feats, step_value=values, step_log_dt=np.full(T, 0.5),
+                      step_time=3600.0 * np.arange(T), step_raw=values.copy(),
+                      d_features=d_features)
 
 
 # The loops the window-local functions replaced, kept as references. Each
@@ -463,9 +461,7 @@ class TestDiscreteTimeDerivatives:
         params.w_out[:] = rng.normal(size=4)
         risk, _ = ds.forward(params, steps)
         a_full = discrete_time_derivatives(risk, steps)
-        from dataclasses import replace
-        prefix = replace(steps, x=steps.x[:6], step_feature=steps.step_feature[:6],
-                         step_time=steps.step_time[:6], step_raw=steps.step_raw[:6])
+        prefix = step_prefix(steps, 6)
         risk_p, _ = ds.forward(params, prefix)
         a_prefix = discrete_time_derivatives(risk_p, prefix)
         assert np.array_equal(a_full.a[:6], a_prefix.a)

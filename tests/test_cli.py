@@ -17,7 +17,7 @@ from driftscope.alerts import AlertRule
 from driftscope.bin_stats import BINS_PER_FEATURE, BinTable
 from driftscope.cli import main
 from driftscope.evaluation import METHODS, MethodContext, prepare_episodes, run_benchmark
-from driftscope.events import parse_event_log
+from driftscope.events import StepSeries, parse_event_log
 from driftscope.model import ModelConfig, load_checkpoint
 from driftscope.tables import read_csv
 
@@ -779,6 +779,29 @@ class TestEvaluate:
 
 HOSTILE_FEATURE = 'sod,"ium" µ'
 HOSTILE_EPISODE = 'ep,"1" é'
+
+
+def test_stages_build_no_whole_episode_of_dense_rows(data_dir, trained_dir, tmp_path,
+                                                    monkeypatch):
+    # Each stage builds dense input rows only for what it scans; the cached
+    # all-steps view StepSeries.x is never read.
+    def dense(self):
+        raise AssertionError("StepSeries.x was read")
+
+    monkeypatch.setattr(StepSeries, "x", property(dense))
+    assert run("train", "--events", data_dir / "events.jsonl", "--out-dir", tmp_path / "model",
+               "--hidden-size", "8", "--max-epochs", "1", "--seed", "4") == 0
+    common = ["--events", data_dir / "events.jsonl",
+              "--checkpoint", trained_dir / "checkpoint.json",
+              "--min-new-events", "1", "--ratio-threshold", "1.001"]
+    assert run("alerts", *common, "--out-dir", tmp_path / "alerts") == 0
+    assert read_csv(tmp_path / "alerts" / "alerts.csv")[1]
+    for windows in ("checkpoints", "alerts"):
+        out = tmp_path / windows
+        assert run("explain", *common, "--bins", trained_dir / "bins.json", "--out-dir", out,
+                   "--methods", "all", "--m", "8", "--windows", windows) == 0
+        _, rows = read_csv(out / "explanations.csv")
+        assert {r[1] for r in rows} == set(METHODS)
 
 
 def test_evaluate_rows_equal_run_benchmark(tmp_path):

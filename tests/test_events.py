@@ -10,7 +10,9 @@ from hypothesis import example, given, strategies as st
 
 import driftscope as ds
 from driftscope import events
+from driftscope.attribution import build_carry_forward_baseline
 from driftscope.events import (
+    SECONDS_PER_HOUR,
     SPLITS,
     EventFormatError,
     Events,
@@ -18,12 +20,14 @@ from driftscope.events import (
     FeatureCatalog,
     FeatureStat,
     FeatureStats,
+    StepSeries,
     catalog_from_sequences,
     encode_steps,
     fit_feature_stats,
     parse_event_log,
     write_event_log,
 )
+from driftscope.model import StepBatch
 from driftscope.synth import ScenarioConfig, generate_corpus
 from conftest import events_of, identity_stats, json_values
 
@@ -530,3 +534,124 @@ def test_written_log_is_json_dumps_of_each_record():
         json.dumps({"episode": 'e"1', "time_s": t, "feature": f, "value": v, "outcome": 1,
                     "split": "test"}) + "\n"
         for t, f, v in [(0.0, "f", -0.0), (1e-7, "é", 1e300)])
+
+
+# The dense (T, d) code that the columns replaced, kept as references: the
+# encoder, StepBatch.padded and the carry-forward baseline.
+
+def dense_encode(seq, catalog, stats):
+    ev = seq.events
+    T, d_f = len(ev), catalog.d_features
+    feature = catalog.indices(ev.feature)
+    steps = np.arange(T)
+    x = np.zeros((T, 2 * d_f + 1), dtype=float)
+    x[steps, feature] = stats.normalize_values(catalog.ids, feature, ev.value)
+    x[steps, d_f + feature] = 1.0
+    dt = ev.time.copy()
+    dt[1:] -= ev.time[:-1]
+    x[:, 2 * d_f] = list(map(math.log1p, (dt / SECONDS_PER_HOUR).tolist()))
+    return x
+
+
+def dense_padded(xs):
+    x = np.zeros((max(len(a) for a in xs), len(xs), xs[0].shape[1]))
+    for b, a in enumerate(xs):
+        x[: len(a), b] = a
+    return x
+
+
+def dense_carry_forward(x, step_feature, d_features, t0):
+    x = x.copy()
+    last = np.full(d_features, -1)
+    np.maximum.at(last, step_feature[:t0], np.arange(t0))
+    carried = np.where(last >= 0, x[last, np.arange(d_features)], 0.0)
+    after = step_feature[t0:]
+    x[np.arange(t0, len(x)), after] = carried[after]
+    return x
+
+
+finite = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def encoded_batches(draw):
+    """(sequences, catalog, stats) of 1-3 episodes over 1-4 features; each
+    feature's stats are missing, degenerate, unbounded or drawn."""
+    ids = [f"f{i}" for i in range(draw(st.integers(1, 4)))]
+    by_feature = {}
+    for fid in ids:
+        kind = draw(st.sampled_from(["missing", "degenerate", "unbounded", "drawn"]))
+        if kind == "unbounded":
+            by_feature[fid] = FeatureStat(0.0, 1.0, -math.inf, math.inf, degenerate=False)
+        elif kind != "missing":
+            lo, hi = sorted(draw(st.tuples(finite, finite)))
+            by_feature[fid] = FeatureStat(draw(finite), draw(st.floats(1e-3, 1e3)), lo, hi,
+                                          degenerate=kind == "degenerate")
+    event = st.tuples(st.floats(0.0, 1e9), st.sampled_from(ids),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    seqs = []
+    for i in range(draw(st.integers(1, 3))):
+        triples = sorted(draw(st.lists(event, min_size=1, max_size=12)), key=lambda e: e[0])
+        seqs.append(EventSequence(f"e{i}", events_of(triples), 0, "train"))
+    return seqs, FeatureCatalog.from_ids(ids), FeatureStats(by_feature)
+
+
+class TestStepSeries:
+    @given(encoded_batches(), st.data())
+    def test_rows_padded_and_baseline_match_the_dense_code(self, batch, data):
+        seqs, catalog, stats = batch
+        series = [encode_steps(seq, catalog, stats) for seq in seqs]
+        dense = [dense_encode(seq, catalog, stats) for seq in seqs]
+        assert StepBatch(series).padded().tobytes() == dense_padded(dense).tobytes()
+        for steps, x in zip(series, dense):
+            a = data.draw(st.integers(0, steps.T))
+            b = data.draw(st.integers(a, steps.T))
+            assert steps.rows(a, b).tobytes() == x[a:b].tobytes()
+            out = np.full((b - a, steps.d), np.nan)
+            assert steps.rows(a, b, out=out) is out and out.tobytes() == x[a:b].tobytes()
+            t0 = data.draw(st.integers(0, steps.T))
+            want = dense_carry_forward(x, steps.step_feature, steps.d_features, t0)
+            got = build_carry_forward_baseline(steps, t0)
+            assert got.rows(a, b).tobytes() == want[a:b].tobytes()
+
+    def test_encoded_series_holds_no_dense_rows(self):
+        # Five columns of 8 bytes per step; the dense rows took 168 more at
+        # the catalog's 10 features.
+        corpus = generate_corpus(ScenarioConfig(seed=1, n_episodes=6))
+        catalog = catalog_from_sequences(corpus)
+        stats = fit_feature_stats(corpus)
+        for seq in corpus:
+            steps = encode_steps(seq, catalog, stats)
+            held = sum(v.nbytes for v in vars(steps).values() if isinstance(v, np.ndarray))
+            assert held <= 40 * steps.T
+
+    @staticmethod
+    def columns(T=3):
+        return dict(step_feature=np.arange(T) % 2, step_value=np.ones(T),
+                    step_log_dt=np.zeros(T), step_time=np.arange(T, dtype=float),
+                    step_raw=np.ones(T))
+
+    def test_valid_columns_accepted(self):
+        steps = StepSeries(**self.columns(), d_features=2)
+        assert (steps.T, steps.d) == (3, 5)
+
+    @pytest.mark.parametrize("name", ["step_feature", "step_value", "step_log_dt",
+                                      "step_time", "step_raw"])
+    def test_columns_of_unequal_length_rejected(self, name):
+        columns = self.columns()
+        columns[name] = columns[name][:2]
+        with pytest.raises(ValueError, match="one length"):
+            StepSeries(**columns, d_features=2)
+
+    @pytest.mark.parametrize("feature", [-1, 2])
+    def test_feature_outside_the_catalog_rejected(self, feature):
+        columns = self.columns()
+        columns["step_feature"][1] = feature
+        with pytest.raises(ValueError, match=r"in \[0, 2\)"):
+            StepSeries(**columns, d_features=2)
+
+    def test_decreasing_times_rejected(self):
+        columns = self.columns()
+        columns["step_time"] = np.array([0.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            StepSeries(**columns, d_features=2)

@@ -29,7 +29,7 @@ from driftscope.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from conftest import json_values, mutate, random_step_series
+from conftest import json_values, mutate, random_step_series, step_prefix
 
 
 def tiny_config(**overrides):
@@ -99,11 +99,7 @@ class TestForward:
         steps = random_step_series(rng, T=12, d_features=3)
         params = nonzero_params(tiny_config(), steps.d)
         full, _ = ds.forward(params, steps)
-        from dataclasses import replace
-        prefix = replace(
-            steps, x=steps.x[:8], step_feature=steps.step_feature[:8],
-            step_time=steps.step_time[:8], step_raw=steps.step_raw[:8],
-        )
+        prefix = step_prefix(steps, 8)
         part, _ = ds.forward(params, prefix)
         assert np.array_equal(full.p[:8], part.p)
 
@@ -467,13 +463,13 @@ class TestGradWrtInputs:
         assert np.array_equal(a.a, g[np.arange(t1), steps.step_feature[:t1]])
         eps = 1e-5
         worst = 0.0
-        for t in range(steps.T):
+        for t in range(steps.T):  # forward over the dense rows, perturbed in place
             for j in range(steps.d):
                 orig = steps.x[t, j]
                 steps.x[t, j] = orig + eps
-                rp, _ = ds.forward(params, steps)
+                rp = _forward_with_masks(params, steps.x, None, None, None)
                 steps.x[t, j] = orig - eps
-                rm, _ = ds.forward(params, steps)
+                rm = _forward_with_masks(params, steps.x, None, None, None)
                 steps.x[t, j] = orig
                 fd = (rp.p[t1 - 1] - rm.p[t1 - 1]) / (2 * eps)
                 want = g[t, j] if t < t1 else 0.0
@@ -486,7 +482,7 @@ class TestGradWrtInputs:
         params = nonzero_params(tiny_config(), steps.d)
         t1 = 4
         a = ds.grad_wrt_inputs(params, steps, t1)
-        steps.x[t1:, : steps.d_features] += 3.0
+        steps.step_value[t1:] += 3.0
         b = ds.grad_wrt_inputs(params, steps, t1)
         assert np.array_equal(a.a, b.a)
         assert a.a.shape == (t1,)
@@ -649,16 +645,11 @@ def separable_corpus(n=40, T=8, seed=0):
     for i in range(n):
         outcome = i % 2
         feats = rng.integers(0, 2, size=T)
-        x = np.zeros((T, 5))
-        for t in range(T):
-            f = feats[t]
-            v = rng.normal() if f == 1 else (1.5 if outcome else -1.5) + 0.1 * rng.normal()
-            x[t, f] = v
-            x[t, 2 + f] = 1.0
-            x[t, 4] = 0.3
-        steps = ds.StepSeries(x=x, step_feature=feats,
-                              step_time=np.arange(T) * 3600.0,
-                              step_raw=x[np.arange(T), feats].copy(), d_features=2)
+        values = np.array([rng.normal() if f == 1 else (1.5 if outcome else -1.5)
+                           + 0.1 * rng.normal() for f in feats])
+        steps = ds.StepSeries(step_feature=feats, step_value=values,
+                              step_log_dt=np.full(T, 0.3), step_time=np.arange(T) * 3600.0,
+                              step_raw=values.copy(), d_features=2)
         split = "validation" if i >= n - 10 else "train"
         episodes.append(EncodedEpisode(f"e{i}", steps, outcome, split))
     return episodes
@@ -714,7 +705,7 @@ class TestTrain:
 
     def test_divergence_detected(self):
         corpus = separable_corpus(n=12)
-        corpus[0].steps.x[0, 0] = np.nan  # poisons the loss
+        corpus[0].steps.step_value[0] = np.nan  # poisons the loss
         with pytest.raises(TrainingDivergedError):
             ds.train(corpus, tiny_config())
 
@@ -754,12 +745,10 @@ class TestAttention:
         # identical hidden states; equal scores must softmax to uniform.
         rng = np.random.default_rng(15)
         T, d_f = 6, 2
-        x = np.zeros((T, 2 * d_f + 1))
-        x[:, 0] = 1.3
-        x[:, d_f] = 1.0
-        steps = ds.StepSeries(x=x, step_feature=np.zeros(T, dtype=np.int64),
+        steps = ds.StepSeries(step_feature=np.zeros(T, dtype=np.int64),
+                              step_value=np.full(T, 1.3), step_log_dt=np.zeros(T),
                               step_time=np.arange(T, dtype=float),
-                              step_raw=x[:, 0].copy(), d_features=d_f)
+                              step_raw=np.full(T, 1.3), d_features=d_f)
         params = self._params_with_attention(steps)
         params.u_gates[:] = 0.0
         params.b_gates[4 : 8] = -60.0  # forget gate ~ 0
