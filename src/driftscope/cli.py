@@ -222,10 +222,10 @@ def cmd_train(args) -> int:
     catalog = catalog_from_sequences(raw)
     stats = fit_feature_stats(raw)
     bins = fit_bins(raw, args.bins_per_feature)
-    corpus = [
+    corpus = [  # train reads only these two splits
         EncodedEpisode(seq.episode_id, encode_steps(seq, catalog, stats),
                        seq.outcome, seq.split)
-        for seq in raw
+        for seq in raw if seq.split in ("train", "validation")
     ]
     del raw  # the encodings are all that training reads; this lowers its peak memory
     params, report = train(corpus, config)
@@ -338,9 +338,11 @@ def cmd_evaluate(args) -> int:
         truths.append(evaluation.window_truth(seq, w))
 
     _, expl_rows = read_csv(args.explanations, EXPLANATIONS_HEADER)
-    # explain writes each rank at most once per window of an episode; more
-    # copies (say, a file concatenated with itself) would each be scored
-    copies = Counter()
+    # explain writes each rank at most once per window of an episode, and each
+    # event at most once per window that contains it; more copies (say, a
+    # file concatenated with itself, or one event at several ranks) would
+    # each be scored
+    copies, picks = Counter(), Counter()
     selected: dict[tuple[str, str], list[tuple[int, str]]] = {}
     for r in expl_rows:
         rank, step = int(r[2]), int(r[3])
@@ -352,7 +354,8 @@ def cmd_evaluate(args) -> int:
             raise EventFormatError(f"{args.explanations}: episode {r[0]!r} has no window in "
                                    f"{args.windows}")
         feature = by_id[r[0]].events.feature
-        if not (any(t0 < step <= t1 for t0, t1 in listed) and feature[step - 1] == r[5]):
+        containing = sum(t0 < step <= t1 for t0, t1 in listed)
+        if not (containing and feature[step - 1] == r[5]):
             raise EventFormatError(f"{args.explanations}: step {step} of episode {r[0]!r} is no "
                                    f"{r[5]!r} event inside its windows in {args.windows}")
         copies[r[0], r[1], rank] += 1
@@ -360,6 +363,11 @@ def cmd_evaluate(args) -> int:
             raise EventFormatError(f"{args.explanations}: episode {r[0]!r}, method {r[1]!r} has "
                                    f"more rows of rank {rank} than its {len(listed)} "
                                    f"window(s) in {args.windows}")
+        picks[r[0], r[1], step] += 1
+        if picks[r[0], r[1], step] > containing:
+            raise EventFormatError(f"{args.explanations}: episode {r[0]!r}, method {r[1]!r} ranks "
+                                   f"step {step} ({r[5]!r}) more often than the {containing} "
+                                   f"window(s) in {args.windows} that contain it")
         selected.setdefault((r[0], r[1]), []).append((step, r[5]))
     methods = list(dict.fromkeys(method for _, method in selected))
 

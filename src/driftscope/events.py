@@ -244,7 +244,10 @@ class StepSeries:
 _REQUIRED_KEYS = ("episode", "time_s", "feature", "value", "outcome", "split")
 
 # Lines decoded together; each block becomes arrays before the next is read.
-_BLOCK_LINES = 4096
+# A block's lines and split strings are garbage once it is decoded, and the
+# allocator keeps much of what a larger block took: at 4,096 lines, parsing a
+# 36k-line log left 5.5-6.0 MB more resident, against 2.4 MB at 512.
+_BLOCK_LINES = 512
 
 # A line exactly as write_event_log writes it, with no escape in either string
 # and both numbers written as floats (a fraction or an exponent), then the

@@ -147,7 +147,8 @@ class ForwardCache:
     """What the reverse sweep and readers of the forward pass need.
 
     ``gates`` holds the activations [i; f; g; o] of every step until
-    ``backward`` overwrites them with their gradients. The previous
+    ``backward`` overwrites them with their gradients, and ``c`` the cell
+    states until ``backward`` reuses their buffer. The previous
     cell state and the masked previous hidden state are one-step shifts of
     ``c`` and ``h``; tanh(c) is recomputed where it is needed. The shapes are
     those of one series; a batch adds its axis after the time axis,
@@ -204,7 +205,9 @@ class TrainReport:
 
 
 def _sigmoid(z):
-    """1 / (1 + exp(-z)), with z clipped to [-60, 60], as a new float array."""
+    """1 / (1 + exp(-z)), with z clipped to [-60, 60], as a new float array.
+    The upper clip changes no result: from z = 60 on, exp(-z) < 2**-53, so
+    1 + exp(-z) rounds to 1.0 either way."""
     out = np.array(z, dtype=float)
     _sigmoid_inplace(out)
     return out
@@ -212,8 +215,7 @@ def _sigmoid(z):
 
 def _sigmoid_inplace(z):
     """_sigmoid written into z, with the same rounding."""
-    np.minimum(z, 60.0, out=z)  # np.clip's result, without its per-call overhead
-    np.maximum(z, -60.0, out=z)
+    np.maximum(z, -60.0, out=z)  # np.clip's lower bound, without its per-call overhead
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0
@@ -370,7 +372,9 @@ def forward(
         in_mask, out_mask, rec_mask = np.ones((T, B, d)), np.ones((T, B, H)), np.ones((B, H))
         for b, length in enumerate(batch.lengths):
             in_mask[:length, b], out_mask[:length, b], rec_mask[b] = _draw_masks(config, length, d, rng)
-    cache = _forward_with_masks(params, x, in_mask, out_mask, rec_mask)
+        x *= in_mask  # x is this call's own array, so it is masked in place, not copied
+    cache = _forward_with_masks(params, x, None, out_mask, rec_mask)
+    cache.in_mask = in_mask  # x is masked already; backward reads the mask
     p_base = float(_sigmoid(params.b_out)[0])
     risks = [RiskSeries(p=cache.p[:s.T, b].copy(), logits=cache.logits[:s.T, b].copy(),
                         step_time=s.step_time.copy(), p_base=p_base)
@@ -418,7 +422,9 @@ def backward(
     gradients are summed over the rows' losses; input gradients are returned
     for a single series only (None for a batch). Pad steps are seeded with
     zero, so they carry zero dZ. The reverse sweep overwrites
-    ``cache.gates`` with dZ, so a cache serves one backward call.
+    ``cache.gates`` with dZ, and after it the buffer of the cell states
+    ``cache.c`` takes the masked hidden states that the parameter gradients
+    read, so a cache serves one backward call.
     """
     batch = steps if isinstance(steps, StepBatch) else StepBatch([steps])
     if batch is not steps:
@@ -428,12 +434,15 @@ def backward(
     dlogit = np.zeros((T, B))
     for b, (length, y) in enumerate(zip(batch.lengths, outcome)):
         dlogit[:length, b] = _dloss_dlogit(cache.p[:length, b], y, eta)
-    h_out = cache.h if cache.out_mask is None else cache.h * cache.out_mask
-    w_out = dlogit.reshape(T * B) @ h_out.reshape(T * B, H)
-    del h_out  # freed before h_rec below is built, which keeps peak memory down
     dz = _sweep(params, cache.gates, cache.c, dlogit,
                 cache.out_mask, cache.rec_mask).reshape(T * B, 4 * H)
-    h_rec = np.zeros_like(cache.h)  # the masked hidden state entering each step
+    # The sweep was the last reader of the cell states, so their buffer holds
+    # the hidden states as the output head and then as the recurrence read them.
+    h_out = cache.h if cache.out_mask is None else np.multiply(cache.h, cache.out_mask,
+                                                               out=cache.c)
+    w_out = dlogit.reshape(T * B) @ h_out.reshape(T * B, H)
+    h_rec = cache.c  # the masked hidden state entering each step
+    h_rec[0] = 0.0
     h_rec[1:] = cache.h[:-1]
     if cache.rec_mask is not None:
         h_rec[1:] *= cache.rec_mask

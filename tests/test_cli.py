@@ -149,6 +149,27 @@ class TestTrain:
             reports.append((out / "train_report.csv").read_text())
         assert reports[0] != reports[1]
 
+    def test_encodes_only_the_splits_training_reads(self, data_dir, trained_dir, tmp_path,
+                                                    monkeypatch):
+        encoded = []
+
+        def encode_spy(seq, *args):
+            encoded.append(seq.split)
+            return encode_steps(seq, *args)
+
+        encode_steps = cli.encode_steps
+        monkeypatch.setattr(cli, "encode_steps", encode_spy)
+        out = tmp_path / "model"
+        assert run("train", "--events", data_dir / "events.jsonl", "--out-dir", out,
+                   "--hidden-size", "8", "--max-epochs", "2", "--seed", "4",
+                   "--eta", "0.005") == 0
+        splits = [json.loads(ln)["split"]
+                  for ln in (data_dir / "episodes.jsonl").read_text().splitlines()]
+        assert "test" in splits
+        assert sorted(encoded) == sorted(s for s in splits if s != "test")
+        for name in ("checkpoint.json", "bins.json", "train_report.csv"):
+            assert (out / name).read_bytes() == (trained_dir / name).read_bytes(), name
+
     def test_missing_events_is_data_error(self, tmp_path):
         assert run("train", "--events", tmp_path / "nope.jsonl",
                    "--out-dir", tmp_path) == 2
@@ -665,6 +686,28 @@ class TestEvaluate:
         episode, method, rank = lines[1].split(",")[:3]
         assert (f"data error: {expl}: episode {episode!r}, method {method!r} has more rows "
                 f"of rank {rank} than its 1 window(s) in {windows}") in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_event_ranked_more_often_than_its_windows_is_data_error(self, data_dir, explained,
+                                                                     tmp_path, capsys):
+        # One event at ranks 1, 2 and 3 of one window would be scored three
+        # times, which raised that window's precision.
+        lines = (explained / "explanations.csv").read_text().splitlines()
+        rows = [ln.split(",") for ln in lines[1:]]
+        first = next(r for r in rows if r[1] == "gradient" and r[2] == "1")
+        for r in rows:
+            if r[:2] == first[:2] and r[2] in ("2", "3"):
+                r[3:6] = first[3:6]
+        assert sum(r[:2] == first[:2] and r[3] == first[3] for r in rows) == 3
+        expl = tmp_path / "expl.csv"
+        expl.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+        windows = explained / "windows.csv"
+        out = tmp_path / "res"
+        assert run("evaluate", "--events", data_dir / "events.jsonl", "--explanations", expl,
+                   "--windows", windows, "--out-dir", out) == 2
+        assert (f"data error: {expl}: episode {first[0]!r}, method 'gradient' ranks step "
+                f"{first[3]} ({first[5]!r}) more often than the 1 window(s) in {windows} that "
+                f"contain it" in capsys.readouterr().err)
         assert not (out / "results.csv").exists()
 
     def test_explanations_of_an_episode_without_window_are_data_error(

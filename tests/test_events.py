@@ -2,6 +2,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -448,6 +452,33 @@ def test_regular_blocks_take_the_block_path(tmp_path):
     with open(path, encoding="utf-8") as fh:
         assert parse_outcome(parse_event_log, path.read_text(), None) == \
             parse_outcome(reference_parse, fh, None)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_parsing_a_large_log_keeps_little_resident(tmp_path):
+    """The lines and split strings of a decoded block are garbage, and the
+    allocator keeps much of what a large block took. Parsing the 36,414-line
+    log of 260 generated episodes adds less than 4 MB of resident memory,
+    the sequences included (5.5 MB with blocks of 4,096 lines)."""
+    corpus = generate_corpus(ScenarioConfig(seed=1, n_episodes=260))
+    path = tmp_path / "events.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_event_log(fh, corpus)
+    code = ("import sys\n"
+            "from driftscope.events import parse_event_log\n"
+            "def rss():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(ln.split()[1]) for ln in fh if ln.startswith('VmRSS:'))\n"
+            "before = rss()\n"
+            "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+            "    sequences = parse_event_log(fh)\n"
+            "print(len(sequences), sum(map(len, sequences)), rss() - before)\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    episodes, n_events, grown_kb = map(int, out.stdout.split())
+    assert (episodes, n_events) == (260, sum(map(len, corpus))) and n_events > 36_000
+    assert grown_kb < 4 * 1024, grown_kb
 
 
 def reference_encode(seq, catalog, stats):

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -296,6 +298,46 @@ def mixed_length_batch(seed, lengths=(3, 7, 12), d_features=3):
     return [random_step_series(rng, T=T, d_features=d_features) for T in lengths]
 
 
+def two_sided_sigmoid(z):
+    """The in-place sigmoid as it was, clipping z to [-60, 60]."""
+    z = np.array(z, dtype=float)
+    np.minimum(z, 60.0, out=z)
+    np.maximum(z, -60.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
+    return z
+
+
+def sigmoid_is_the_two_sided_one(z):
+    z = np.asarray(z, dtype=float)
+    got = z.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model._sigmoid_inplace(got)
+        want = two_sided_sigmoid(z)
+    return got.tobytes() == want.tobytes()
+
+
+_ULP_60 = [np.nextafter(v, w) for v in (60.0, -60.0) for w in (-math.inf, math.inf)]
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                max_size=50))
+@example([60.0, -60.0, *_ULP_60, 1e308, -1e308, math.inf, -math.inf, math.nan, 5e-324,
+          -5e-324, 2.2e-308, -2.2e-308, 0.0, -0.0])
+def test_sigmoid_without_upper_clip_is_bitwise_the_two_sided_one(values):
+    # From z = 60 on, exp(-z) <= 8.8e-27 < 2**-53, so 1 + exp(-z) rounds to
+    # 1.0 whether or not z is clipped to 60 first.
+    assert sigmoid_is_the_two_sided_one(values)
+
+
+def test_sigmoid_without_upper_clip_on_a_dense_grid():
+    grid = np.concatenate((np.linspace(-800.0, 800.0, 200_000), np.arange(709.0, 747.0, 0.25)))
+    assert sigmoid_is_the_two_sided_one(grid)
+
+
 class TestBatch:
     def _dropout_params(self, series):
         cfg = tiny_config(hidden_size=5, input_dropout=0.2, output_dropout=0.2,
@@ -338,6 +380,46 @@ class TestBatch:
         for b, steps in enumerate(series):
             assert np.all(dz[steps.T :, b] == 0.0)
             assert np.any(dz[: steps.T, b] != 0.0)
+
+    def test_train_forward_masks_its_own_padded_inputs_in_place(self):
+        # forward builds the padded inputs itself, so the input mask is
+        # multiplied into them: beyond what the cache and the risks hold, it
+        # allocates less than one (T_max, B, d) array, not a masked copy too.
+        series = mixed_length_batch(33, lengths=(80, 64, 80, 50, 72, 80), d_features=10)
+        cfg = tiny_config(hidden_size=2, input_dropout=0.2, output_dropout=0.2,
+                          recurrent_dropout=0.2)
+        params = nonzero_params(cfg, series[0].d)
+        batch = StepBatch(series)
+        tracemalloc.start()
+        try:
+            risks, cache = ds.forward(params, batch, mode="train", rng=np.random.default_rng(4),
+                                      config=cfg)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < batch.padded().nbytes, (peak, held)
+        assert np.array_equal(cache.x_in, batch.padded() * cache.in_mask)
+
+    def test_backward_reuses_the_cell_state_buffer(self):
+        # The sweep is the last reader of the cell states, so the hidden
+        # states that the parameter gradients read go into their buffer:
+        # beyond its gradients, backward allocates less than one (T_max, B, H)
+        # array. The episodes are long enough that numpy's broadcasting
+        # buffer of 8,192 values is small next to that array.
+        series = mixed_length_batch(34, lengths=(320, 240, 320, 160))
+        cfg = tiny_config(hidden_size=16, input_dropout=0.2, output_dropout=0.2,
+                          recurrent_dropout=0.2)
+        params = nonzero_params(cfg, series[0].d)
+        batch = StepBatch(series)
+        _, cache = ds.forward(params, batch, mode="train", rng=np.random.default_rng(5),
+                              config=cfg)
+        tracemalloc.start()
+        try:
+            grads, _ = ds.backward(params, cache, batch, [1, 0, 1, 0], eta=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(g.nbytes for g in grads.values()) < cache.h.nbytes
 
     def test_eval_hidden_states_match_single_series(self):
         series = mixed_length_batch(32)
