@@ -35,10 +35,10 @@ from .evaluation import (
     METHODS,
     MethodContext,
     PreparedEpisode,
-    benchmark_row,
     bootstrap_ci,
     prepare_episodes,
     run_benchmark,
+    score_windows,
     window_precision,
 )
 from .linear_system import (

@@ -123,14 +123,14 @@ def _next_check(rule: AlertRule, k: int, when: float) -> int:
     return lo + 1 + bisect.bisect_left(range(lo + 1, hi + 1), True, key=done)
 
 
-def evaluate_alert_rule(risk: RiskSeries, rule: AlertRule, episode_id: str = "") -> Alert | None:
-    """First alert of the episode under the rule, or None.
+def evaluate_alert_rule(risk: RiskSeries, rule: AlertRule) -> Alert | None:
+    """First alert of the episode under the rule, or None; its ``episode_id`` is empty.
 
     The anchor risk p0 is the prediction at the last step at or before
     ``anchor_time``; an alert fires at the first check time whose risk is at
     least max(floor, ratio_threshold * p0).
     """
-    return next(_iter_alerts(risk, rule, episode_id), None)
+    return next(_iter_alerts(risk, rule, ""), None)
 
 
 def select_alert_cohort(

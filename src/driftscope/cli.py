@@ -43,7 +43,7 @@ from .evaluation import (
     explain_windows,
     prepare_episodes,
 )
-from .tables import atomic_open, read_csv, write_csv
+from .tables import atomic_open, read_csv, read_json, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -274,14 +274,7 @@ def cmd_explain(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     episodes, params, catalog, stats, raw = _load_and_prepare(args)
 
-    if args.bins:
-        try:
-            payload = json.loads(Path(args.bins).read_text(encoding="utf-8"))
-        except RecursionError:
-            raise ValueError(f"malformed bin table: JSON nested too deeply: {args.bins}") from None
-        bins = BinTable.from_json(payload)
-    else:
-        bins = fit_bins(raw)
+    bins = BinTable.from_json(read_json(args.bins, "bin table")) if args.bins else fit_bins(raw)
     ctx = MethodContext(params=params, catalog=catalog, bins=bins, m=args.m, seed=args.seed)
 
     if args.windows == "alerts":
@@ -378,14 +371,11 @@ def cmd_evaluate(args) -> int:
             for t in truths) + "\n")
 
     kept = evaluation.scorable(truths)
-    rows = [
-        evaluation.benchmark_row(
-            method, args.k,
-            [evaluation.window_precision(selected.get((t.window.episode_id, method), []),
-                                         t.members, args.k) for t in kept],
-            resamples=args.resamples, seed=args.seed)
-        for method in methods
-    ]
+    # explanations.csv carries no window key, so each window is scored on
+    # every row of its episode and method
+    picks = {(t.window, method): [selected.get((t.window.episode_id, method), [])]
+             for t in kept for method in methods}
+    rows = evaluation.score_windows(kept, picks, methods, args.k, args.resamples, args.seed)
     write_csv(out / "results.csv", [f.name for f in fields(BenchmarkRow)],
               [astuple(row) for row in rows])
     print(f"wrote results for {len(rows)} methods over {len(kept)} windows")

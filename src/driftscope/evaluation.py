@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import zlib
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -334,13 +334,25 @@ class BenchmarkRow:
     n_windows: int
 
 
-def benchmark_row(
-    method: str, k: int, per_window: Sequence[float], resamples: int, seed: int = 0
-) -> BenchmarkRow:
-    """One method's mean precision over windows with its bootstrap interval."""
-    lo, hi = bootstrap_ci(per_window, resamples=resamples, seed=seed)
-    return BenchmarkRow(method=method, k=k, mean_precision=float(np.mean(per_window)),
-                        ci_lo=lo, ci_hi=hi, n_windows=len(per_window))
+def score_windows(
+    kept: Sequence[WindowTruth],
+    picks: Mapping[tuple[Window, str], Sequence[Sequence[tuple[int, str]]]],
+    methods: Sequence[str],
+    k: int,
+    resamples: int,
+    seed: int,
+) -> list[BenchmarkRow]:
+    """Each method's mean precision@k over the scorable windows ``kept``, with
+    its bootstrap interval. ``picks[(window, method)]``, given for every kept
+    window and method, holds that window's selections of (step, feature id)
+    pairs; a window scores the mean precision of its selections."""
+    rows = []
+    for method in methods:
+        per_window = [float(np.mean([window_precision(sel, t.members, k)
+                                     for sel in picks[t.window, method]])) for t in kept]
+        lo, hi = bootstrap_ci(per_window, resamples=resamples, seed=seed)
+        rows.append(BenchmarkRow(method, k, float(np.mean(per_window)), lo, hi, len(per_window)))
+    return rows
 
 
 def run_benchmark(
@@ -353,33 +365,20 @@ def run_benchmark(
     random_repeats: int = 25,
     seed: int = 0,
 ) -> tuple[list[BenchmarkRow], list[Window]]:
-    """Mean precision@k with bootstrap CI per method over the evaluated windows.
-
-    ``mode="checkpoint"`` scores the first positive injury checkpoint per
-    episode; ``mode="alert"`` scores the default alert-rule cohort. Windows
-    with empty ground truth are excluded. The random baseline averages
-    ``random_repeats`` seeded draws per window. A method listed twice gets one
-    row; an unknown method raises ValueError.
+    """Mean precision@k with bootstrap CI per method over the first positive
+    injury checkpoint of each episode, the only ``mode``. Windows with empty
+    ground truth are excluded. The random baseline averages ``random_repeats``
+    seeded draws per window. A method listed twice gets one row; an unknown
+    method raises ValueError.
     """
-    if mode == "checkpoint":
-        windows = checkpoint_windows(episodes)
-    elif mode == "alert":
-        windows = alert_windows(episodes, AlertRule())
-    else:
+    if mode != "checkpoint":
         raise ValueError(f"unknown mode {mode!r}")
     by_id = {ep.episode_id: ep for ep in episodes}
-    kept = scorable(window_truth(by_id[w.episode_id].raw, w) for w in windows)
+    kept = scorable(window_truth(by_id[w.episode_id], w) for w in checkpoint_windows(episodes))
     windows = [t.window for t in kept]
-    truth = {t.window: t.members for t in kept}
-
-    def score(expl: Explanation, w: Window) -> float:
-        pairs = [(it.step, ctx.catalog.ids[it.feature]) for it in expl.items]
-        return window_precision(pairs, truth[w], k)
-
-    per_window: dict[str, list[float]] = {method: [] for method in methods}
-    for w, method, expls in explain_windows(ctx, episodes, windows, list(per_window), k,
-                                            random_repeats):
-        per_window[method].append(float(np.mean([score(e, w) for e in expls])))
-    rows = [benchmark_row(method, k, scores, resamples=resamples, seed=seed)
-            for method, scores in per_window.items()]
-    return rows, windows
+    methods = list(dict.fromkeys(methods))
+    picks = {(w, method): [[(it.step, ctx.catalog.ids[it.feature]) for it in e.items]
+                           for e in expls]
+             for w, method, expls in explain_windows(ctx, episodes, windows, methods, k,
+                                                     random_repeats)}
+    return score_windows(kept, picks, methods, k, resamples, seed), windows

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .events import FeatureCatalog, FeatureStats, StepSeries
-from .tables import atomic_open
+from .tables import atomic_open, read_json
 
 P_CLAMP = 1e-7
 
@@ -682,7 +682,7 @@ def train(corpus: Sequence[EncodedEpisode], config: ModelConfig) -> tuple[ModelP
     report.best_epoch = _fit(
         "risk", trainable, train_eps, val_eps, risk_grad, risk_val, config, shuffle_rng, report)
 
-    if config.attention and params.w_att is not None and config.max_epochs > 0:
+    if config.attention and config.max_epochs > 0:
         # The trunk is frozen; each batch's hidden states are recomputed when
         # needed rather than kept for the whole corpus.
         def attention_batch(eps):
@@ -779,11 +779,7 @@ def load_checkpoint(path):
     d = 2 * len(catalog) + 1 give it, and finite entries; otherwise ValueError.
     Returns (params, config, catalog, stats).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"malformed checkpoint: JSON nested too deeply: {path}") from None
+    payload = read_json(path, "checkpoint")
     if not isinstance(payload, dict) or payload.get("format") != "driftscope-checkpoint-v1":
         raise ValueError(f"not a driftscope checkpoint: {path}")
     missing = [k for k in ("catalog", "config", "stats", "params") if k not in payload]

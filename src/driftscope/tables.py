@@ -1,10 +1,11 @@
-"""Deterministic CSV emission with atomic writes."""
+"""Deterministic CSV emission with atomic writes, and reading JSON input."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
 import itertools
+import json
 import os
 import tempfile
 from typing import Sequence
@@ -74,3 +75,14 @@ def read_csv(path, header: Sequence[str] | None = None) -> tuple[list[str], list
                 raise EventFormatError(
                     f"{path}: data row {i} has {len(r)} cells, expected {len(header)}")
     return rows[0], rows[1:]
+
+
+def read_json(path, what: str):
+    """The JSON document in the UTF-8 file at ``path``. A document that is not
+    JSON, or nests past Python's recursion limit, raises ValueError; the
+    latter's message names ``what`` the file should hold and the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"malformed {what}: JSON nested too deeply: {path}") from None

@@ -1,6 +1,7 @@
 """Every module-level function and class of the package has a caller in the
 package: another definition refers to it, or the package exports it. Every
-field of a config class has a setter."""
+field of a config class has a setter, and every defaulted parameter a call
+that passes it."""
 
 import argparse
 import ast
@@ -63,3 +64,44 @@ def test_every_config_field_has_a_setter():
         unset += [f"{name}.{n.target.id}" for n in node.body if isinstance(n, ast.AnnAssign)
                   and n.target.id not in flagged and keywords[n.target.id] == own[n.target.id]]
     assert unset == []
+
+
+def _defaulted(tree: ast.Module):
+    """(callee name, parameter name, position in a call) of each parameter
+    with a default, for every function under ``tree``. A method's position
+    skips ``self`` or ``cls``; ``__init__`` is called by its class's name."""
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        skip = int(id(node) in owner and bool(positional)
+                   and positional[0].arg in ("self", "cls"))
+        name = owner[id(node)] if node.name == "__init__" else node.name
+        first = len(positional) - len(a.defaults)
+        for i, p in enumerate(positional[first:], start=first):
+            yield name, p.arg, i - skip
+        for p, d in zip(a.kwonlyargs, a.kw_defaults):
+            if d is not None:
+                yield name, p.arg, None
+
+
+def test_every_defaulted_parameter_is_passed():
+    # A defaulted parameter that no call in src/, tests/ or scripts/ passes,
+    # by keyword or by position, always holds its default: it is a constant.
+    root = SRC.parents[1]
+    passed = set()  # (callee name, keyword or position)
+    for path in [*SRC.glob("*.py"), *(root / "tests").glob("*.py"),
+                 *(root / "scripts").glob("*.py")]:
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            passed.update((name, kw.arg) for kw in call.keywords)
+            passed.update((name, i) for i in range(len(call.args)))
+    unpassed = [f"{module}:{func}({param}=)" for module, tree in _trees().items()
+                for func, param, position in _defaulted(tree)
+                if (func, param) not in passed and (func, position) not in passed]
+    assert unpassed == []

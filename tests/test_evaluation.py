@@ -12,12 +12,14 @@ from driftscope import evaluation
 from driftscope.attribution import Explanation, ExplanationItem, random_guess
 from driftscope.evaluation import (
     MethodContext,
-    benchmark_row,
+    Window,
+    WindowTruth,
     bootstrap_ci,
     checkpoint_windows,
     explain_window,
     prepare_episodes,
     run_benchmark,
+    score_windows,
     window_precision,
     window_truth,
 )
@@ -53,7 +55,12 @@ class TestPrecision:
         t2 = truth({(4, "a")})
         per = [precision(e1, t1, 3), precision(e2, t2, 3)]
         assert per == [pytest.approx(2 / 3), pytest.approx(1 / 3)]
-        assert benchmark_row("m", 3, per, resamples=100).mean_precision == pytest.approx(0.5)
+        kept = [WindowTruth(Window(ep, 0, 9, 0.0, 9.0, "checkpoint"), t)
+                for ep, t in (("e1", t1), ("e2", t2))]
+        picks = {(kt.window, "m"): [[(it.step, CAT.ids[it.feature]) for it in e.items]]
+                 for kt, e in zip(kept, (e1, e2))}
+        (row,) = score_windows(kept, picks, ["m"], 3, resamples=100, seed=0)
+        assert row.mean_precision == pytest.approx(0.5) and row.n_windows == 2
 
     def test_fully_correct(self):
         e = expl([item(1, 0), item(2, 1)], k=2)
@@ -145,6 +152,27 @@ class TestBootstrap:
             lo, hi = bootstrap_ci(vals, resamples=500, seed=1000 + i)
             covered += lo <= 0.3 <= hi
         assert 0.92 <= covered / sims <= 0.98
+
+
+class TestScoreWindows:
+    # Two nested windows of one episode: (0, 6] and (3, 6].
+    OUTER = WindowTruth(Window("ep", 0, 6, 0.0, 6.0, "alert"), truth({(2, "a"), (5, "b")}))
+    INNER = WindowTruth(Window("ep", 3, 6, 3.0, 6.0, "alert"), truth({(5, "b")}))
+
+    def test_windows_of_one_episode_score_on_their_own_picks(self):
+        # Scored on both windows' picks, the outer window would hit 2 of k=1.
+        picks = {(self.OUTER.window, "m"): [[(2, "a")]], (self.INNER.window, "m"): [[(5, "b")]]}
+        (row,) = score_windows([self.OUTER, self.INNER], picks, ["m"], 1, resamples=200, seed=3)
+        assert (row.mean_precision, row.ci_lo, row.ci_hi, row.n_windows) == (1.0, 1.0, 1.0, 2)
+
+    def test_a_window_scores_the_mean_of_its_selections(self):
+        picks = {(self.OUTER.window, "m"): [[(2, "a")], [(1, "c")]],
+                 (self.INNER.window, "m"): [[(5, "b")]],
+                 (self.OUTER.window, "n"): [[]], (self.INNER.window, "n"): [[(4, "a")]]}
+        rows = score_windows([self.OUTER, self.INNER], picks, ["n", "m"], 1, resamples=200, seed=3)
+        assert [(r.method, r.mean_precision) for r in rows] == [("n", 0.0), ("m", 0.75)]
+        for r in rows:
+            assert 0.0 <= r.ci_lo <= r.mean_precision <= r.ci_hi <= 1.0
 
 
 class TestWindows:
@@ -344,6 +372,11 @@ class TestBenchmark:
         b, _ = run_benchmark(prepared, ctx, ["random", "gradient"], k=2,
                              random_repeats=4, resamples=150, seed=9)
         assert a == b
+
+    def test_alert_mode_is_gone(self, small_run):
+        prepared, ctx = small_run
+        with pytest.raises(ValueError, match="unknown mode 'alert'"):
+            run_benchmark(prepared, ctx, ["random"], k=3, resamples=100, mode="alert")
 
     def test_stats_methods_need_bins(self, small_run):
         prepared, ctx = small_run
