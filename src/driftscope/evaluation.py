@@ -35,17 +35,12 @@ from .model import (
     ModelParams,
     RiskSeries,
     StepBatch,
+    _length_chunks,
     attention_forward,
     forward,
     grad_wrt_inputs,
 )
 from .synth import first_positive_checkpoint, ground_truth_set
-
-# Episodes per eval scan in prepare_episodes, and windows per gradient sweep in
-# explain_windows. A (B, H) recurrent product is one BLAS gemm; per step, B=8
-# costs far less than 8 scans of B=1, and wider batches gain little more while
-# each batch's padded cache grows with B.
-EVAL_BATCH = 8
 
 # Events per explanation, and bootstrap resamples per precision interval,
 # when none are asked for.
@@ -115,10 +110,10 @@ def prepare_episodes(
     catalog: FeatureCatalog,
     sequences: Sequence[EventSequence],
 ) -> list[PreparedEpisode]:
-    """Encode each episode and run its eval scan, in batches of ``EVAL_BATCH``
-    episodes of similar length. Only copies of each scan's kept states and
-    attention weights outlive it, so a batch's cache is freed before the next
-    batch runs. Episodes are returned in input order."""
+    """Encode each episode and run its eval scan, in batches of
+    ``model.EVAL_BATCH`` episodes of similar length. Only copies of each
+    scan's kept states and attention weights outlive it, so a batch's cache is
+    freed before the next batch runs. Episodes are returned in input order."""
     encoded = [encode_steps(seq, catalog, stats) for seq in sequences]
     out: list[PreparedEpisode | None] = [None] * len(sequences)
     for chunk in _length_chunks([s.T for s in encoded]):
@@ -130,15 +125,6 @@ def prepare_episodes(
                                      KeptStates.of_scan(h, c), attention)
         del cache, h, c  # freed before the next batch's scan, which keeps peak memory down
     return out
-
-
-def _length_chunks(lengths: Sequence[int]) -> Iterator[list[int]]:
-    """Indices in stable order of length, in chunks of ``EVAL_BATCH``: each
-    chunk runs as one right-padded batch, which pads little when lengths are
-    close."""
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)
-    for start in range(0, len(order), EVAL_BATCH):
-        yield order[start : start + EVAL_BATCH]
 
 
 def alert_windows(episodes: Sequence[PreparedEpisode], rule: AlertRule) -> list[Window]:
@@ -189,7 +175,7 @@ def explain_windows(
     """Explain each window with each method, in order, episode by episode:
     weights that are the same in every window of an episode are computed once
     for its run of windows, and the ``gradient`` and ``integrated_gradients``
-    weights of all windows first, in batches (``window_gradients``,
+    weights of all windows first, in batches (``grad_wrt_inputs``,
     ``adaptive_integrated_gradients`` with ``ctx.m`` as the cap). ``random``
     gives ``random_repeats`` draws, others one. ``ig_paths``, when given,
     receives each window's IGPath."""
@@ -197,7 +183,9 @@ def explain_windows(
     pairs = [(by_id[w.episode_id], w) for w in windows]
     batched = {}  # method -> each window's weights
     if "gradient" in methods:
-        batched["gradient"] = [a.a for a in window_gradients(ctx.params, pairs)]
+        batched["gradient"] = [a.a for a in grad_wrt_inputs(
+            ctx.params, StepBatch([ep.steps for ep, _ in pairs]), [w.t1 for _, w in pairs],
+            [w.t0 for _, w in pairs], [ep.states for ep, _ in pairs])]
     if "integrated_gradients" in methods:
         paths = adaptive_integrated_gradients(
             ctx.params, [(ep.steps, w.t0, w.t1, ep.states) for ep, w in pairs], ctx.m)
@@ -212,24 +200,6 @@ def explain_windows(
                 reps = random_repeats if method == "random" else 1
                 yield w, method, [explain_window(method, ctx, ep, w, k, rep, shared, weights)
                                   for rep in range(reps)]
-
-
-def window_gradients(
-    params: ModelParams, windows: Sequence[tuple[PreparedEpisode, Window]]
-) -> list[AttributionMatrix]:
-    """The ``gradient`` weights of each (episode, window) pair, as
-    ``grad_wrt_inputs(params, ep.steps, w.t1, w.t0, states=ep.states)`` gives
-    them, up to rounding: windows of similar length run as one batch of
-    ``grad_wrt_inputs``, ``EVAL_BATCH`` windows at a time."""
-    out: list[AttributionMatrix | None] = [None] * len(windows)
-    for chunk in _length_chunks([w.t1 - w.t0 for _, w in windows]):
-        pairs = [windows[i] for i in chunk]
-        weights = grad_wrt_inputs(params, StepBatch([ep.steps for ep, _ in pairs]),
-                                  [w.t1 for _, w in pairs], [w.t0 for _, w in pairs],
-                                  [ep.states for ep, _ in pairs])
-        for i, a in zip(chunk, weights):
-            out[i] = a
-    return out
 
 
 def explain_window(

@@ -9,6 +9,7 @@ throughout the public API; array index ``j`` holds step ``j + 1``.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import math
@@ -404,11 +405,13 @@ def parse_event_log(
     records naming features outside it are rejected; otherwise a catalog over
     the sorted set of observed identifiers is derived for tie-breaking.
 
+    A ``str`` is split into lines as a text file is read, at LF, CR and CRLF
+    only: JSON strings may hold U+0085, U+2028 and U+2029 unescaped.
     Lines are read in blocks of ``_BLOCK_LINES``. A block of regular lines, as
     ``write_event_log`` writes them, is decoded as a whole into arrays; any
     other block is read line by line, and that is the only path that raises.
     """
-    lines = iter(stream.splitlines() if isinstance(stream, str) else stream)
+    lines = iter(io.StringIO(stream, newline=None) if isinstance(stream, str) else stream)
     columns = _LogColumns(catalog)
     lineno = 1
     while block := list(itertools.islice(lines, _BLOCK_LINES)):

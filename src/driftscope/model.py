@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +23,12 @@ from .events import FeatureCatalog, FeatureStats, StepSeries
 from .tables import atomic_open, read_json
 
 P_CLAMP = 1e-7
+
+# Series per eval scan in evaluation.prepare_episodes, and windows per sweep in
+# grad_wrt_inputs. A (B, H) recurrent product is one BLAS gemm; per step, B=8
+# costs far less than 8 scans of B=1, and wider batches gain little more while
+# each batch's padded cache grows with B.
+EVAL_BATCH = 8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -152,14 +158,15 @@ class ForwardCache:
     cell state and the masked previous hidden state are one-step shifts of
     ``c`` and ``h``; tanh(c) is recomputed where it is needed. The shapes are
     those of one series; a batch adds its axis after the time axis,
-    (T_max, B, ...), and ``rec_mask`` is then (B, H).
+    (T_max, B, ...), and ``rec_mask`` is then (B, H). Only a single series
+    keeps ``in_mask``, which its input gradient reads; a batch's is None.
     """
 
     x_in: np.ndarray     # (T, d) inputs after input dropout
     gates: np.ndarray    # (T, 4H)
     c: np.ndarray        # (T, H) cell states
     h: np.ndarray        # (T, H) hidden states
-    in_mask: np.ndarray | None   # (T, d); the masks are None without dropout
+    in_mask: np.ndarray | None   # (T, d); the masks are None without dropout, in_mask for a batch
     out_mask: np.ndarray | None  # (T, H)
     rec_mask: np.ndarray | None  # (H,) one mask per sequence
     logits: np.ndarray
@@ -355,7 +362,8 @@ def forward(
     RiskSeries per row with a cache that keeps the batch axis. Dropout is
     active only in train mode, which requires ``rng`` and ``config``; masks
     are drawn per series in batch order and recorded in the cache so backward
-    is exact.
+    is exact. Each series' input mask is multiplied into its own rows of the
+    padded inputs, and only a single series' cache keeps it.
     """
     batch = steps if isinstance(steps, StepBatch) else StepBatch([steps])
     x = batch.padded()
@@ -369,19 +377,20 @@ def forward(
     if mode == "train":
         if rng is None or config is None:
             raise ValueError("train mode requires rng and config")
-        in_mask, out_mask, rec_mask = np.ones((T, B, d)), np.ones((T, B, H)), np.ones((B, H))
+        out_mask, rec_mask = np.ones((T, B, H)), np.ones((B, H))
         for b, length in enumerate(batch.lengths):
-            in_mask[:length, b], out_mask[:length, b], rec_mask[b] = _draw_masks(config, length, d, rng)
-        x *= in_mask  # x is this call's own array, so it is masked in place, not copied
+            in_mask, out_mask[:length, b], rec_mask[b] = _draw_masks(config, length, d, rng)
+            x[:length, b] *= in_mask  # x is this call's own array: masked in place, not copied
     cache = _forward_with_masks(params, x, None, out_mask, rec_mask)
-    cache.in_mask = in_mask  # x is masked already; backward reads the mask
     p_base = float(_sigmoid(params.b_out)[0])
     risks = [RiskSeries(p=cache.p[:s.T, b].copy(), logits=cache.logits[:s.T, b].copy(),
                         step_time=s.step_time.copy(), p_base=p_base)
              for b, s in enumerate(batch.series)]
     if isinstance(steps, StepBatch):
         return risks, cache
-    return risks[0], _batch_axis(cache, add=False)
+    cache = _batch_axis(cache, add=False)
+    cache.in_mask = in_mask  # x is masked already; backward reads the mask for dx
+    return risks[0], cache
 
 
 def loss(risk: RiskSeries, outcome: int, eta: float) -> float:
@@ -540,9 +549,10 @@ def grad_wrt_inputs(params: ModelParams, steps: StepSeries | StepBatch, t1, t0=0
     The state before the window is scanned from the latest of ``states`` at
     or before t0 (from step 0 without them). For a StepBatch, ``t1``, ``t0``
     and ``states`` give each row's window and kept states (or None), and one
-    AttributionMatrix per row is returned: the windows are scanned and swept
-    as one right-padded batch, each from its own state at its t0, which
-    changes only the rounding. One series runs as a batch of one.
+    AttributionMatrix per row is returned, in input order: windows of similar
+    length are scanned and swept as one right-padded batch, ``EVAL_BATCH`` at
+    a time, each from its own state at its t0, which changes only the
+    rounding. One series runs as a batch of one.
     """
     from .attribution import _window_weights
 
@@ -553,11 +563,26 @@ def grad_wrt_inputs(params: ModelParams, steps: StepSeries | StepBatch, t1, t0=0
                     [None] * B if states is None else states))
     for series, a, b, _ in rows:
         _check_window(series.T, a, b)
-    g, _ = _risk_gradient_batch(params, [b - a for _, a, b, _ in rows],
-                                (series.rows(a, b) for series, a, b, _ in rows),
-                                [_state_at(params, series, a, kept) for series, a, _, kept in rows])
-    return [_window_weights(g[: b - a, i], series, a, b, "gradient")
-            for i, (series, a, b, _) in enumerate(rows)]
+    lengths, out = [b - a for _, a, b, _ in rows], [None] * B
+    for chunk in _length_chunks(lengths):
+        part = [rows[i] for i in chunk]
+        g, _ = _risk_gradient_batch(params, [lengths[i] for i in chunk],
+                                    (series.rows(a, b) for series, a, b, _ in part),
+                                    [_state_at(params, series, a, kept)
+                                     for series, a, _, kept in part])
+        for j, (i, (series, a, b, _)) in enumerate(zip(chunk, part)):
+            out[i] = _window_weights(g[: b - a, j], series, a, b, "gradient")
+        del g  # freed before the next chunk's scan, which keeps peak memory down
+    return out
+
+
+def _length_chunks(lengths: Sequence[int]) -> Iterator[list[int]]:
+    """Indices in stable order of length, in chunks of ``EVAL_BATCH``: each
+    chunk runs as one right-padded batch, which pads little when lengths are
+    close."""
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    for start in range(0, len(order), EVAL_BATCH):
+        yield order[start : start + EVAL_BATCH]
 
 
 def _check_window(T: int, t0: int, t1: int) -> None:

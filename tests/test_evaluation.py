@@ -24,6 +24,7 @@ from driftscope.evaluation import (
     window_truth,
 )
 from driftscope.events import FeatureCatalog
+from driftscope.model import EVAL_BATCH
 from test_attribution import steps_from_features
 
 
@@ -239,7 +240,7 @@ class TestPrepare:
         prepared = prepare_episodes(params, stats, catalog, corpus)
         assert [ep.episode_id for ep in prepared] == [seq.episode_id for seq in corpus]
         assert min(ep.steps.T for ep in prepared) == 1
-        assert len(prepared) > evaluation.EVAL_BATCH
+        assert len(prepared) > EVAL_BATCH
         for ep in prepared:
             risk, one = ds.forward(params, ep.steps)
             np.testing.assert_allclose(ep.risk.p, risk.p, rtol=1e-13)
@@ -276,7 +277,7 @@ class TestPrepare:
         monkeypatch.setattr(evaluation, "forward", spy)
         prepared = prepare_episodes(params, stats, catalog, corpus)
         gc.collect()
-        n_scans = math.ceil(len(corpus) / evaluation.EVAL_BATCH)
+        n_scans = math.ceil(len(corpus) / EVAL_BATCH)
         assert len(refs) == 3 * n_scans and all(r() is None for r in refs)
         for ep in prepared:
             for a in (ep.states.h, ep.states.c, ep.attention):
@@ -304,11 +305,22 @@ class TestWindowGradients:
         return [evaluation.Window(ep.episode_id, t0, t1, 0.0, 0.0, "checkpoint")
                 for t0, t1 in spans]
 
+    @staticmethod
+    def _batch_gradients(params, pairs):
+        return ds.grad_wrt_inputs(params, ds.StepBatch([ep.steps for ep, _ in pairs]),
+                                  [w.t1 for _, w in pairs], [w.t0 for _, w in pairs],
+                                  [ep.states for ep, _ in pairs])
+
     def test_batched_gradients_match_per_window_gradients(self):
+        # More windows than one batch holds, of mixed lengths and not in length
+        # order: grad_wrt_inputs runs them in chunks sorted by length and
+        # returns the rows in input order.
         params, prepared = self._episodes()
         pairs = [(ep, w) for ep in prepared for w in self._windows(ep)]
-        got = evaluation.window_gradients(params, pairs)
-        assert len(got) == len(pairs) > evaluation.EVAL_BATCH
+        lengths = [w.t1 - w.t0 for _, w in pairs]
+        assert lengths != sorted(lengths) and len(set(lengths)) > EVAL_BATCH
+        got = self._batch_gradients(params, pairs)
+        assert len(got) == len(pairs) > EVAL_BATCH
         for a, (ep, w) in zip(got, pairs):
             want = ds.grad_wrt_inputs(params, ep.steps, w.t1, w.t0, states=ep.states)
             assert a.method == "gradient" and a.window == (w.t0, w.t1)
@@ -318,9 +330,10 @@ class TestWindowGradients:
     @pytest.mark.parametrize("t0,t1", [(3, 3), (4, 3), (-1, 2)])
     def test_rejects_bad_window(self, t0, t1):
         params, prepared = self._episodes()
-        w = evaluation.Window(prepared[0].episode_id, t0, t1, 0.0, 0.0, "checkpoint")
+        good, bad = (evaluation.Window(prepared[0].episode_id, a, b, 0.0, 0.0, "checkpoint")
+                     for a, b in ((0, 1), (t0, t1)))
         with pytest.raises(ValueError, match="t0 < t1"):
-            evaluation.window_gradients(params, [(prepared[0], w)])
+            self._batch_gradients(params, [(prepared[0], good), (prepared[0], bad)])
 
 
 @pytest.fixture(scope="module")
@@ -395,7 +408,7 @@ def test_explain_windows_keeps_window_then_method_order(small_run):
                                                               first_alert_only=False))
     windows += checkpoint_windows(prepared)
     lengths = [w.t1 - w.t0 for w in windows]
-    assert len(windows) > evaluation.EVAL_BATCH and lengths != sorted(lengths)
+    assert len(windows) > EVAL_BATCH and lengths != sorted(lengths)
     methods = ["attention", "gradient", "random", "discrete_derivative"]
     got = list(evaluation.explain_windows(ctx, prepared, windows, methods, k=3))
     assert [(w, m) for w, m, _ in got] == [(w, m) for w in windows for m in methods]

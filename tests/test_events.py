@@ -284,7 +284,7 @@ def reference_parse(stream, catalog=None):
     reference: (episode, [(time, feature, value), ...], outcome, split) per
     episode, or the same EventFormatError."""
     raw, meta, seen_features = {}, {}, set()
-    lines = iter(stream.splitlines()) if isinstance(stream, str) else iter(stream)
+    lines = iter(io.StringIO(stream, newline=None)) if isinstance(stream, str) else iter(stream)
     for lineno, ln in enumerate(lines, start=1):
         if not ln.strip():
             continue
@@ -436,6 +436,28 @@ def test_parse_matches_the_per_line_reference(lines, form, block, catalog):
             got = parse_outcome(parse_event_log, stream, catalog)
             want = parse_outcome(reference_parse, stream, catalog)
     assert got == want
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"], ids=["NEL", "LS", "PS"])
+@pytest.mark.parametrize("field", ["episode", "feature"])
+def test_str_input_splits_lines_as_a_file_does(tmp_path, field, char):
+    """JSON strings may hold U+0085, U+2028 and U+2029 unescaped, and a text
+    file breaks lines at none of them: a log given as a str parses to the
+    sequences that the same log read from a file gives, and a later bad line
+    carries the same line number."""
+    good = [json.dumps(record(time_s=float(t), **{field: f"a{char}b"}), ensure_ascii=False)
+            for t in range(3)]
+    path = tmp_path / "events.jsonl"
+    for lines, want in ((good, None), (good + ["{not json"], 4)):
+        text = "\n".join(lines) + "\n"
+        path.write_text(text, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            from_file = parse_outcome(parse_event_log, fh, None)
+        assert parse_outcome(parse_event_log, text, None) == from_file
+        if want is None:
+            assert isinstance(from_file, str) and repr(f"a{char}b") in from_file
+        else:
+            assert from_file[:2] == ("error", want)
 
 
 def test_regular_blocks_take_the_block_path(tmp_path):

@@ -351,6 +351,7 @@ class TestBatch:
         batch = StepBatch(series)
         assert batch.padded().shape == (12, 3, series[0].d) and batch.T == 22
         risks, cache = ds.forward(params, batch, mode="train", rng=np.random.default_rng(6), config=cfg)
+        assert cache.in_mask is None  # only a single series' input gradient reads it
         grads, dx = ds.backward(params, cache, batch, outcomes, eta=0.01)
         assert dx is None
 
@@ -359,7 +360,9 @@ class TestBatch:
         want = {k: np.zeros_like(v) for k, v in grads.items()}
         for b, (steps, y) in enumerate(zip(series, outcomes)):
             risk, one = ds.forward(params, steps, mode="train", rng=rng, config=cfg)
-            assert np.array_equal(cache.in_mask[: steps.T, b], one.in_mask)
+            assert np.array_equal(one.x_in, steps.x * one.in_mask)
+            assert np.array_equal(cache.x_in[: steps.T, b], one.x_in)
+            assert np.all(cache.x_in[steps.T :, b] == 0.0)
             assert np.array_equal(cache.rec_mask[b], one.rec_mask)
             np.testing.assert_allclose(risks[b].p, risk.p, rtol=1e-13)
             g, _ = ds.backward(params, one, steps, y, eta=0.01)
@@ -382,9 +385,10 @@ class TestBatch:
             assert np.any(dz[: steps.T, b] != 0.0)
 
     def test_train_forward_masks_its_own_padded_inputs_in_place(self):
-        # forward builds the padded inputs itself, so the input mask is
-        # multiplied into them: beyond what the cache and the risks hold, it
-        # allocates less than one (T_max, B, d) array, not a masked copy too.
+        # forward builds the padded inputs itself, so each series' input mask
+        # is multiplied into that series' own rows: beyond what the cache and
+        # the risks hold, it allocates less than half a (T_max, B, d) array,
+        # neither a masked copy nor a batch-wide mask.
         series = mixed_length_batch(33, lengths=(80, 64, 80, 50, 72, 80), d_features=10)
         cfg = tiny_config(hidden_size=2, input_dropout=0.2, output_dropout=0.2,
                           recurrent_dropout=0.2)
@@ -397,8 +401,12 @@ class TestBatch:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - held < batch.padded().nbytes, (peak, held)
-        assert np.array_equal(cache.x_in, batch.padded() * cache.in_mask)
+        assert peak - held < batch.padded().nbytes / 2, (peak, held)
+        assert cache.in_mask is None
+        rng = np.random.default_rng(4)  # the same draws, series by series
+        for b, steps in enumerate(series):
+            _, one = ds.forward(params, steps, mode="train", rng=rng, config=cfg)
+            assert np.array_equal(cache.x_in[: steps.T, b], one.x_in)
 
     def test_backward_reuses_the_cell_state_buffer(self):
         # The sweep is the last reader of the cell states, so the hidden
