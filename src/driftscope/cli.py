@@ -205,9 +205,9 @@ def cmd_gen_data(args) -> int:
             "onset_s": meta["onset_s"],
             "mechanism": meta["mechanism"],
             "first_positive_checkpoint_s": first_pos,
-        }))
+        }) + "\n")
     with atomic_open(out / "episodes.jsonl") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(lines))
     print(f"wrote {len(corpus)} episodes to {out / 'events.jsonl'}")
     print(f"positive label at some checkpoint: {n_pos}")
     return EXIT_OK
@@ -364,18 +364,17 @@ def cmd_evaluate(args) -> int:
         selected.setdefault((r[0], r[1]), []).append((step, r[5]))
     methods = list(dict.fromkeys(method for _, method in selected))
 
-    with atomic_open(out / "truth_windows.jsonl") as fh:
-        fh.write("\n".join(
-            json.dumps({"episode": t.window.episode_id, "t0": t.window.t0, "t1": t.window.t1,
-                        "truth": sorted([list(m) for m in t.members]), "excluded": t.empty})
-            for t in truths) + "\n")
-
     kept = evaluation.scorable(truths)
     # explanations.csv carries no window key, so each window is scored on
     # every row of its episode and method
     picks = {(t.window, method): [selected.get((t.window.episode_id, method), [])]
              for t in kept for method in methods}
     rows = evaluation.score_windows(kept, picks, methods, args.k, args.resamples, args.seed)
+    with atomic_open(out / "truth_windows.jsonl") as fh:
+        fh.write("".join(
+            json.dumps({"episode": t.window.episode_id, "t0": t.window.t0, "t1": t.window.t1,
+                        "truth": sorted([list(m) for m in t.members]), "excluded": t.empty})
+            + "\n" for t in truths))
     write_csv(out / "results.csv", [f.name for f in fields(BenchmarkRow)],
               [astuple(row) for row in rows])
     print(f"wrote results for {len(rows)} methods over {len(kept)} windows")

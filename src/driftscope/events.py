@@ -242,8 +242,6 @@ class StepSeries:
         return self.rows(0, self.T)
 
 
-_REQUIRED_KEYS = ("episode", "time_s", "feature", "value", "outcome", "split")
-
 # Lines decoded together; each block becomes arrays before the next is read.
 # A block's lines and split strings are garbage once it is decoded, and the
 # allocator keeps much of what a larger block took: at 4,096 lines, parsing a
@@ -276,10 +274,10 @@ class _LogColumns:
         self.features: dict[str, int] = {}
         self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def add_regular(self, lines: list[str]) -> bool:
-        """Add a block of lines if every one is a regular line (see
-        ``_REGULAR_LINE``) that ``add_lines`` would accept; else add nothing
-        and return False."""
+    def add_regular(self, lines: list[str], first_lineno: int) -> bool:
+        """Decode and code a block if every line is a regular line (see
+        ``_REGULAR_LINE``) with finite numbers and a non-negative time; else
+        add nothing and return False."""
         try:
             text = _SEPARATOR.join(lines) + _SEPARATOR
         except TypeError:  # bytes lines, which json.loads also reads
@@ -294,84 +292,54 @@ class _LogColumns:
         value = np.fromiter(map(float, parts[4::_GROUPS]), float, n)
         if not (np.all(np.isfinite(value)) and np.all((time >= 0) & (time < math.inf))):
             return False
-        names = parts[3::_GROUPS]
-        new_features = [f for f in dict.fromkeys(names) if f not in self.features]
-        if self.catalog is not None and not all(f in self.catalog for f in new_features):
-            return False
-        episodes = parts[1::_GROUPS]
-        new_episodes = [e for e in dict.fromkeys(episodes) if e not in self.episodes]
-        first_code = len(self.episodes)
-        self.episodes.update((e, first_code + i) for i, e in enumerate(new_episodes))
-        episode = np.fromiter(map(self.episodes.__getitem__, episodes), np.intp, n)
         meta = np.fromiter(map(_META_CODE.__getitem__, zip(parts[5::_GROUPS], parts[6::_GROUPS])),
                            np.intp, n)
+        self._code(parts[1::_GROUPS], time, parts[3::_GROUPS], value, meta,
+                   range(first_lineno, first_lineno + n))
+        return True
+
+    def add_lines(self, lines: list[str], first_lineno: int) -> None:
+        """Read lines one at a time and code those before the first malformed
+        line; then that line raises EventFormatError with its number."""
+        rows = []
+        try:
+            for lineno, line in enumerate(lines, start=first_lineno):
+                if line.strip():
+                    rows.append((*_read_line(line, lineno), lineno))
+        finally:  # an error that _code raises for an earlier line replaces a malformed line's
+            if rows:
+                self._code(*zip(*rows))
+
+    def _code(self, episodes, time, features, value, meta, linenos) -> None:
+        """Add decoded events: per event its episode and feature ids, time,
+        value, outcome/split code and line number. The first line naming a
+        feature outside the catalog, or an outcome/split other than its
+        episode's first event's, raises EventFormatError, which ends the parse."""
+        n, first_code = len(episodes), len(self.episodes)
+        time, value = np.asarray(time, dtype=float), np.asarray(value, dtype=float)
+        meta = np.asarray(meta, dtype=np.intp)
+        new_episodes = [e for e in dict.fromkeys(episodes) if e not in self.episodes]
+        self.episodes.update((e, first_code + i) for i, e in enumerate(new_episodes))
+        episode = np.fromiter(map(self.episodes.__getitem__, episodes), np.intp, n)
         # New episodes take codes in order of first appearance, so an event
         # opens its episode where its code exceeds every code before it.
         opens = episode > np.maximum.accumulate(np.concatenate(([first_code - 1], episode[:-1])))
         known = np.concatenate((np.asarray(self.meta, dtype=np.intp), meta[opens]))
-        if not np.array_equal(known[episode], meta):  # an outcome or split conflicts
-            for e in new_episodes:
-                del self.episodes[e]
-            return False
+        new_features = [f for f in dict.fromkeys(features) if f not in self.features]
+        outside = [f for f in new_features if self.catalog is not None and f not in self.catalog]
+        # (index, rank, message) of each rule's first failure: outside[0] is the
+        # first outside feature to appear, and on one line the catalog's ranks first
+        failures = [(features.index(f), 0, f"unknown feature identifier {f!r}")
+                    for f in outside[:1]]
+        failures += [(i, 1, f"episode {episodes[i]!r} has conflicting outcome/split")
+                     for i in np.flatnonzero(known[episode] != meta)[:1].tolist()]
+        if failures:
+            i, _, message = min(failures)
+            raise EventFormatError(message, line=linenos[i])
         self.meta.extend(meta[opens].tolist())
         self.features.update({f: len(self.features) + i for i, f in enumerate(new_features)})
-        feature = np.fromiter(map(self.features.__getitem__, names), np.intp, n)
+        feature = np.fromiter(map(self.features.__getitem__, features), np.intp, n)
         self.blocks.append((episode, time, feature, value))
-        return True
-
-    def add_lines(self, lines: list[str], first_lineno: int) -> None:
-        """Check and add lines one at a time; the first bad line raises
-        EventFormatError with its number."""
-        rows = []
-        for lineno, line in enumerate(lines, start=first_lineno):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EventFormatError(f"invalid JSON ({exc.msg})", line=lineno) from None
-            except (ValueError, RecursionError) as exc:  # an over-long integer; deep nesting
-                raise EventFormatError(f"invalid JSON ({exc})", line=lineno) from None
-            if not isinstance(rec, dict):
-                raise EventFormatError("record is not an object", line=lineno)
-            for key in _REQUIRED_KEYS:
-                if key not in rec:
-                    raise EventFormatError(f"missing key {key!r}", line=lineno)
-            episode, feature = rec["episode"], rec["feature"]
-            if not isinstance(episode, str) or not isinstance(feature, str):
-                raise EventFormatError("episode and feature must be strings", line=lineno)
-            try:
-                time_s = float(rec["time_s"])
-                value = float(rec["value"])
-            except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large
-                raise EventFormatError("time_s and value must be finite numbers",
-                                       line=lineno) from None
-            if not (math.isfinite(time_s) and math.isfinite(value)):
-                raise EventFormatError("time_s and value must be finite", line=lineno)
-            if time_s < 0:
-                raise EventFormatError(f"negative time {time_s}", line=lineno)
-            if rec["outcome"] not in (0, 1):
-                raise EventFormatError(f"outcome must be 0 or 1, got {rec['outcome']!r}",
-                                       line=lineno)
-            if rec["split"] not in SPLITS:
-                raise EventFormatError(f"unknown split {rec['split']!r}", line=lineno)
-            if self.catalog is not None and feature not in self.catalog:
-                raise EventFormatError(f"unknown feature identifier {feature!r}", line=lineno)
-            meta = 3 * int(rec["outcome"]) + SPLITS.index(rec["split"])
-            if episode in self.episodes:
-                if self.meta[self.episodes[episode]] != meta:
-                    raise EventFormatError(
-                        f"episode {episode!r} has conflicting outcome/split", line=lineno
-                    )
-            else:
-                self.episodes[episode] = len(self.episodes)
-                self.meta.append(meta)
-            rows.append((self.episodes[episode], time_s,
-                         self.features.setdefault(feature, len(self.features)), value))
-        if rows:
-            episodes, times, features, values = zip(*rows)
-            self.blocks.append((np.array(episodes, dtype=np.intp), np.array(times, dtype=float),
-                                np.array(features, dtype=np.intp), np.array(values, dtype=float)))
 
     def sequences(self) -> list[EventSequence]:
         """One sequence per episode in order of first appearance; events by
@@ -395,6 +363,37 @@ _META_CODE = {(outcome, split): 3 * int(outcome) + i
               for outcome in "01" for i, split in enumerate(SPLITS)}
 
 
+def _read_line(line: str, lineno: int) -> tuple[str, float, str, float, int]:
+    """A record line's episode id, time, feature id, value and outcome/split code."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise EventFormatError(f"invalid JSON ({exc.msg})", line=lineno) from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer; deep nesting
+        raise EventFormatError(f"invalid JSON ({exc})", line=lineno) from None
+    if not isinstance(rec, dict):
+        raise EventFormatError("record is not an object", line=lineno)
+    for key in ("episode", "time_s", "feature", "value", "outcome", "split"):
+        if key not in rec:
+            raise EventFormatError(f"missing key {key!r}", line=lineno)
+    episode, feature = rec["episode"], rec["feature"]
+    if not isinstance(episode, str) or not isinstance(feature, str):
+        raise EventFormatError("episode and feature must be strings", line=lineno)
+    try:
+        time_s, value = float(rec["time_s"]), float(rec["value"])
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large
+        raise EventFormatError("time_s and value must be finite numbers", line=lineno) from None
+    if not (math.isfinite(time_s) and math.isfinite(value)):
+        raise EventFormatError("time_s and value must be finite", line=lineno)
+    if time_s < 0:
+        raise EventFormatError(f"negative time {time_s}", line=lineno)
+    if rec["outcome"] not in (0, 1):
+        raise EventFormatError(f"outcome must be 0 or 1, got {rec['outcome']!r}", line=lineno)
+    if rec["split"] not in SPLITS:
+        raise EventFormatError(f"unknown split {rec['split']!r}", line=lineno)
+    return episode, time_s, feature, value, 3 * int(rec["outcome"]) + SPLITS.index(rec["split"])
+
+
 def parse_event_log(
     stream: str | Iterable[str], catalog: FeatureCatalog | None = None
 ) -> list[EventSequence]:
@@ -409,13 +408,13 @@ def parse_event_log(
     only: JSON strings may hold U+0085, U+2028 and U+2029 unescaped.
     Lines are read in blocks of ``_BLOCK_LINES``. A block of regular lines, as
     ``write_event_log`` writes them, is decoded as a whole into arrays; any
-    other block is read line by line, and that is the only path that raises.
+    other block is read line by line; one coder checks what both decode.
     """
     lines = iter(io.StringIO(stream, newline=None) if isinstance(stream, str) else stream)
     columns = _LogColumns(catalog)
     lineno = 1
     while block := list(itertools.islice(lines, _BLOCK_LINES)):
-        if not columns.add_regular(block):
+        if not columns.add_regular(block, lineno):
             columns.add_lines(block, lineno)
         lineno += len(block)
     return columns.sequences()

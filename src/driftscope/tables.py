@@ -60,11 +60,17 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
 def read_csv(path, header: Sequence[str] | None = None) -> tuple[list[str], list[list[str]]]:
     """Read a file written by write_csv; blank lines are skipped.
 
-    An empty file is an EventFormatError. With ``header`` given, the first row
-    must equal it and every row must have as many cells.
+    An empty file is an EventFormatError, and so is a row the csv module
+    refuses (a cell past its field size limit; on Python 3.10, a NUL). With
+    ``header`` given, the first row must equal it and every row must have as
+    many cells.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if any(c.strip() for c in r)]
+        reader = csv.reader(fh)
+        try:
+            rows = [r for r in reader if any(c.strip() for c in r)]
+        except csv.Error as exc:
+            raise EventFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise EventFormatError(f"{path}: empty CSV file, no header")
     if header is not None:

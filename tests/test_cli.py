@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -6,11 +7,13 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import astuple, asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from driftscope import attribution, cli, evaluation, synth
 from driftscope.alerts import AlertRule
@@ -101,6 +104,12 @@ class TestGenData:
         assert run("gen-data", "--out-dir", tmp_path, *flags) == 0
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    def test_no_episodes_give_empty_files(self, tmp_path):
+        # a JSON-lines file with no records is empty, not one blank line
+        assert run("gen-data", "--out-dir", tmp_path, "--n-episodes", "0") == 0
+        for name in ("events.jsonl", "episodes.jsonl"):
+            assert (tmp_path / name).read_bytes() == b"", name
 
     def test_outputs_get_the_umask_mode(self, tmp_path):
         old = os.umask(0o022)
@@ -644,6 +653,20 @@ class TestEvaluate:
                    "--explanations", explained / "explanations.csv",
                    "--windows", empty, "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize("windows", ["none", "no truth"])
+    def test_nothing_to_score_writes_nothing(self, data_dir, tmp_path, capsys, windows):
+        audit = [json.loads(ln) for ln in (data_dir / "episodes.jsonl").read_text().splitlines()]
+        negative = next(r["episode"] for r in audit if r["first_positive_checkpoint_s"] is None)
+        rows = {"none": "", "no truth": f"{negative},0,2,0,3600,checkpoint\n"}[windows]
+        (tmp_path / "windows.csv").write_text(",".join(cli.WINDOWS_HEADER) + "\n" + rows)
+        (tmp_path / "explanations.csv").write_text(",".join(cli.EXPLANATIONS_HEADER) + "\n")
+        out = tmp_path / "res"
+        assert run("evaluate", "--events", data_dir / "events.jsonl",
+                   "--explanations", tmp_path / "explanations.csv",
+                   "--windows", tmp_path / "windows.csv", "--out-dir", out) == 2
+        assert "empty evaluation" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
     def test_ranks_above_k_are_data_error(self, data_dir, trained_dir, tmp_path):
         expl = tmp_path / "expl"
@@ -863,18 +886,33 @@ def test_evaluate_rows_equal_run_benchmark(tmp_path):
     events.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
                       encoding="utf-8")
 
-    model, expl, res = tmp_path / "model", tmp_path / "expl", tmp_path / "res"
+    model = tmp_path / "model"
     assert run("train", "--events", events, "--out-dir", model, "--hidden-size", "8",
                "--max-epochs", "2", "--seed", "4") == 0
-    assert run("explain", "--events", events, "--checkpoint", model / "checkpoint.json",
-               "--bins", model / "bins.json", "--out-dir", expl, "--k", "3", "--m", "8",
-               "--seed", "5") == 0
-    assert run("evaluate", "--events", events, "--explanations", expl / "explanations.csv",
-               "--windows", expl / "windows.csv", "--out-dir", res, "--k", "3",
-               "--resamples", "500", "--seed", "5") == 0
+    expl, code = explain_and_evaluate(events, model, tmp_path)
+    assert code == 0
     assert HOSTILE_EPISODE in {r[0] for r in read_csv(expl / "windows.csv")[1]}
     assert HOSTILE_FEATURE in {r[5] for r in read_csv(expl / "explanations.csv")[1]}
 
+    assert_rows_equal_run_benchmark(events, model, tmp_path / "res")
+
+
+def explain_and_evaluate(events, model, out):
+    """Run explain (k 3, m 8, seed 5) and evaluate (500 resamples, seed 5)
+    under ``out``; return explain's directory and evaluate's exit code."""
+    expl = out / "expl"
+    assert run("explain", "--events", events, "--checkpoint", model / "checkpoint.json",
+               "--bins", model / "bins.json", "--out-dir", expl, "--k", "3", "--m", "8",
+               "--seed", "5") == 0
+    code = run("evaluate", "--events", events, "--explanations", expl / "explanations.csv",
+               "--windows", expl / "windows.csv", "--out-dir", out / "res", "--k", "3",
+               "--resamples", "500", "--seed", "5")
+    return expl, code
+
+
+def assert_rows_equal_run_benchmark(events, model, res):
+    """results.csv in ``res`` holds run_benchmark's rows on the same events
+    and model, for every method but random."""
     params, _, catalog, stats = load_checkpoint(model / "checkpoint.json")
     with open(events, encoding="utf-8") as fh:
         episodes = prepare_episodes(params, stats, catalog, parse_event_log(fh, catalog=catalog))
@@ -885,6 +923,74 @@ def test_evaluate_rows_equal_run_benchmark(tmp_path):
     _, got = read_csv(res / "results.csv")
     assert [r for r in got if r[0] != "random"] == [
         [csv_cell(c) for c in astuple(row)] for row in rows]
+
+
+def rename_positive_episodes(data_dir, path, ids):
+    """Write data_dir's events to ``path`` with its first positive episodes
+    renamed to ``ids``, in order."""
+    audit = [json.loads(ln) for ln in (data_dir / "episodes.jsonl").read_text().splitlines()]
+    positive = [r["episode"] for r in audit if r["first_positive_checkpoint_s"] is not None]
+    assert len(positive) >= len(ids)
+    names = dict(zip(positive, ids))
+    records = [json.loads(ln) for ln in (data_dir / "events.jsonl").read_text().splitlines()]
+    path.write_text("".join(
+        json.dumps({**r, "episode": names.get(r["episode"], r["episode"])}, ensure_ascii=False)
+        + "\n" for r in records), encoding="utf-8")
+
+
+# Pieces of episode ids that CSV must quote, that split lines, or that are not
+# ASCII; none of them occurs in a generated id.
+ID_PIECES = [",", '"', "\r", "\n", "\r\n", "\u2028", "\x85", "é", "µ", "a", " "]
+
+
+@settings(max_examples=10)
+@given(ids=st.lists(st.lists(st.sampled_from(ID_PIECES), min_size=1, max_size=5).map("".join),
+                    min_size=1, max_size=10, unique=True))
+@example(ids=["".join(ID_PIECES), 'a,"b"', "\r\n", "µ\u2028é"])
+def test_episode_ids_round_trip_through_explain_and_evaluate(data_dir, trained_dir, ids):
+    """Episode ids do not enter training, so one model serves every draw:
+    explain writes each id into windows.csv and explanations.csv, evaluate
+    reads them back, and its rows are the library's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        rename_positive_episodes(data_dir, tmp / "events.jsonl", ids)
+        expl, code = explain_and_evaluate(tmp / "events.jsonl", trained_dir, tmp)
+        assert code == 0
+        assert set(ids) <= {r[0] for r in read_csv(expl / "windows.csv")[1]}
+        assert set(ids) <= {r[0] for r in read_csv(expl / "explanations.csv")[1]}
+        assert_rows_equal_run_benchmark(tmp / "events.jsonl", trained_dir, tmp / "res")
+
+
+def test_cell_past_the_csv_field_limit_is_data_error(data_dir, trained_dir, tmp_path, capsys):
+    """An id longer than the csv module's field size limit passes through
+    explain; evaluate, which reads it back, exits 2 naming windows.csv."""
+    rename_positive_episodes(data_dir, tmp_path / "events.jsonl", ["x" * 140_000])
+    _, code = explain_and_evaluate(tmp_path / "events.jsonl", trained_dir, tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "windows.csv: line 2: field larger than field limit" in err
+    assert "Traceback" not in err
+    assert list((tmp_path / "res").iterdir()) == []
+
+
+def test_nul_in_an_id_round_trips_or_is_data_error(data_dir, trained_dir, tmp_path, capsys):
+    """A NUL, written as \\u0000 in the event log, reaches the CSV files. It
+    round-trips where the csv module reads NUL (Python 3.11 and later) and is
+    a data error naming windows.csv where it refuses it (3.10)."""
+    try:
+        reads_nul = next(csv.reader(["a\x00b"])) == ["a\x00b"]
+    except csv.Error:
+        reads_nul = False
+    rename_positive_episodes(data_dir, tmp_path / "events.jsonl", ["a\x00b"])
+    expl, code = explain_and_evaluate(tmp_path / "events.jsonl", trained_dir, tmp_path)
+    if reads_nul:
+        assert code == 0
+        assert "a\x00b" in {r[0] for r in read_csv(expl / "windows.csv")[1]}
+        assert_rows_equal_run_benchmark(tmp_path / "events.jsonl", trained_dir, tmp_path / "res")
+    else:
+        assert code == 2
+        assert "windows.csv: line 2: line contains NUL" in capsys.readouterr().err
+        assert list((tmp_path / "res").iterdir()) == []
 
 
 class TestPipelineDeterminism:

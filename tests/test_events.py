@@ -413,6 +413,19 @@ def log_lines(draw):
          form="list", block=4, catalog=None)
 @example(lines=[json.dumps(record(feature="f\x0bg")), json.dumps(record(feature="f\u2028"))],
          form="\u2028", block=4, catalog=None)
+@example(lines=[json.dumps(record()), json.dumps(record(outcome=1, time_s=1.0)),
+                json.dumps(record(feature="x", time_s=2.0))],
+         form="list", block=4, catalog=FeatureCatalog.from_ids(["g", "f", "h"]))
+@example(lines=[json.dumps(record()), json.dumps(record(feature="x", time_s=1.0)),
+                json.dumps(record(outcome=1, time_s=2.0))],
+         form="list", block=4, catalog=FeatureCatalog.from_ids(["g", "f", "h"]))
+@example(lines=[json.dumps(record()), json.dumps(record(feature="x", outcome=1, time_s=1.0))],
+         form="list", block=4, catalog=FeatureCatalog.from_ids(["g", "f", "h"]))
+@example(lines=[json.dumps(record(feature="x")), json.dumps(record(time_s=1.0)), "{not json"],
+         form="list", block=4, catalog=FeatureCatalog.from_ids(["g", "f", "h"]))
+@example(lines=[json.dumps(record()), json.dumps(record(time_s=1.0)),
+                json.dumps(record(feature="x", time_s=2.0))],
+         form="list", block=2, catalog=FeatureCatalog.from_ids(["g", "f", "h"]))
 def test_parse_matches_the_per_line_reference(lines, form, block, catalog):
     """Block decoding gives the reference's sequences, or its error with the
     same line and message, for any log, block size and form of input."""
@@ -474,6 +487,20 @@ def test_regular_blocks_take_the_block_path(tmp_path):
     with open(path, encoding="utf-8") as fh:
         assert parse_outcome(parse_event_log, path.read_text(), None) == \
             parse_outcome(reference_parse, fh, None)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(feature="x"), "unknown feature identifier 'x'"),
+    (dict(outcome=1), "episode 'a' has conflicting outcome/split"),
+], ids=["outside-catalog", "conflict"])
+def test_a_regular_block_raises_its_own_errors(bad, message):
+    """A regular block whose line 3 names a feature outside the catalog, or
+    another outcome than its episode's first event, raises that line's error
+    without being read again line by line."""
+    lines = [json.dumps(record(time_s=float(t), **(bad if t == 2 else {}))) for t in range(4)]
+    with mock.patch.object(events._LogColumns, "add_lines", side_effect=AssertionError):
+        with pytest.raises(EventFormatError, match=f"^line 3: {message}$"):
+            parse_event_log(lines, catalog=FeatureCatalog.from_ids(["f"]))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
