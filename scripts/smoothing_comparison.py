@@ -37,7 +37,6 @@ def main() -> int:
     args = ap.parse_args()
 
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     scenario = ds.ScenarioConfig(seed=20240, n_episodes=args.n_episodes,
                                  deterioration_fraction=0.5)

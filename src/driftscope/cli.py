@@ -188,7 +188,6 @@ def _methods_from_arg(arg: str) -> list[str]:
 def cmd_gen_data(args) -> int:
     config = _config(synth.ScenarioConfig, args)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     corpus = synth.generate_corpus(config)
     with atomic_open(out / "events.jsonl") as fh:
         write_event_log(fh, corpus)
@@ -217,7 +216,6 @@ def cmd_train(args) -> int:
     config = _config(ModelConfig, args, attention=not args.no_attention)
     _check_at_least(args, 2, "bins_per_feature")
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     raw = _read_events(args.events)
     catalog = catalog_from_sequences(raw)
     stats = fit_feature_stats(raw)
@@ -250,13 +248,12 @@ def _load_and_prepare(args):
     params, _config, catalog, stats = load_checkpoint(args.checkpoint)
     raw = _read_events(args.events, catalog=catalog)
     episodes = prepare_episodes(params, stats, catalog, raw)
-    return episodes, params, catalog, stats, raw
+    return episodes, params, catalog, raw
 
 
 def cmd_alerts(args) -> int:
     rule = _rule_from_args(args)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     episodes, *_ = _load_and_prepare(args)
     cohort = select_alert_cohort(((ep.episode_id, ep.risk) for ep in episodes), rule)
     write_csv(out / "alerts.csv",
@@ -271,11 +268,10 @@ def cmd_explain(args) -> int:
     _check_at_least(args, 1, "k", "m")
     rule = _rule_from_args(args)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    episodes, params, catalog, stats, raw = _load_and_prepare(args)
-
-    bins = BinTable.from_json(read_json(args.bins, "bin table")) if args.bins else fit_bins(raw)
-    ctx = MethodContext(params=params, catalog=catalog, bins=bins, m=args.m, seed=args.seed)
+    bins = BinTable.from_json(read_json(args.bins, "bin table")) if args.bins else None
+    episodes, params, catalog, raw = _load_and_prepare(args)
+    ctx = MethodContext(params=params, catalog=catalog, bins=bins or fit_bins(raw), m=args.m,
+                        seed=args.seed)
 
     if args.windows == "alerts":
         windows = evaluation.alert_windows(episodes, rule)
@@ -313,7 +309,6 @@ def cmd_explain(args) -> int:
 def cmd_evaluate(args) -> int:
     _check_at_least(args, 1, "k", "resamples")
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     by_id = {seq.episode_id: seq for seq in _read_events(args.events)}
 
     _, window_rows = read_csv(args.windows, WINDOWS_HEADER)

@@ -18,8 +18,12 @@ def atomic_open(path):
     """Open a temp file beside ``path`` for UTF-8 text, written without newline
     translation; it replaces ``path`` when the block ends and is deleted if
     the block raises, which leaves any previous file at ``path`` intact. The
-    file gets the mode ``open`` would give a new file: 0o666 less the umask."""
-    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    file gets the mode ``open`` would give a new file: 0o666 less the umask.
+    A missing directory of ``path`` is made first, with the mode ``mkdir``
+    gives: 0o777 less the umask."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=directory)
     try:
         umask = os.umask(0)  # reading the umask means setting it; it is restored at once
         os.umask(umask)

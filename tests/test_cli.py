@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import astuple, asdict
 
 import numpy as np
@@ -421,7 +422,7 @@ class TestCheckpointChecks:
         assert run("explain", "--events", data_dir / "events.jsonl", "--checkpoint", ckpt,
                    "--out-dir", out, "--methods", "gradient,attention") == 2
         assert "checkpoint" in capsys.readouterr().err
-        assert not (out / "explanations.csv").exists()
+        assert not out.exists()
 
     def test_nan_stats_mean_alerts_is_data_error(self, data_dir, trained_dir, tmp_path, capsys):
         payload = CHECKPOINT_DEFECTS["nan_stats_mean"](
@@ -432,7 +433,7 @@ class TestCheckpointChecks:
         assert run("alerts", "--events", data_dir / "events.jsonl", "--checkpoint", ckpt,
                    "--out-dir", out, "--min-new-events", "1") == 2
         assert "checkpoint" in capsys.readouterr().err
-        assert not (out / "alerts.csv").exists()
+        assert not out.exists()
 
 
 def _widest(payload):
@@ -459,7 +460,12 @@ BINS_DEFECTS = {
 
 
 @pytest.mark.parametrize("defect", sorted(BINS_DEFECTS))
-def test_malformed_bins_is_data_error(data_dir, trained_dir, tmp_path, capsys, defect):
+def test_malformed_bins_is_data_error(data_dir, trained_dir, tmp_path, capsys, monkeypatch,
+                                      defect):
+    # the bin table is checked before the model scans any episode
+    prepared = []
+    prepare = cli.prepare_episodes
+    monkeypatch.setattr(cli, "prepare_episodes", lambda *a: prepared.append(a) or prepare(*a))
     payload = json.loads((trained_dir / "bins.json").read_text())
     assert len(_widest(payload)["cuts"]) >= 2
     bins = tmp_path / "bins.json"
@@ -469,7 +475,8 @@ def test_malformed_bins_is_data_error(data_dir, trained_dir, tmp_path, capsys, d
                "--checkpoint", trained_dir / "checkpoint.json", "--bins", bins,
                "--out-dir", out, "--methods", "odds_ratio") == 2
     assert "bin" in capsys.readouterr().err
-    assert not (out / "explanations.csv").exists()
+    assert prepared == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "alerts", "explain"])
@@ -488,7 +495,7 @@ def test_non_finite_event_is_data_error(data_dir, trained_dir, tmp_path, capsys,
         args += ["--checkpoint", trained_dir / "checkpoint.json"]
     assert run(command, *args) == 2
     assert "line 1: time_s and value must be finite" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["alerts", "explain"])
@@ -504,7 +511,7 @@ def test_feature_outside_the_catalog_is_data_error(data_dir, trained_dir, tmp_pa
     assert run(command, "--events", events, "--checkpoint", trained_dir / "checkpoint.json",
                "--out-dir", out) == 2
     assert "data error: line 11: unknown feature identifier 'pulse'" in capsys.readouterr().err
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 # Flag values that are not finite. The alert ones would leave the rule's check
@@ -574,7 +581,21 @@ def test_deeply_nested_json_is_data_error(data_dir, trained_dir, tmp_path, capsy
     assert run("explain", *(a for pair in inputs.items() for a in pair), "--out-dir", out,
                "--methods", "odds_ratio") == 2
     assert "nested too deeply" in capsys.readouterr().err
-    assert not (out / "explanations.csv").exists()
+    assert not out.exists()
+
+
+def _inputs(command, data_dir, trained_dir, explained):
+    """Every input flag of ``command`` with a valid file."""
+    events = {"--events": data_dir / "events.jsonl"}
+    model = {**events, "--checkpoint": trained_dir / "checkpoint.json"}
+    return {
+        "gen-data": {"--n-episodes": "4"},
+        "train": {**events, "--max-epochs": "0"},
+        "alerts": model,
+        "explain": {**model, "--bins": trained_dir / "bins.json", "--methods": "odds_ratio"},
+        "evaluate": {**events, "--explanations": explained / "explanations.csv",
+                     "--windows": explained / "windows.csv"},
+    }[command]
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -583,19 +604,71 @@ def test_deeply_nested_json_is_data_error(data_dir, trained_dir, tmp_path, capsy
 ])
 def test_directory_as_input_is_data_error(data_dir, trained_dir, explained, tmp_path, capsys,
                                           command, flag):
-    events = {"--events": data_dir / "events.jsonl"}
-    model = {**events, "--checkpoint": trained_dir / "checkpoint.json"}
-    inputs = {
-        "train": events,
-        "alerts": model,
-        "explain": {**model, "--bins": trained_dir / "bins.json"},
-        "evaluate": {**events, "--explanations": explained / "explanations.csv",
-                     "--windows": explained / "windows.csv"},
-    }[command]
+    inputs = _inputs(command, data_dir, trained_dir, explained)
     inputs[flag] = tmp_path
     assert run(command, *(a for pair in inputs.items() for a in pair),
                "--out-dir", tmp_path / "out") == 2
     assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("train", "--events", None),
+    ("train", "--events", '{"episode": "e"}\n'),
+    ("alerts", "--checkpoint", None),
+    ("alerts", "--events", "not json\n"),
+    ("explain", "--events", None),
+    ("explain", "--checkpoint", "{}"),
+    ("explain", "--bins", "[]"),
+    ("evaluate", "--windows", None),
+    ("evaluate", "--explanations", "episode,method\n"),
+])
+def test_rejected_input_leaves_no_out_dir(data_dir, trained_dir, explained, tmp_path, capsys,
+                                          command, flag, text):
+    """A missing (text None) or malformed input is a data error, and the
+    command creates no output directory."""
+    inputs = _inputs(command, data_dir, trained_dir, explained)
+    inputs[flag] = tmp_path / "input"
+    if text is not None:
+        inputs[flag].write_text(text)
+    out = tmp_path / "out" / "nested"
+    assert run(command, *(a for pair in inputs.items() for a in pair), "--out-dir", out) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "alerts", "explain", "evaluate"])
+def test_out_dir_that_is_a_file_is_data_error(data_dir, trained_dir, explained, tmp_path,
+                                              capsys, command):
+    inputs = _inputs(command, data_dir, trained_dir, explained)
+    out = tmp_path / "out"
+    out.write_bytes(b"keep me\n")
+    assert run(command, *(a for pair in inputs.items() for a in pair), "--out-dir", out) == 2
+    assert "data error" in capsys.readouterr().err
+    assert out.read_bytes() == b"keep me\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_diverged_training_leaves_no_out_dir(data_dir, tmp_path, capsys):
+    # a smoothing coefficient near the float maximum overflows the loss gradient
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run("train", "--events", data_dir / "events.jsonl", "--out-dir", out,
+                   "--hidden-size", "8", "--max-epochs", "2", "--seed", "4",
+                   "--eta", "1e308") == 3
+    assert "numeric failure: non-finite risk loss" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_makes_the_checkpoint_directory(data_dir, trained_dir, tmp_path):
+    ckpt = tmp_path / "elsewhere" / "deeper" / "model.json"
+    assert run("train", "--events", data_dir / "events.jsonl", "--out-dir", tmp_path / "out",
+               "--checkpoint", ckpt, "--hidden-size", "8", "--max-epochs", "2", "--seed", "4",
+               "--eta", "0.005") == 0
+    assert ckpt.read_bytes() == (trained_dir / "checkpoint.json").read_bytes()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["bins.json",
+                                                                    "train_report.csv"]
 
 
 @pytest.fixture(scope="module")
@@ -665,7 +738,7 @@ class TestEvaluate:
                    "--explanations", tmp_path / "explanations.csv",
                    "--windows", tmp_path / "windows.csv", "--out-dir", out) == 2
         assert "empty evaluation" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
     def test_ranks_above_k_are_data_error(self, data_dir, trained_dir, tmp_path):
@@ -970,7 +1043,7 @@ def test_cell_past_the_csv_field_limit_is_data_error(data_dir, trained_dir, tmp_
     assert code == 2
     assert "windows.csv: line 2: field larger than field limit" in err
     assert "Traceback" not in err
-    assert list((tmp_path / "res").iterdir()) == []
+    assert not (tmp_path / "res").exists()
 
 
 def test_nul_in_an_id_round_trips_or_is_data_error(data_dir, trained_dir, tmp_path, capsys):
@@ -990,7 +1063,7 @@ def test_nul_in_an_id_round_trips_or_is_data_error(data_dir, trained_dir, tmp_pa
     else:
         assert code == 2
         assert "windows.csv: line 2: line contains NUL" in capsys.readouterr().err
-        assert list((tmp_path / "res").iterdir()) == []
+        assert not (tmp_path / "res").exists()
 
 
 class TestPipelineDeterminism:

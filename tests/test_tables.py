@@ -98,6 +98,29 @@ def test_written_file_mode_follows_umask(tmp_path, umask, mode):
     assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o755), (0o077, 0o700)], ids=["022", "077"])
+def test_missing_directories_are_made_with_the_umask_mode(tmp_path, umask, mode):
+    path = tmp_path / "a" / "b" / "t.txt"
+    old = os.umask(umask)
+    try:
+        with atomic_open(path) as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(old)
+    assert path.read_bytes() == b"x\n"
+    for directory in (tmp_path / "a", tmp_path / "a" / "b"):
+        assert stat.S_IMODE(directory.stat().st_mode) == mode, directory
+
+
+def test_failed_write_into_a_new_directory_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "new" / "t.txt"
+    with pytest.raises(RuntimeError, match="partway"):
+        with atomic_open(path) as fh:
+            fh.write("x\n")
+            raise RuntimeError("partway")
+    assert list((tmp_path / "new").iterdir()) == []
+
+
 def test_empty_file_is_format_error(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
